@@ -12,6 +12,7 @@ coordinate shorter.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -192,11 +193,27 @@ def delta_row(n, length):
             for m in range(1, length + 1)]
 
 
+@functools.lru_cache(maxsize=None)
+def _lgamma_table(size):
+    """Read-only math.lgamma(i) for i < size; lgamma(0) is the pole +inf."""
+    table = np.array([math.inf] + [math.lgamma(i) for i in range(1, size)])
+    table.flags.writeable = False
+    return table
+
+
 def delta_log_abs(n, m):
-    """log|Delta_{nm}| = log binom(n-1, m-1), -inf above the diagonal."""
-    if m > n:
-        return -math.inf
-    return (math.lgamma(n) - math.lgamma(m) - math.lgamma(n - m + 1))
+    """log|Delta_{nm}| = log binom(n-1, m-1), -inf above the diagonal.
+
+    Elementwise over an integer array n, read off one cached lgamma
+    table (sized to a power of two); a scalar n gives a float.
+    """
+    n = np.asarray(n)
+    lg = _lgamma_table(1 << int(max(np.max(n, initial=0), m)).bit_length())
+    with np.errstate(invalid="ignore"):
+        out = np.where(n >= m,
+                       lg[n] - lg[m] - lg[np.maximum(n - m + 1, 0)],
+                       -np.inf)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

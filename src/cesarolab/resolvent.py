@@ -6,6 +6,11 @@ strict part e_{nm}(mu) = 1/(n prod_{k=m}^{n} (1 - 1/(mu k))).  All the
 estimates here are on moduli, so products are accumulated as sums of
 log-magnitudes (complex logs where a phase is needed); N up to 1e5
 factors stays well inside double range.
+
+The distance to Sigma0 = {0} u {1/n} is exact: the nearest point of
+Sigma0 is read off Re z in closed form, elementwise over arrays, with no
+cap on n.  Grid margins and the lower sandwich constant u(lam) are
+measured with it.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ __all__ = [
     "disc_samples",
 ]
 
-SIGMA_SCAN = 10 ** 4          # reciprocals checked when computing distances
 PROBE_L_MAX = 64
 PROBE_THRESHOLD = math.log(1e3)
 
@@ -48,18 +52,25 @@ def a_fn(z):
     return (1.0 / z).real
 
 
-def dist_sigma0(z, n_max=SIGMA_SCAN):
-    """Distance from z to {0} u {1/n : n in N}.
+def dist_sigma0(z):
+    """Distance from z to {0} u {1/n : n in N}, elementwise over arrays.
 
-    The reciprocals accumulate at 0, so |z| covers the tail beyond
-    n_max.
+    |z - 1/n| is smallest at the reciprocal nearest to x = Re z, one of
+    1/floor(1/x) and 1/ceil(1/x) for 0 < x <= 1 and 1 for x > 1; for
+    x <= 0 no reciprocal is nearer than the point 0.  A scalar z gives a
+    float.
     """
-    z = complex(z)
-    d = abs(z)
-    # candidates near 1/Re(1/z) plus the global scan floor
-    ns = np.arange(1, n_max + 1)
-    d = min(d, float(np.min(np.abs(z - 1.0 / ns))))
-    return d
+    z = np.asarray(z, dtype=complex)
+    # |z| as np.hypot (bit-equal to abs(complex)), |z - 1/n| as
+    # np.abs(complex): the two round differently in the last bit, and
+    # report floats such as the sandwich slack depend on which is used
+    d = np.hypot(z.real, z.imag)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = 1.0 / z.real
+        for n in (np.floor(inv), np.ceil(inv)):
+            # n < 1 only for x > 1 (nearest is 1) or x <= 0 (0 is nearer)
+            d = np.fmin(d, np.abs(z - 1.0 / np.maximum(n, 1.0)))
+    return float(d) if d.ndim == 0 else d
 
 
 def v_fn(lam):
@@ -257,26 +268,26 @@ def resolvent_entries(mu):
 # ---------------------------------------------------------------------------
 # norm bound and equicontinuity probe
 
-def _strict_row_base(mu, W: WeightFamily, k, horizon):
+def _strict_row_base(mu, lw_k):
     """log of (1/n) sum_{m<n} e^{P(m-1)} / v_k(m), factored per row.
 
     With P the cumulative log-magnitude of the resolvent product, the
     weighted row sum of |e~^{k,l}_{nm}| equals
     exp(log v_l(n) + base(n)) where base is independent of l; this makes
-    the search over steps l a cheap vector sweep.
+    the search over steps l a cheap vector sweep.  ``lw_k`` holds
+    log v_k(n) for n = 1..horizon.
     """
-    ns = np.arange(1, horizon + 1)
+    horizon = len(lw_k)
     P = product_log_prefix(mu, horizon)          # P[i] = sum_{k<=i+1}
-    lw_k = W.log_weights(k, ns)
     # terms_m = P(m-1) - log v_k(m), prefix log-sum-exp over m
     terms = np.empty(horizon)
     terms[0] = -lw_k[0]
     terms[1:] = P[:-1] - lw_k[1:]
     logQ = np.logaddexp.accumulate(terms)
     base = np.full(horizon, -np.inf)
-    log_n = np.log(ns.astype(float))
+    log_n = np.log(np.arange(1, horizon + 1, dtype=float))
     base[1:] = -log_n[1:] - P[1:] + logQ[:-1]
-    return ns, base
+    return base
 
 
 def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
@@ -288,7 +299,8 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
     deterministic sample of the disc around lam, the supremum of the
     weighted row sums of the conjugated resolvent strict part.  A step
     counts as bounded when the supremum stays under the divergence
-    threshold and did not grow over the last decade of rows.
+    threshold and did not grow over the last decade of rows.  alpha is
+    evaluated once; each step only rescales it.
     """
     d_lam = dist_sigma0(lam)
     if d_lam <= delta:
@@ -297,18 +309,20 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
             f"(dist = {d_lam:.3g})")
     mus = disc_samples(lam, delta, boundary=max(samples - 1, 1), interior=0)
     mus = mus[:samples]
-    bases = [_strict_row_base(mu, W, k, horizon) for mu in mus]
-    ns = bases[0][0]
+    ns = np.arange(1, horizon + 1)
+    alpha_ns = W.alpha_values(ns)
+    lw_k = W.step_log_weights(k, alpha_ns)
+    bases = [_strict_row_base(mu, lw_k) for mu in mus]
     cut = max(horizon // 10, 2)
     early_mask = ns <= cut
     late_mask = ns > cut
 
     best = None
     for l in range(k, k + l_max + 1):
-        lw_l = W.log_weights(l, ns)
+        lw_l = W.step_log_weights(l, alpha_ns)
         sup_all = -math.inf
         bounded = True
-        for _, base in bases:
+        for base in bases:
             row = lw_l + base
             sup = float(np.max(row))
             sup_all = max(sup_all, sup)
@@ -358,9 +372,10 @@ def resolvent_norm_bound_check(lam, W: WeightFamily, k, horizon=10 ** 4,
     mus = [mu for mu in mus[:samples] if a_fn(mu) < 1.0]
     worst = 0.0
     rows = []
+    ns = np.arange(1, horizon + 1)
+    lw_k = W.log_weights(k, ns)
     for mu in mus:
-        ns, base = _strict_row_base(mu, W, k, horizon)
-        lw_k = W.log_weights(k, ns)
+        base = _strict_row_base(mu, lw_k)
         off = np.exp(np.minimum(lw_k + base, 700.0)) / abs(mu) ** 2
         diag = np.abs(1.0 / (1.0 / ns - mu))
         norm_est = float(np.max(diag + off))

@@ -37,26 +37,35 @@ GRID_MARGIN = 1e-3
 POINT_K_MAX = 64
 
 
-def region_contains(region, z, tol=REGION_TOL):
-    """Membership of z in a symbolic region descriptor."""
-    z = complex(z)
-    in_sigma = rsv.dist_sigma0(z) <= tol and abs(z) > tol
-    near_zero = abs(z) <= tol
-    in_disc_open = abs(z - 0.5) < 0.5 - tol
-    in_disc_closed = abs(z - 0.5) <= 0.5 + tol
+def _region_mask(region, z, d, tol):
+    """Elementwise membership of the points z in a region descriptor,
+    given their distances d to Sigma0."""
+    x, y = np.real(z), np.imag(z)
+    near_zero = np.hypot(x, y) <= tol
+    near_one = np.hypot(x - 1.0, y) <= tol
+    disc_dist = np.hypot(x - 0.5, y)
     if region == "Sigma":
-        return in_sigma
+        return (d <= tol) & ~near_zero
     if region == "Sigma0":
-        return in_sigma or near_zero
+        return d <= tol             # d <= |z|, so this covers near_zero
     if region == "{1}":
-        return abs(z - 1.0) <= tol
+        return near_one
     if region == "{0,1}uD(1)":
-        return in_disc_open or near_zero or abs(z - 1.0) <= tol
+        return (disc_dist < 0.5 - tol) | near_zero | near_one
     if region == "closure(D(1))":
-        return in_disc_closed
+        return disc_dist <= 0.5 + tol
     if region == "unknown":
-        return False
+        return np.zeros(np.shape(z), dtype=bool)
     raise ValueError(f"unknown region descriptor {region!r}")
+
+
+def region_contains(region, z, tol=REGION_TOL):
+    """Membership of z in a symbolic region descriptor.
+
+    The scalar call of the array predicate that labels sample_grid.
+    """
+    z = complex(z)
+    return bool(_region_mask(region, z, rsv.dist_sigma0(z), tol))
 
 
 @dataclass
@@ -98,15 +107,15 @@ def point_spectrum_test(m, alpha: AlphaSequence, W: WeightFamily,
     ns = np.arange(max(m, 1), horizon + 1)
     if m == 1:
         return GrowthVerdict("holds", horizon, 1.0, 1, False)
-    log_row = np.array([delta_log_abs(int(n), m) for n in ns])
+    log_row = delta_log_abs(ns, m)
+    alpha_ns = W.alpha_values(ns)
     # membership of the m-th eigenvector (m >= 2) is equivalent to
     # nuclearity, and the row grows too slowly for a finite scan to
     # expose divergence (it sets in beyond n = e^k); a declared
     # nuclearity flag therefore decides the verdict outright
     declared = alpha.flag("nuclear")
     if declared is not None:
-        k = 1
-        vals = log_row + W.log_weights(k, ns)
+        vals = log_row + W.step_log_weights(1, alpha_ns)
         i = int(np.argmax(vals))
         sup = math.exp(min(float(vals[i]), 709.0))
         status = "holds" if declared else "fails"
@@ -116,7 +125,7 @@ def point_spectrum_test(m, alpha: AlphaSequence, W: WeightFamily,
     late = ns > cut
     best = None
     for k in range(1, k_max + 1):
-        vals = log_row + W.log_weights(k, ns)
+        vals = log_row + W.step_log_weights(k, alpha_ns)
         sup = float(np.max(vals))
         grew = (late.any() and early.any()
                 and float(np.max(vals[late]))
@@ -211,36 +220,35 @@ def sample_grid(alpha, W, re_range, im_range, resolution,
     report = classify_spectrum(alpha, W, horizon=horizon, with_probe=False)
     res = np.linspace(re_range[0], re_range[1], resolution)
     ims = np.linspace(im_range[0], im_range[1], resolution)
-    points = []
+    z = np.empty((resolution, resolution), dtype=complex)   # z[i, j]
+    z.real = res[None, :]
+    z.imag = ims[:, None]
+    d = rsv.dist_sigma0(z)
+    usable = d > margin
+    labels = np.where(_region_mask(report.sigma, z, d, margin),
+                      "spectrum", "resolvent")
+    labels[~usable] = "excluded"
+    usable_idx = np.flatnonzero(usable)      # row-major, like the CSV
     probe_idx = set()
-    usable = [(i, j) for i in range(resolution) for j in range(resolution)
-              if rsv.dist_sigma0(complex(res[j], ims[i])) > margin]
-    if probe_subsample > 0 and usable:
-        step = max(len(usable) // probe_subsample, 1)
-        probe_idx = set(usable[::step][:probe_subsample])
-    for i in range(resolution):
-        for j in range(resolution):
-            z = complex(res[j], ims[i])
-            if rsv.dist_sigma0(z) <= margin:
-                points.append(GridPoint(res[j], ims[i], "excluded",
-                                        "skipped", math.nan, None))
-                continue
-            label = ("spectrum" if region_contains(report.sigma, z,
-                                                   tol=margin)
-                     else "resolvent")
-            if (i, j) in probe_idx:
-                try:
-                    probe = rsv.equicontinuity_probe(
-                        z, probe_delta, W, k=1, horizon=horizon, samples=4)
-                    points.append(GridPoint(
-                        res[j], ims[i], label, probe["verdict"],
-                        probe["sup_row_sum"], probe["l_found"]))
-                except ValueError:
-                    points.append(GridPoint(res[j], ims[i], label,
-                                            "skipped", math.nan, None))
-            else:
-                points.append(GridPoint(res[j], ims[i], label, "skipped",
-                                        math.nan, None))
+    if probe_subsample > 0 and usable_idx.size:
+        step = max(usable_idx.size // probe_subsample, 1)
+        probe_idx = set(usable_idx[::step][:probe_subsample].tolist())
+    points = []
+    res, ims = res.tolist(), ims.tolist()
+    for idx, label in enumerate(labels.ravel().tolist()):
+        i, j = divmod(idx, resolution)
+        point = GridPoint(res[j], ims[i], label, "skipped", math.nan, None)
+        if idx in probe_idx:
+            try:
+                probe = rsv.equicontinuity_probe(
+                    complex(res[j], ims[i]), probe_delta, W, k=1,
+                    horizon=horizon, samples=4)
+                point.probe_status = probe["verdict"]
+                point.probe_sup = probe["sup_row_sum"]
+                point.l_found = probe["l_found"]
+            except ValueError:
+                pass
+        points.append(point)
     return report, points
 
 

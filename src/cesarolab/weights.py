@@ -179,9 +179,19 @@ class WeightFamily:
         return -self.alpha.value(n) * self.log_base(k)
 
     def log_weights(self, k, ns):
-        la = self.alpha.log_values(ns)
+        return self.step_log_weights(k, self.alpha_values(ns))
+
+    def alpha_values(self, ns):
+        """alpha_n over an index array: the part of log v_k(n) that does
+        not depend on the step k (inf where alpha_n overflows)."""
         with np.errstate(over="ignore"):
-            return -np.exp(la) * self.log_base(k)
+            return np.exp(self.alpha.log_values(ns))
+
+    def step_log_weights(self, k, alpha_ns):
+        """log v_k(n) = -alpha_n log s_k from alpha_values(ns), so that a
+        scan over steps k evaluates alpha once."""
+        with np.errstate(over="ignore"):
+            return alpha_ns * -self.log_base(k)
 
     def weight(self, k, n):
         return math.exp(self.log_weight(k, n))

@@ -68,6 +68,16 @@ def test_delta_log_abs_matches_binomial():
     assert delta_log_abs(3, 5) == -math.inf
 
 
+def test_delta_log_abs_array_matches_scalar_lgamma():
+    # one lgamma table read elementwise, bit-identical to math.lgamma
+    ns = np.arange(0, 300)
+    for m in (1, 2, 4, 150):
+        row = delta_log_abs(ns, m)
+        want = [math.lgamma(n) - math.lgamma(m) - math.lgamma(n - m + 1)
+                if n >= m else -math.inf for n in ns]
+        assert row.tolist() == want
+
+
 def test_diff_eigenvector():
     # differentiation fixes (lam^{n-1}/(n-1)!) up to the factor lam
     lam = F(3, 5)

@@ -38,6 +38,45 @@ def test_dist_sigma0():
     assert dist_sigma0(2.0 + 1.0j) == pytest.approx(abs(2.0 + 1.0j - 1.0))
 
 
+def test_dist_sigma0_reciprocals_beyond_1e4():
+    # the nearest point of Sigma0 may be 1/n for any n, not only n <= 1e4
+    assert dist_sigma0(1.0 / 20000) == 0.0
+    assert dist_sigma0(1.0 / 20000 + 2e-4j) == pytest.approx(2e-4)
+    assert dist_sigma0(1.0 / 123457 + 1e-9j) == pytest.approx(1e-9)
+    assert isinstance(dist_sigma0(0.3), float)
+
+
+def test_u_fn_uses_true_distance_near_zero():
+    lam = 1.0 / 20000 + 1e-6j
+    r, d = abs(lam), 1e-6
+    big_d = 3.0 * (1.0 + r) ** 2 / (r ** 1.5 * d ** 2.5)
+    arg = -1.0 / r - 2.0 * big_d
+    assert u_fn(lam) == (math.exp(arg) if arg > -745.0 else 0.0)
+
+
+_RECIPROCALS = 1.0 / np.arange(1, 10 ** 6 + 1)
+
+
+def _brute_dist(z):
+    return min(abs(z), float(np.min(np.abs(z - _RECIPROCALS))))
+
+
+_RE = st.one_of(st.floats(2e-6, 3.0), st.floats(-3.0, 0.0),
+                st.floats(-5.69, 0.0).map(lambda e: 10.0 ** e))
+_IM = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e-4, 1e-4))
+
+
+@given(st.lists(st.tuples(_RE, _IM), min_size=1, max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_dist_sigma0_matches_brute_force(pairs):
+    # Re z >= 2e-6 puts the nearest reciprocal at n <= 5e5 < 1e6
+    zs = np.array([complex(x, y) for x, y in pairs])
+    scalars = [dist_sigma0(z) for z in zs.tolist()]
+    assert dist_sigma0(zs).tolist() == scalars
+    for z, d in zip(zs.tolist(), scalars):
+        assert d == pytest.approx(_brute_dist(z), rel=1e-12, abs=0.0)
+
+
 def test_product_exact_values():
     # prod_{n<=4} (1 - 1/(2n)) = (1/2)(3/4)(5/6)(7/8) = 105/384
     assert product_log(2.0, 4) == pytest.approx(math.log(105.0 / 384.0))

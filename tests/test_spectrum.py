@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cesarolab.spectrum import (GridPoint, REGIONS, classify_spectrum,
+from cesarolab import spectrum
+from cesarolab.resolvent import dist_sigma0
+from cesarolab.spectrum import (GRID_MARGIN, GridPoint, REGIONS,
+                                SpectralReport, classify_spectrum,
                                 grid_to_csv, grid_to_svg, point_spectrum_test,
                                 region_contains, sample_grid)
 from cesarolab.weights import WeightFamily, make_alpha
@@ -24,6 +27,12 @@ def test_region_membership_basics():
     assert region_contains("closure(D(1))", 0.5 + 0.5j)
     assert not region_contains("closure(D(1))", 1.2)
     assert not region_contains("unknown", 0.5)
+
+
+def test_region_sigma_contains_reciprocals_beyond_1e4():
+    assert region_contains("Sigma", 1.0 / 20000)
+    assert region_contains("Sigma0", 1.0 / 20000)
+    assert not region_contains("Sigma", 1.0 / 20000 + 2e-4j, tol=1e-4)
 
 
 def test_region_unknown_descriptor_rejected():
@@ -148,3 +157,36 @@ def test_grid_csv_and_svg_deterministic(tmp_path):
     assert outs[0] == outs[1]
     assert outs[0][0].startswith("re,im,region_label")
     assert outs[0][1].startswith("<svg")
+
+
+# a res-30 grid with 0, 1/2 and 1 among its points, and two windows of
+# margin scale around 0 and 1 where the margin and disc boundaries cut
+GRID_WINDOWS = [((-0.2, 1.25), (-0.7, 0.75)),
+                ((-0.0015, 0.0015), (-0.0015, 0.0015)),
+                ((0.9985, 1.0015), (-0.0015, 0.0015))]
+
+
+@pytest.mark.parametrize("window", GRID_WINDOWS)
+@pytest.mark.parametrize("region", REGIONS)
+def test_grid_labels_match_scalar_path(region, window, monkeypatch):
+    # under every region descriptor, the array labels of sample_grid
+    # must be what dist_sigma0 and region_contains give for each point
+    alpha = make_alpha("n")
+    monkeypatch.setattr(
+        spectrum, "classify_spectrum",
+        lambda *a, **kw: SpectralReport("n", None, None, region, region,
+                                        region, "classified"))
+    _, points = sample_grid(alpha, WeightFamily(alpha), *window, 30,
+                            horizon=100)
+    labels = set()
+    for p in points:
+        z = complex(p.re, p.im)
+        if dist_sigma0(z) <= GRID_MARGIN:
+            want = "excluded"
+        elif region_contains(region, z, tol=GRID_MARGIN):
+            want = "spectrum"
+        else:
+            want = "resolvent"
+        assert p.region_label == want, z
+        labels.add(want)
+    assert "excluded" in labels and len(labels) > 1

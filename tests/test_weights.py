@@ -58,6 +58,17 @@ def test_weight_family_log_weights():
     np.testing.assert_allclose(W.log_weights(3, ns), -3.0 * ns)
 
 
+@pytest.mark.parametrize("name", ["n", "sqrt_n", "n_pow_n", "loglog_n"])
+def test_step_log_weights_reuse_alpha_values(name):
+    # a scan over steps evaluates alpha once and only rescales it
+    W = WeightFamily(make_alpha(name))
+    ns = np.arange(1, 400)
+    alpha_ns = W.alpha_values(ns)
+    for k in (1, 2, 7):
+        np.testing.assert_array_equal(W.step_log_weights(k, alpha_ns),
+                                      W.log_weights(k, ns))
+
+
 def test_weights_decrease_in_k():
     W = WeightFamily(make_alpha("sqrt_n"))
     for n in (1, 4, 25):
