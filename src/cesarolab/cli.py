@@ -10,6 +10,7 @@ failed check, 2 inconclusive result (distinguishable for scripting).
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
@@ -125,11 +126,27 @@ def _resolve_finite(spec):
     return FiniteTypeWeights(alpha)
 
 
-def _parse_complex(s):
+def _positive_int(s):
+    """argparse type: an integer >= 1 (a count, a horizon or a step)."""
     try:
-        return complex(s.replace("i", "j"))
+        n = int(s)
+        if n >= 1:
+            return n
     except ValueError:
-        raise ValueError(f"cannot parse complex number {s!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {s!r}")
+
+
+def _finite_complex(s):
+    """argparse type: a finite complex number, 'i' or 'j' as the unit."""
+    try:
+        z = complex(s.replace("i", "j"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"cannot parse complex number {s!r}") from None
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"must be finite, got {s!r}")
+    return z
 
 
 def _parse_range(s):
@@ -324,7 +341,7 @@ def cmd_grid(args):
 
 
 def cmd_probe(args):
-    lam = _parse_complex(getattr(args, "lambda"))
+    lam = getattr(args, "lambda")
     config = RunConfig("probe", alpha_spec=args.alpha, horizon=args.horizon,
                        options={"lambda": [lam.real, lam.imag],
                                 "delta": args.delta, "k": args.k,
@@ -381,8 +398,15 @@ def cmd_finite(args):
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad usage as one line on stderr, without the usage text."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="cesarolab",
         description="Numerical laboratory for the averaging operator on "
                     "weighted inductive limits of sequence spaces.")
@@ -391,7 +415,7 @@ def build_parser():
 
     c = sub.add_parser("classify", help="symbolic spectrum classification")
     c.add_argument("--alpha", required=True)
-    c.add_argument("--horizon", type=int, default=10 ** 5)
+    c.add_argument("--horizon", type=_positive_int, default=10 ** 5)
     c.add_argument("--no-probe", action="store_true")
     c.add_argument("--output", default=None)
     c.set_defaults(func=cmd_classify)
@@ -400,8 +424,8 @@ def build_parser():
     v.add_argument("--suite", required=True, choices=sorted(_SUITES))
     v.add_argument("--N", type=int, default=0)
     v.add_argument("--m", type=int, default=10)
-    v.add_argument("--samples", type=int, default=50)
-    v.add_argument("--horizon", type=int, default=10 ** 5)
+    v.add_argument("--samples", type=_positive_int, default=50)
+    v.add_argument("--horizon", type=_positive_int, default=10 ** 5)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--output", default=None)
     v.set_defaults(func=cmd_verify)
@@ -410,30 +434,30 @@ def build_parser():
     g.add_argument("--alpha", required=True)
     g.add_argument("--re", default="-1:2")
     g.add_argument("--im", default="-1.5:1.5")
-    g.add_argument("--res", type=int, required=True)
+    g.add_argument("--res", type=_positive_int, required=True)
     g.add_argument("--probe-subsample", type=int, default=0)
-    g.add_argument("--horizon", type=int, default=10 ** 4)
+    g.add_argument("--horizon", type=_positive_int, default=10 ** 4)
     g.add_argument("--out", required=True)
     g.add_argument("--svg", default=None)
     g.set_defaults(func=cmd_grid)
 
     pr = sub.add_parser("probe", help="equicontinuity probe at a point")
     pr.add_argument("--alpha", required=True)
-    pr.add_argument("--lambda", required=True)
+    pr.add_argument("--lambda", type=_finite_complex, required=True)
     pr.add_argument("--delta", type=float, default=0.05)
-    pr.add_argument("--k", type=int, default=1)
-    pr.add_argument("--horizon", type=int, default=10 ** 5)
-    pr.add_argument("--samples", type=int, default=8)
+    pr.add_argument("--k", type=_positive_int, default=1)
+    pr.add_argument("--horizon", type=_positive_int, default=10 ** 5)
+    pr.add_argument("--samples", type=_positive_int, default=8)
     pr.add_argument("--l-max", type=int, default=64)
     pr.add_argument("--output", default=None)
     pr.set_defaults(func=cmd_probe)
 
     e = sub.add_parser("ergodic", help="iterate-convergence trace")
     e.add_argument("--alpha", required=True)
-    e.add_argument("--k", type=int, default=1)
+    e.add_argument("--k", type=_positive_int, default=1)
     e.add_argument("--N", type=int, default=10)
     e.add_argument("--tol", type=float, default=1e-8)
-    e.add_argument("--m-cap", type=int, default=10 ** 4)
+    e.add_argument("--m-cap", type=_positive_int, default=10 ** 4)
     e.add_argument("--trace", default=None)
     e.add_argument("--output", default=None)
     e.set_defaults(func=cmd_ergodic)
@@ -442,7 +466,7 @@ def build_parser():
     f.add_argument("--weights", required=True)
     f.add_argument("--k", type=int, default=0)
     f.add_argument("--l", type=int, default=0)
-    f.add_argument("--horizon", type=int, default=10 ** 6)
+    f.add_argument("--horizon", type=_positive_int, default=10 ** 6)
     f.add_argument("--output", default=None)
     f.set_defaults(func=cmd_finite)
     return p

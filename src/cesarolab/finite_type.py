@@ -74,44 +74,71 @@ def _scan_indices(alpha, horizon):
     return dense_top, sorted(set(extras))
 
 
+class _Scan:
+    """alpha_n and log n at the scan indices, evaluated once per scan.
+
+    Every (k, l) the criterion is tried at reads these arrays; the prefix
+    sums depend on k alone, so a search over l reuses them as well.
+    """
+
+    def __init__(self, alpha, horizon):
+        dense_top, extras = _scan_indices(alpha, horizon)
+        if dense_top < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        ns = np.arange(1, dense_top + 1)
+        with np.errstate(over="ignore"):
+            av = np.exp(alpha.log_values(ns))
+        log_n = np.log(ns.astype(float))
+        self.dense_top = dense_top
+        self.log_tail_len = None
+        if extras:
+            ex = np.array(extras, dtype=np.int64)
+            with np.errstate(over="ignore"):
+                av_ex = np.exp(alpha.log_values(ex))
+            self.log_tail_len = np.log(ex.astype(float) - dense_top)
+            ns = np.concatenate([ns, ex])
+            av = np.concatenate([av, av_ex])
+            log_n = np.concatenate([log_n, np.log(ex.astype(float))])
+        self.ns, self.av, self.log_n = ns, av, log_n
+        # the scan indices are increasing, so the last decade is a suffix
+        self.cut = int(np.searchsorted(ns, max(int(ns[-1]) // 10, 1),
+                                       side="right"))
+
+    def log_prefix(self, k):
+        """log sum_{m<=n} e^(-alpha_m / k) at every scan index."""
+        prefix = np.logaddexp.accumulate(-self.av[: self.dense_top] / k)
+        if self.log_tail_len is None:
+            return prefix
+        # tail terms beyond dense_top are <= e^(-alpha_{dense_top}/k) each;
+        # bound the prefix by the dense part plus the tail majorant
+        tail = self.log_tail_len - self.av[self.dense_top - 1] / k
+        return np.concatenate([prefix, np.logaddexp(prefix[-1], tail)])
+
+    def verdict(self, log_prefix, l):
+        """Verdict on (v_l(n)/n) sum_{m<=n} 1/v_k(m), k fixed by the prefix."""
+        log_vals = self.av / l - self.log_n + log_prefix
+        i = int(np.argmax(log_vals))
+        sup = float(np.exp(min(log_vals[i], 709.0)))
+        early = log_vals[: self.cut]
+        late = log_vals[self.cut:]
+        grew = late.size > 0 and (early.size == 0
+                                  or late.max() > early.max() + 1e-9)
+        if log_vals[i] <= THRESHOLD and not grew:
+            status = "holds"
+        elif log_vals[i] > THRESHOLD and grew:
+            status = "fails"
+        else:
+            status = "inconclusive"
+        return GrowthVerdict(status, int(self.ns[-1]), sup, int(self.ns[i]),
+                             False)
+
+
 def ft_continuity_criterion(ftw: FiniteTypeWeights, k, l, horizon=10 ** 6):
     """Boundedness of (v_l(n)/n) sum_{m<=n} 1/v_k(m), log-sum-exp form."""
     if l <= k:
         raise ValueError("need l > k")
-    alpha = ftw.alpha
-    dense_top, extras = _scan_indices(alpha, horizon)
-    ns = np.arange(1, dense_top + 1)
-    with np.errstate(over="ignore"):
-        av = np.exp(alpha.log_values(ns))
-    # prefix log of sum_{m<=n} e^(-alpha_m / k)
-    prefix = np.logaddexp.accumulate(-av / k)
-    log_vals = av / l - np.log(ns.astype(float)) + prefix
-    all_ns = ns
-    if extras:
-        ex = np.array(extras, dtype=np.int64)
-        with np.errstate(over="ignore"):
-            av_ex = np.exp(alpha.log_values(ex))
-        # tail terms beyond dense_top are <= e^(-alpha_{dense_top}/k) each;
-        # bound the prefix by the dense part plus the tail majorant
-        tail = np.log(ex.astype(float) - dense_top) - av[-1] / k
-        prefix_ex = np.logaddexp(prefix[-1], tail)
-        log_ex = av_ex / l - np.log(ex.astype(float)) + prefix_ex
-        log_vals = np.concatenate([log_vals, log_ex])
-        all_ns = np.concatenate([ns, ex])
-    i = int(np.argmax(log_vals))
-    sup = float(np.exp(min(log_vals[i], 709.0)))
-    cut_val = max(int(all_ns[-1]) // 10, 1)
-    early = log_vals[all_ns <= cut_val]
-    late = log_vals[all_ns > cut_val]
-    grew = late.size > 0 and (early.size == 0
-                              or late.max() > early.max() + 1e-9)
-    if log_vals[i] <= THRESHOLD and not grew:
-        status = "holds"
-    elif log_vals[i] > THRESHOLD and grew:
-        status = "fails"
-    else:
-        status = "inconclusive"
-    return GrowthVerdict(status, int(all_ns[-1]), sup, int(all_ns[i]), False)
+    scan = _Scan(ftw.alpha, horizon)
+    return scan.verdict(scan.log_prefix(k), l)
 
 
 def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX,
@@ -126,9 +153,11 @@ def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX,
     acts = True
     conclusive = True
     analytic_divergent = (ftw.alpha.name == "appendix_5_3")
+    scan = None if analytic_divergent else _Scan(ftw.alpha, horizon)
     for k in range(1, k_probe + 1):
         found = None
         last = None
+        log_prefix = None if analytic_divergent else scan.log_prefix(k)
         for l in range(k + 1, k + l_max + 1):
             if analytic_divergent:
                 # lower bound k^(1/l) k^(k/l - 1) / 4 at blocks diverges
@@ -137,7 +166,7 @@ def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX,
                                      example53_lower_bound(10 * l, l),
                                      int(example53_j(min(10 * l, 6))), True)
                 continue
-            v = ft_continuity_criterion(ftw, k, l, horizon)
+            v = scan.verdict(log_prefix, l)
             last = v
             if v.status == "holds":
                 found = (l, v)

@@ -37,7 +37,6 @@ __all__ = [
     "cesaro_operator",
     "delta_operator",
     "shift_operator",
-    "diag_operator",
     "identity_operator",
     "cesaro_matrix_exact",
     "delta_matrix_exact",
@@ -83,13 +82,6 @@ class TruncatedMatrix:
     @property
     def N(self):
         return self.entries.shape[0]
-
-    def to_csv(self, path):
-        """Row-major CSV, complex entries as "re,im" pairs."""
-        with open(path, "w") as fh:
-            for row in self.entries:
-                fh.write(",".join(f"{z.real:.17g},{z.imag:.17g}"
-                                  for z in row) + "\n")
 
 
 @dataclass
@@ -236,11 +228,6 @@ def delta_operator():
 def shift_operator():
     return TriangularOperator(
         lambda n, m: 1.0 if m == n - 1 else 0.0, "shift", "subdiagonal")
-
-
-def diag_operator(d, name="diag"):
-    return TriangularOperator(
-        lambda n, m: d(n) if m == n else 0.0, name, "diagonal")
 
 
 def identity_operator():
@@ -422,6 +409,9 @@ def step_continuity_test(op_name, W: WeightFamily, k, l, horizon=10 ** 4):
     delta:          sup_n sum_m (v_l(n)/v_k(m)) binom(n-1, m-1)
     cesaro:         sup_n (v_l(n)/n) sum_m 1/v_k(m)
     shift:          sup_n v_l(n+1) / v_k(n)
+
+    The delta row sums read log binom(n-1, m-1) off the cached lgamma
+    table shared with delta_log_abs, one row at a time.
     """
     if op_name not in STEP_OPS:
         raise ValueError(f"unknown operator {op_name!r}; one of {STEP_OPS}")
@@ -447,20 +437,15 @@ def step_continuity_test(op_name, W: WeightFamily, k, l, horizon=10 ** 4):
         prefix = _logsumexp_accumulate(-lw_k)  # log sum_{m<=n} 1/v_k(m)
         log_ratios = lw_l - log_n + prefix
     else:  # delta: row sums via log-sum-exp over each row
+        # a power of two above the horizon, as delta_log_abs sizes it
+        lg = _lgamma_table(1 << int(horizon).bit_length())
         log_ratios = np.empty(horizon)
         for i, n in enumerate(ns):
-            ms = np.arange(1, n + 1)
+            ms = ns[: n]
             terms = (lw_l[i] - lw_k[: n]
-                     + _log_binom(int(n) - 1, ms - 1))
+                     + (lg[n] - lg[ms] - lg[n - ms + 1]))
             log_ratios[i] = _logsumexp(terms)
     return _bounded_verdict(log_ratios, ns, int(horizon))
-
-
-def _log_binom(n, ks):
-    ks = np.asarray(ks, dtype=float)
-    return (math.lgamma(n + 1)
-            - np.vectorize(math.lgamma)(ks + 1)
-            - np.vectorize(math.lgamma)(n - ks + 1))
 
 
 def _logsumexp(terms):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +83,6 @@ class AlphaSequence:
                     raise ValueError(f"unknown flag {key!r}")
                 self.declared_flags[key] = val
         self._memo = {}
-        self._lock = threading.Lock()
 
     def flag(self, name):
         return self.declared_flags[name]
@@ -126,8 +124,7 @@ class AlphaSequence:
             if dec:
                 raise MonotonicityError(
                     f"alpha {self.name!r} not strictly increasing at n={n}")
-        with self._lock:
-            self._memo[n] = (v, lg)
+        self._memo[n] = (v, lg)
         return v, lg
 
     def value(self, n):

@@ -65,6 +65,22 @@ def test_verify_sandwich_and_finite(tmp_path):
                 "--output", str(out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("argv", [
+    ["finite", "--weights", "finite:log_np1", "--horizon", "0"],
+    ["probe", "--alpha", "preset:n", "--lambda", "0.4", "--samples", "0"],
+    ["probe", "--alpha", "preset:n", "--lambda", "nan"],
+    ["ergodic", "--alpha", "preset:n", "--m-cap", "0"],
+    ["verify", "--suite", "sandwich", "--samples", "0"],
+])
+def test_invalid_count_or_lambda_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    assert run(argv + ["--output", str(out)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_unknown_suite():
     assert run(["verify", "--suite", "nonsense"]) == EXIT_FAIL
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cesarolab.finite_type import (FiniteTypeWeights, example53_alpha,
+from cesarolab.finite_type import (L_MAX, FiniteTypeWeights, example53_alpha,
                                    example53_j, example53_lower_bound,
                                    ft_cesaro_acts, ft_continuity_criterion,
                                    gp_nuclearity)
@@ -70,6 +70,17 @@ def test_does_not_act_fast_growth():
                          horizon=10 ** 4, l_max=16)
     assert res["verdict"] == "does_not_act"
     assert all(info["l_found"] is None for info in res["per_step"].values())
+
+
+@pytest.mark.parametrize("preset", ["log_n_plus_1", "n"])
+def test_acts_search_matches_single_criteria(preset):
+    ftw = FiniteTypeWeights(make_alpha(preset))
+    res = ft_cesaro_acts(ftw, horizon=10 ** 5)
+    for k, step in res["per_step"].items():
+        # without a bounded step the search reports the last l it tried
+        l = step["l_found"] or k + L_MAX
+        assert step["verdict"] == ft_continuity_criterion(
+            ftw, k, l, horizon=10 ** 5)
 
 
 def test_does_not_act_staircase():

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cesarolab.operators import (TriangularOperator, WeightedVector,
-                                 c0_continuity_test, cesaro_apply,
-                                 cesaro_inverse_apply, cesaro_matrix_exact,
-                                 cesaro_operator, conjugate_to_c0,
-                                 delta_apply, delta_log_abs,
+                                 _bounded_verdict, c0_continuity_test,
+                                 cesaro_apply, cesaro_inverse_apply,
+                                 cesaro_matrix_exact, cesaro_operator,
+                                 conjugate_to_c0, delta_apply, delta_log_abs,
                                  delta_matrix_exact, delta_operator,
                                  delta_row, diag_apply, diff_apply,
-                                 identity_operator, shift_apply,
-                                 shift_operator, step_continuity_test,
-                                 verify_factorizations, weighted_norm)
+                                 shift_apply, shift_operator,
+                                 step_continuity_test, verify_factorizations,
+                                 weighted_norm)
 from cesarolab.weights import WeightFamily, make_alpha
 
 F = Fraction
@@ -120,14 +120,6 @@ def test_delta_truncation_overflow_guard():
         delta_operator().truncate(2000)
 
 
-def test_matrix_csv_roundtrip(tmp_path):
-    M = identity_operator().truncate(3)
-    path = tmp_path / "m.csv"
-    M.to_csv(str(path))
-    rows = path.read_text().strip().split("\n")
-    assert rows[0].split(",")[:2] == ["1", "0"]
-
-
 # weighted norms
 
 def test_weighted_norm_linear_weights():
@@ -199,6 +191,39 @@ def test_step_continuity_criteria_linear_alpha():
     assert step_continuity_test("shift", W, 1, 1).status == "holds"
     assert step_continuity_test("delta", W, 1, 4,
                                 horizon=2000).status == "holds"
+
+
+def _delta_log_row_sums(W, k, l, ns, log_binom):
+    """Reference row sums of the delta criterion, one element at a time."""
+    lw_l = W.log_weights(l, ns)
+    lw_k = W.log_weights(k, ns)
+    out = np.empty(ns.size)
+    for i, n in enumerate(ns):
+        terms = np.array([lw_l[i] - lw_k[m - 1] + log_binom(int(n), m)
+                          for m in range(1, n + 1)])
+        top = np.max(terms)
+        out[i] = top + math.log(np.sum(np.exp(terms - top)))
+    return out
+
+
+@pytest.mark.parametrize("preset", ["n", "sqrt_n"])
+@pytest.mark.parametrize("k,l", [(1, 2), (1, 4)])
+def test_delta_criterion_matches_elementwise_reference(preset, k, l):
+    W = WeightFamily(make_alpha(preset))
+    ns = np.arange(1, 61)
+    v = step_continuity_test("delta", W, k, l, horizon=60)
+
+    # the same lgamma values, subtracted in the same order: bit-identical
+    exact = _delta_log_row_sums(
+        W, k, l, ns, lambda n, m: (math.lgamma(n) - math.lgamma(m))
+        - math.lgamma(n - m + 1))
+    assert v.sup_value == float(np.exp(np.max(exact)))
+
+    # an independent reference from exact binomials
+    ref = _bounded_verdict(_delta_log_row_sums(
+        W, k, l, ns, lambda n, m: math.log(math.comb(n - 1, m - 1))), ns, 60)
+    assert (v.status, v.witness_index) == (ref.status, ref.witness_index)
+    assert v.sup_value == pytest.approx(ref.sup_value, rel=1e-12)
 
 
 def test_step_continuity_divergent_case():
