@@ -126,15 +126,36 @@ def _resolve_finite(spec):
     return FiniteTypeWeights(alpha)
 
 
-def _positive_int(s):
-    """argparse type: an integer >= 1 (a count, a horizon or a step)."""
+def _int_at_least(s, lo, what):
     try:
         n = int(s)
-        if n >= 1:
+        if n >= lo:
             return n
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"must be a positive integer, got {s!r}")
+    raise argparse.ArgumentTypeError(f"must be a {what} integer, got {s!r}")
+
+
+def _positive_int(s):
+    """argparse type: an integer >= 1 (a count, a horizon or a step)."""
+    return _int_at_least(s, 1, "positive")
+
+
+def _nonnegative_int(s):
+    """argparse type: an integer >= 0 (probe --l-max 0 tries l = k only)."""
+    return _int_at_least(s, 0, "non-negative")
+
+
+def _positive_float(s):
+    """argparse type: a finite float > 0 (a disc radius or a tolerance)."""
+    try:
+        v = float(s)
+        if math.isfinite(v) and v > 0:
+            return v
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be a positive finite number, got {s!r}")
 
 
 def _finite_complex(s):
@@ -423,7 +444,7 @@ def build_parser():
     v = sub.add_parser("verify", help="run a named invariant suite")
     v.add_argument("--suite", required=True, choices=sorted(_SUITES))
     v.add_argument("--N", type=int, default=0)
-    v.add_argument("--m", type=int, default=10)
+    v.add_argument("--m", type=_positive_int, default=10)
     v.add_argument("--samples", type=_positive_int, default=50)
     v.add_argument("--horizon", type=_positive_int, default=10 ** 5)
     v.add_argument("--seed", type=int, default=0)
@@ -444,11 +465,11 @@ def build_parser():
     pr = sub.add_parser("probe", help="equicontinuity probe at a point")
     pr.add_argument("--alpha", required=True)
     pr.add_argument("--lambda", type=_finite_complex, required=True)
-    pr.add_argument("--delta", type=float, default=0.05)
+    pr.add_argument("--delta", type=_positive_float, default=0.05)
     pr.add_argument("--k", type=_positive_int, default=1)
     pr.add_argument("--horizon", type=_positive_int, default=10 ** 5)
     pr.add_argument("--samples", type=_positive_int, default=8)
-    pr.add_argument("--l-max", type=int, default=64)
+    pr.add_argument("--l-max", type=_nonnegative_int, default=64)
     pr.add_argument("--output", default=None)
     pr.set_defaults(func=cmd_probe)
 
@@ -456,7 +477,7 @@ def build_parser():
     e.add_argument("--alpha", required=True)
     e.add_argument("--k", type=_positive_int, default=1)
     e.add_argument("--N", type=int, default=10)
-    e.add_argument("--tol", type=float, default=1e-8)
+    e.add_argument("--tol", type=_positive_float, default=1e-8)
     e.add_argument("--m-cap", type=_positive_int, default=10 ** 4)
     e.add_argument("--trace", default=None)
     e.add_argument("--output", default=None)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import _vals, weighted_norm
+from .operators import _log_weight_row, _vals, _weighted_sup_rows
 from .weights import GrowthVerdict, WeightFamily
 
 __all__ = [
@@ -83,15 +83,17 @@ def power_bounded_check(W: WeightFamily, k, trials=20, m_max=200, N=50,
                         seed=0, slack=1e-10):
     """Random-vector evidence that iterates contract the k-norm."""
     rng = np.random.default_rng(seed)
+    lw = _log_weight_row(W, k, N)
     worst = 0.0
     failures = 0
     for _ in range(trials):
-        x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        q0 = weighted_norm(x, W, k)
-        v = x
+        # row m of the block is C^m x
+        block = np.empty((m_max + 1, N), dtype=complex)
+        block[0] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         for m in range(1, m_max + 1):
-            v = _cesaro_step(v)
-            q = weighted_norm(v, W, k)
+            block[m] = _cesaro_step(block[m - 1])
+        q0, *qs = _weighted_sup_rows(block, lw)
+        for q in qs:
             ratio = q / q0 if q0 > 0 else 0.0
             worst = max(worst, ratio)
             if q > q0 * (1.0 + slack):
@@ -124,11 +126,12 @@ def iterates_limit_check(x, W: WeightFamily, k, N, tol=ITERATE_TOL,
         raise ValueError("N must be >= 2")
     v = np.asarray(_vals(x), dtype=complex)[:N]
     limit = np.full(N, v[0], dtype=complex)
+    lw = _log_weight_row(W, k, len(v))
     m_values, distances = [], []
     status = "not_converged"
     for m in range(1, m_cap + 1):
         v = _cesaro_step(v)
-        d = weighted_norm(v - limit, W, k)
+        d = _weighted_sup_rows((v - limit)[None, :], lw)[0]
         m_values.append(m)
         distances.append(d)
         if d < tol:

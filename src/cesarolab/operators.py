@@ -37,7 +37,6 @@ __all__ = [
     "cesaro_operator",
     "delta_operator",
     "shift_operator",
-    "identity_operator",
     "cesaro_matrix_exact",
     "delta_matrix_exact",
     "verify_factorizations",
@@ -230,11 +229,6 @@ def shift_operator():
         lambda n, m: 1.0 if m == n - 1 else 0.0, "shift", "subdiagonal")
 
 
-def identity_operator():
-    return TriangularOperator(
-        lambda n, m: 1.0 if m == n else 0.0, "identity", "diagonal")
-
-
 # ---------------------------------------------------------------------------
 # exact matrices and factorization checks
 
@@ -311,16 +305,49 @@ def _factored_inverse_apply(y):
 # ---------------------------------------------------------------------------
 # weighted norms and c0 conjugation
 
+def _log_weight_row(W: WeightFamily, k, N):
+    """log v_k(1..N) from the memoised scalar path ``W.log_weight``.
+
+    The vector path ``W.log_weights`` goes through exp(log alpha_n) and
+    differs in the last bit for many n, which would change reported
+    norms.
+    """
+    return np.array([W.log_weight(k, n) for n in range(1, N + 1)],
+                    dtype=float)
+
+
+def _weighted_sup_rows(block, lw):
+    """q_k of every row of a 2-D block, as Python floats.
+
+    ``lw`` holds log v_k(n) for the columns.  Each term is
+    exp(lw_n + log|x_n|) with Python's arithmetic: |x| is ``abs`` (for
+    complex arrays ``np.hypot``, which equals it where ``np.abs`` does
+    not), log and exp are ``math``'s (NumPy's SIMD versions round
+    differently).  Zero entries are skipped and NaN terms ignored, so an
+    empty or all-zero row gives 0.0.
+    """
+    b = np.asarray(block)
+    a = np.hypot(b.real, b.imag) if b.dtype.kind == "c" else np.abs(b)
+    nz = a != 0
+    count = int(np.count_nonzero(nz))
+    logs = np.fromiter(map(math.log, a[nz].tolist()), float, count)
+    with np.errstate(invalid="ignore"):  # -inf + inf is NaN, as in Python
+        terms = (lw[np.nonzero(nz)[1]] + logs).tolist()
+    full = np.zeros(a.shape)
+    full[nz] = np.fromiter(map(math.exp, terms), float, count)
+    return np.fmax.reduce(full, axis=1, initial=0.0).tolist()
+
+
 def weighted_norm(x, W: WeightFamily, k):
-    """q_k(x) = max_n v_k(n) |x_n|, evaluated in log domain."""
-    vals = _vals(x)
-    best = 0.0
-    for n, v in enumerate(vals, start=1):
-        a = abs(v)
-        if a == 0:
-            continue
-        best = max(best, math.exp(W.log_weight(k, n) + math.log(a)))
-    return best
+    """q_k(x) = max_n v_k(n) |x_n|, evaluated in log domain.
+
+    The one-row case of the block kernel behind the ergodic checks, so
+    q_k has one implementation.  The weight row is taken from the
+    memoised scalar path, which keeps results bit-identical to a
+    term-by-term loop over Python floats.
+    """
+    row = np.asarray(_vals(x))[None, :]
+    return _weighted_sup_rows(row, _log_weight_row(W, k, row.shape[1]))[0]
 
 
 def conjugate_to_c0(A: TriangularOperator, W: WeightFamily, k, l):

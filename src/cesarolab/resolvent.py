@@ -302,6 +302,8 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
     threshold and did not grow over the last decade of rows.  alpha is
     evaluated once; each step only rescales it.
     """
+    if not delta > 0:
+        raise ValueError(f"disc radius must be positive, got {delta}")
     d_lam = dist_sigma0(lam)
     if d_lam <= delta:
         raise ValueError(

@@ -71,6 +71,12 @@ def test_verify_sandwich_and_finite(tmp_path):
     ["probe", "--alpha", "preset:n", "--lambda", "nan"],
     ["ergodic", "--alpha", "preset:n", "--m-cap", "0"],
     ["verify", "--suite", "sandwich", "--samples", "0"],
+    ["probe", "--alpha", "preset:n", "--lambda", "0.4+0.2i", "--delta", "-1"],
+    ["probe", "--alpha", "preset:n", "--lambda", "0.4+0.2i", "--delta", "0"],
+    ["probe", "--alpha", "preset:n", "--lambda", "0.4+0.2i", "--l-max", "-1"],
+    ["verify", "--suite", "eigen", "--m", "0"],
+    ["ergodic", "--alpha", "preset:n", "--tol", "-1"],
+    ["ergodic", "--alpha", "preset:n", "--tol", "nan"],
 ])
 def test_invalid_count_or_lambda_rejected(tmp_path, capsys, argv):
     out = tmp_path / "r.json"
@@ -115,6 +121,21 @@ def test_probe_command(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["report"]["verdict"] == "bounded"
     assert doc["report"]["l_found"] is not None
+
+
+def test_probe_l_max_zero_tries_only_k(tmp_path):
+    # loglog_n needs l = 2 here, so l-max 0 (only l = k = 1) finds nothing
+    reports = []
+    for l_max in ("0", "1"):
+        out = tmp_path / f"p{l_max}.json"
+        assert run(["probe", "--alpha", "preset:loglog_n", "--lambda",
+                    "0.3+0.5i", "--horizon", "5000", "--l-max", l_max,
+                    "--output", str(out)]) == EXIT_OK
+        reports.append(json.loads(out.read_text())["report"])
+    assert reports[0]["verdict"] == "unbounded_evidence"
+    assert reports[0]["l_found"] is None
+    assert reports[1]["verdict"] == "bounded"
+    assert reports[1]["l_found"] == 2
 
 
 def test_ergodic_command(tmp_path):

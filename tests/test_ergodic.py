@@ -12,6 +12,7 @@ from cesarolab.ergodic import (cesaro_means, decomposition_split,
                                range_inverse_matrices)
 from cesarolab.operators import cesaro_apply, weighted_norm
 from cesarolab.weights import WeightFamily, make_alpha
+from test_operators import reference_weighted_norm
 
 F = Fraction
 
@@ -43,6 +44,50 @@ def test_power_bounded_contraction(name):
     res = power_bounded_check(W, k=1, trials=10, m_max=100, N=30, seed=3)
     assert res["passed"]
     assert res["worst_ratio"] <= 1.0 + 1e-9
+
+
+def reference_power_bounded(W, k, trials, m_max, N, seed, slack=1e-10):
+    """One weighted norm per iterate, term by term."""
+    rng = np.random.default_rng(seed)
+    worst, failures = 0.0, 0
+    for _ in range(trials):
+        x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        q0 = reference_weighted_norm(x, W, k)
+        v = x
+        for _ in range(m_max):
+            v = np.cumsum(v) / np.arange(1, N + 1)
+            q = reference_weighted_norm(v, W, k)
+            worst = max(worst, q / q0 if q0 > 0 else 0.0)
+            failures += q > q0 * (1.0 + slack)
+    return worst, failures
+
+
+def reference_iterates(x, W, k, N, tol, m_cap):
+    v = np.asarray(x, dtype=complex)[:N]
+    limit = np.full(N, v[0], dtype=complex)
+    distances = []
+    for _ in range(m_cap):
+        v = np.cumsum(v) / np.arange(1, N + 1)
+        distances.append(reference_weighted_norm(v - limit, W, k))
+        if distances[-1] < tol:
+            return distances, "converged"
+    return distances, "not_converged"
+
+
+@pytest.mark.parametrize("name", ["n", "sqrt_n", "n_pow_n"])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_checks_equal_reference_loops(name, seed):
+    W = WeightFamily(make_alpha(name))
+    res = power_bounded_check(W, k=2, trials=4, m_max=60, N=160, seed=seed)
+    assert (res["worst_ratio"], res["failures"]) == reference_power_bounded(
+        W, 2, 4, 60, 160, seed)
+    x = np.random.default_rng(seed).standard_normal(160)
+    for tol, m_cap in ((1e-8, 10 ** 4), (0.0, 40)):
+        trace = iterates_limit_check(x, W, 1, 160, tol=tol, m_cap=m_cap)
+        distances, status = reference_iterates(x, W, 1, 160, tol, m_cap)
+        assert trace.distances == distances
+        assert trace.status == status
+        assert trace.m_values == list(range(1, len(distances) + 1))
 
 
 def test_decomposition_split_exact():

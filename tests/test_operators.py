@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cesarolab.operators import (TriangularOperator, WeightedVector,
-                                 _bounded_verdict, c0_continuity_test,
+                                 _bounded_verdict, _log_weight_row,
+                                 _weighted_sup_rows, c0_continuity_test,
                                  cesaro_apply, cesaro_inverse_apply,
                                  cesaro_matrix_exact, cesaro_operator,
                                  conjugate_to_c0, delta_apply, delta_log_abs,
@@ -133,6 +135,99 @@ def test_weighted_norm_linear_weights():
 def test_weighted_norm_zero_vector():
     W = WeightFamily(make_alpha("n"))
     assert weighted_norm([0.0, 0.0], W, 1) == 0.0
+    assert weighted_norm([], W, 1) == 0.0
+
+
+def reference_weighted_norm(x, W, k):
+    """Term-by-term q_k(x) over Python scalars: the loop weighted_norm
+    must reproduce exactly."""
+    vals = x.values if isinstance(x, WeightedVector) else list(x)
+    best = 0.0
+    for n, v in enumerate(vals, start=1):
+        a = abs(v)
+        if a == 0:
+            continue
+        best = max(best, math.exp(W.log_weight(k, n) + math.log(a)))
+    return best
+
+
+_NORM_FAMILIES = {p: WeightFamily(make_alpha(p))
+                  for p in ("n", "sqrt_n", "n_pow_n")}
+_no_nan = st.one_of(st.sampled_from([-0.0, math.inf, -math.inf]),
+                    st.floats(-1e300, 1e300))
+_reals = st.one_of(st.just(math.nan), _no_nan)
+# CPython's abs(complex) with a NaN part reads a stale errno and raises
+# OverflowError after an underflowing math.exp, so the reference loop
+# only gets NaN parts through NumPy complex scalars (complex_array).
+_NORM_ELEMENTS = {
+    "float": (float, _reals),
+    "float_array": (float, _reals),
+    "complex": (complex, st.builds(complex, _no_nan, _no_nan)),
+    "complex_array": (complex, st.builds(complex, _reals, _reals)),
+    "fraction": (object, st.fractions(-10 ** 6, 10 ** 6,
+                                      max_denominator=10 ** 6)),
+}
+
+
+@st.composite
+def _norm_inputs(draw):
+    """Vectors of up to 200 entries, mostly zeros, of every input type."""
+    kind = draw(st.sampled_from(sorted(_NORM_ELEMENTS) + ["weighted"]))
+    dtype, elements = _NORM_ELEMENTS["fraction" if kind == "weighted"
+                                     else kind]
+    zero = F(0) if dtype is object else dtype(0)
+    arr = draw(hnp.arrays(dtype, st.integers(0, 200), elements=elements,
+                          fill=st.just(zero)))
+    if kind.endswith("_array"):
+        return arr
+    vals = arr.tolist()
+    return WeightedVector(vals, step_k=1) if kind == "weighted" else vals
+
+
+@given(_norm_inputs(), st.sampled_from(sorted(_NORM_FAMILIES)),
+       st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_weighted_norm_equals_reference_loop(x, preset, k):
+    W = _NORM_FAMILIES[preset]
+    got = weighted_norm(x, W, k)
+    assert type(got) is float
+    assert got == reference_weighted_norm(x, W, k)
+
+
+@pytest.mark.parametrize("preset", sorted(_NORM_FAMILIES))
+def test_weighted_sup_rows_term_by_term(preset):
+    # one nonzero entry per row, so each row's q_k is a single term and a
+    # last-bit change in |x|, log or exp shows (np.abs, np.log and np.exp
+    # all differ from Python's abs and math on some of these values)
+    W = _NORM_FAMILIES[preset]
+    rng = np.random.default_rng(5)
+    rows, N = 4000, 160
+    scale = np.where(np.arange(rows) % 2, 10.0 ** rng.uniform(-300, 300, rows),
+                     rng.uniform(0.5, 2.0, rows))
+    block = np.zeros((rows, N), dtype=complex)
+    block[np.arange(rows), rng.integers(0, N, rows)] = scale * (
+        rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
+    # np.log differs from math.log too rarely for random rows to hit it:
+    # add rows holding moduli where it does, in the first column
+    cand = rng.uniform(0.5, 2.0, 20_000)
+    odd = cand[np.log(cand) != list(map(math.log, cand.tolist()))]
+    extra = np.zeros((len(odd), N), dtype=complex)
+    extra[:, 0] = odd
+    block = np.vstack([block, extra])
+    lw = _log_weight_row(W, 1, N)
+    assert _weighted_sup_rows(block, lw) == [
+        reference_weighted_norm(row, W, 1) for row in block]
+
+
+def test_weighted_norm_n_pow_n_tail_is_minus_inf():
+    # log v_k(n) = -inf from n = 144: a finite entry there adds 0, an
+    # infinite one gives -inf + inf = NaN, which is ignored
+    W = _NORM_FAMILIES["n_pow_n"]
+    assert W.log_weight(1, 144) == -math.inf
+    x = [0.0] * 143 + [1.0, math.inf]
+    assert weighted_norm(x, W, 1) == 0.0 == reference_weighted_norm(x, W, 1)
+    x[0] = 2.0
+    assert weighted_norm(x, W, 1) == reference_weighted_norm(x, W, 1) > 0
 
 
 @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1,

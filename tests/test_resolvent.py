@@ -190,6 +190,13 @@ def test_probe_rejects_disc_touching_sigma0():
         equicontinuity_probe(0.5, 0.6, W, k=1, horizon=100)
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+def test_probe_rejects_non_positive_radius(delta):
+    W = WeightFamily(make_alpha("n"))
+    with pytest.raises(ValueError, match="radius"):
+        equicontinuity_probe(0.4 + 0.2j, delta, W, k=1, horizon=100)
+
+
 def test_norm_bound_outside_disc():
     W = WeightFamily(make_alpha("n"))
     res = resolvent_norm_bound_check(2.0 + 0.5j, W, k=1, horizon=2000)
