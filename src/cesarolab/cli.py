@@ -380,7 +380,11 @@ def cmd_ergodic(args):
     config = RunConfig("ergodic", alpha_spec=args.alpha, N=args.N,
                        options={"k": args.k, "tol": args.tol,
                                 "m_cap": args.m_cap})
-    W = WeightFamily(_resolve_alpha(args.alpha))
+    alpha = _resolve_alpha(args.alpha)
+    if alpha.max_index is not None and args.N > alpha.max_index:
+        raise ValueError(f"--N {args.N} exceeds the {alpha.max_index} "
+                         f"values of alpha {alpha.name!r}")
+    W = WeightFamily(alpha)
     x = [1.0] + [0.0] * (args.N - 1)
     trace = iterates_limit_check(x, W, args.k, args.N, tol=args.tol,
                                  m_cap=args.m_cap)

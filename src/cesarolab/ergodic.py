@@ -9,14 +9,13 @@ vanishing first coordinate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .operators import _log_weight_row, _vals, _weighted_sup_rows
-from .weights import GrowthVerdict, WeightFamily
+from .weights import WeightFamily, scan_verdict
 
 __all__ = [
     "IterationTrace",
@@ -205,23 +204,4 @@ def b_continuity_check(W: WeightFamily, k, horizon=10 ** 4):
     diag_term = np.log1p(1.0 / ns) + lw_l - lw_k
     rows = np.array(diag_term)
     rows[1:] = np.logaddexp(diag_term[1:], lw_l[1:] + prefix[:-1])
-    i = int(np.argmax(rows))
-    sup = float(np.exp(min(rows[i], 709.0)))
-    cut = max(horizon // 10, 1)
-    grew = (float(np.max(rows[ns > cut]))
-            > float(np.max(rows[ns <= cut])) + 1e-9
-            if (ns > cut).any() else False)
-    declared = alpha.flag("nuclear")
-    if declared is True:
-        status = "holds"
-        override = True
-    elif declared is False:
-        status = "fails"
-        override = True
-    elif rows[i] > math.log(1e3) and grew:
-        status = "fails"
-        override = False
-    else:
-        status = "inconclusive"
-        override = False
-    return GrowthVerdict(status, int(horizon), sup, int(ns[i]), override)
+    return scan_verdict(rows, ns, alpha.flag("nuclear"), grant_holds=False)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import AlphaSequence, GrowthVerdict, make_alpha
+from .weights import (DIVERGENCE_LOG_THRESHOLD, AlphaSequence, GrowthVerdict,
+                      make_alpha, scan_verdict)
 
 __all__ = [
     "FiniteTypeWeights",
@@ -28,7 +29,6 @@ __all__ = [
     "gp_nuclearity",
 ]
 
-THRESHOLD = math.log(1e3)
 L_MAX = 64
 K_PROBE = 4
 
@@ -100,9 +100,6 @@ class _Scan:
             av = np.concatenate([av, av_ex])
             log_n = np.concatenate([log_n, np.log(ex.astype(float))])
         self.ns, self.av, self.log_n = ns, av, log_n
-        # the scan indices are increasing, so the last decade is a suffix
-        self.cut = int(np.searchsorted(ns, max(int(ns[-1]) // 10, 1),
-                                       side="right"))
 
     def log_prefix(self, k):
         """log sum_{m<=n} e^(-alpha_m / k) at every scan index."""
@@ -116,21 +113,7 @@ class _Scan:
 
     def verdict(self, log_prefix, l):
         """Verdict on (v_l(n)/n) sum_{m<=n} 1/v_k(m), k fixed by the prefix."""
-        log_vals = self.av / l - self.log_n + log_prefix
-        i = int(np.argmax(log_vals))
-        sup = float(np.exp(min(log_vals[i], 709.0)))
-        early = log_vals[: self.cut]
-        late = log_vals[self.cut:]
-        grew = late.size > 0 and (early.size == 0
-                                  or late.max() > early.max() + 1e-9)
-        if log_vals[i] <= THRESHOLD and not grew:
-            status = "holds"
-        elif log_vals[i] > THRESHOLD and grew:
-            status = "fails"
-        else:
-            status = "inconclusive"
-        return GrowthVerdict(status, int(self.ns[-1]), sup, int(self.ns[i]),
-                             False)
+        return scan_verdict(self.av / l - self.log_n + log_prefix, self.ns)
 
 
 def ft_continuity_criterion(ftw: FiniteTypeWeights, k, l, horizon=10 ** 6):
@@ -238,7 +221,7 @@ def gp_nuclearity(weights, k, l, horizon=10 ** 5):
     rel_growth = partial[-1] - s_cut  # log-domain growth over last decade
     if rel_growth < 1e-9:
         status = "holds"
-    elif partial[-1] > THRESHOLD and rel_growth > 1e-3:
+    elif partial[-1] > DIVERGENCE_LOG_THRESHOLD and rel_growth > 1e-3:
         status = "fails"
     else:
         status = "inconclusive"

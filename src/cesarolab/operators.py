@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .weights import GrowthVerdict, WeightFamily
+from .weights import WeightFamily, scan_verdict
 
 __all__ = [
     "TriangularOperator",
@@ -472,7 +472,7 @@ def step_continuity_test(op_name, W: WeightFamily, k, l, horizon=10 ** 4):
             terms = (lw_l[i] - lw_k[: n]
                      + (lg[n] - lg[ms] - lg[n - ms + 1]))
             log_ratios[i] = _logsumexp(terms)
-    return _bounded_verdict(log_ratios, ns, int(horizon))
+    return scan_verdict(log_ratios, ns)
 
 
 def _logsumexp(terms):
@@ -485,29 +485,3 @@ def _logsumexp(terms):
 def _logsumexp_accumulate(terms):
     """Running log of prefix sums of exp(terms), entirely in log domain."""
     return np.logaddexp.accumulate(terms)
-
-
-def _bounded_verdict(log_ratios, ns, horizon,
-                     threshold=math.log(1e3)):
-    """Boundedness decision shared by the step criteria.
-
-    bounded (holds) when the supremum stays under the divergence
-    threshold and did not grow over the last decade of the scan;
-    divergent (fails) when it crossed the threshold while still growing;
-    inconclusive otherwise.
-    """
-    i = int(np.argmax(log_ratios))
-    with np.errstate(over="ignore"):
-        sup = float(np.exp(log_ratios[i]))
-    cut = max(horizon // 10, int(ns[0]))
-    early = log_ratios[ns <= cut]
-    late = log_ratios[ns > cut]
-    grew = late.size > 0 and (early.size == 0
-                              or late.max() > early.max() + 1e-9)
-    if log_ratios[i] <= threshold and not grew:
-        status = "holds"
-    elif log_ratios[i] > threshold and grew:
-        status = "fails"
-    else:
-        status = "inconclusive"
-    return GrowthVerdict(status, horizon, sup, int(ns[i]), False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import TriangularOperator
-from .weights import WeightFamily
+from .weights import WeightFamily, scan_verdict
 
 __all__ = [
     "ResolventDecomposition",
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 PROBE_L_MAX = 64
-PROBE_THRESHOLD = math.log(1e3)
 
 
 def a_fn(z):
@@ -291,16 +290,15 @@ def _strict_row_base(mu, lw_k):
 
 
 def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
-                         samples=8, l_max=PROBE_L_MAX,
-                         threshold=PROBE_THRESHOLD):
+                         samples=8, l_max=PROBE_L_MAX):
     """Search a step l making the conjugated strict part uniformly small.
 
     For each l in {k, ..., k+l_max} the probe computes, over a
     deterministic sample of the disc around lam, the supremum of the
     weighted row sums of the conjugated resolvent strict part.  A step
-    counts as bounded when the supremum stays under the divergence
-    threshold and did not grow over the last decade of rows.  alpha is
-    evaluated once; each step only rescales it.
+    counts as bounded when ``scan_verdict`` grants ``holds`` to the rows
+    n >= 2 (row 1 of the strict part is zero) at every sample; a NaN row
+    never does.  alpha is evaluated once; each step only rescales it.
     """
     if not delta > 0:
         raise ValueError(f"disc radius must be positive, got {delta}")
@@ -314,24 +312,21 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
     ns = np.arange(1, horizon + 1)
     alpha_ns = W.alpha_values(ns)
     lw_k = W.step_log_weights(k, alpha_ns)
-    bases = [_strict_row_base(mu, lw_k) for mu in mus]
-    cut = max(horizon // 10, 2)
-    early_mask = ns <= cut
-    late_mask = ns > cut
+    bases = [_strict_row_base(mu, lw_k)[1:] for mu in mus]
+    strict_ns, strict_alpha = ns[1:], alpha_ns[1:]
 
     best = None
     for l in range(k, k + l_max + 1):
-        lw_l = W.step_log_weights(l, alpha_ns)
+        lw_l = W.step_log_weights(l, strict_alpha)
         sup_all = -math.inf
         bounded = True
         for base in bases:
-            row = lw_l + base
-            sup = float(np.max(row))
-            sup_all = max(sup_all, sup)
-            grew = (late_mask.any() and early_mask.any()
-                    and float(np.max(row[late_mask]))
-                    > float(np.max(row[early_mask])) + 1e-9)
-            if sup > threshold or grew:
+            with np.errstate(invalid="ignore"):  # -inf + inf: a NaN row
+                row = lw_l + base
+            v = scan_verdict(row, strict_ns)
+            sup = float(row[v.witness_index - 2])  # row[0] is n = 2
+            sup_all = max(sup, sup_all)  # max keeps a NaN first argument
+            if v.status != "holds":
                 bounded = False
                 break
         if best is None or sup_all < best[1]:

@@ -18,7 +18,7 @@ import numpy as np
 from . import resolvent as rsv
 from .operators import delta_log_abs
 from .weights import (AlphaSequence, GrowthVerdict, WeightFamily,
-                      check_loglog, check_nuclear)
+                      check_loglog, check_nuclear, scan_verdict)
 
 __all__ = [
     "SpectralReport",
@@ -120,26 +120,19 @@ def point_spectrum_test(m, alpha: AlphaSequence, W: WeightFamily,
         sup = math.exp(min(float(vals[i]), 709.0))
         status = "holds" if declared else "fails"
         return GrowthVerdict(status, horizon, sup, int(ns[i]), True)
-    cut = max(horizon // 10, int(ns[0]))
-    early = ns <= cut
-    late = ns > cut
     best = None
     for k in range(1, k_max + 1):
         vals = log_row + W.step_log_weights(k, alpha_ns)
-        sup = float(np.max(vals))
-        grew = (late.any() and early.any()
-                and float(np.max(vals[late]))
-                > float(np.max(vals[early])) + 1e-9)
-        i = int(np.argmax(vals))
+        v = scan_verdict(vals, ns)
+        wit = v.witness_index
+        sup = float(vals[wit - m])  # the log supremum; vals[0] is n = m
         if best is None or sup < best[1]:
-            best = (k, sup, int(ns[i]))
-        if sup <= math.log(1e3) and not grew:
-            return GrowthVerdict("holds", horizon,
-                                 math.exp(sup), int(ns[i]), False)
+            best = (k, sup, wit)
+        if v.status == "holds":
+            return GrowthVerdict("holds", horizon, math.exp(sup), wit, False)
     _, sup, wit = best
-    with np.errstate(over="ignore"):
-        sup_v = math.exp(min(sup, 709.0))
-    return GrowthVerdict("fails", horizon, sup_v, wit, False)
+    return GrowthVerdict("fails", horizon, math.exp(min(sup, 709.0)), wit,
+                         False)
 
 
 def _trit(verdict: GrowthVerdict):

@@ -1,12 +1,16 @@
-"""Alpha sequences, derived weight families and the growth predicates.
+"""Alpha sequences, derived weight families and the growth verdict rule.
 
 Everything downstream (operator continuity, spectrum classification,
-ergodic bounds) is driven by boundedness of a handful of ratios such as
-log(n)/alpha_n or alpha_{n+1}/alpha_n.  A finite scan cannot decide a
-supremum over all of N, so every predicate returns a GrowthVerdict whose
-status is ``holds``/``fails`` only when a declared ground-truth flag
-decides it or the numeric evidence is conclusively divergent; otherwise
-the status is ``inconclusive`` and the scan evidence is attached.
+ergodic bounds, the finite-type criteria) is driven by boundedness of a
+supremum such as sup log(n)/alpha_n or sup alpha_{n+1}/alpha_n.  A
+finite scan cannot decide a supremum over all of N, so every criterion
+hands its log-domain scan to the one rule ``scan_verdict``: a declared
+ground-truth flag decides outright; otherwise ``fails`` needs a supremum
+above the divergence threshold that still grew over the last decade of
+the scan, and ``holds`` (where the caller grants it) a supremum under
+the threshold that did not grow.  Everything else, a NaN supremum
+included, is ``inconclusive`` with the scan evidence attached.  The
+``check_*`` predicates here never grant ``holds`` from a scan.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ __all__ = [
     "check_shift_stable",
     "check_delta_criterion",
     "check_loglog",
+    "scan_verdict",
 ]
 
-DIVERGENCE_THRESHOLD = 1e3
+DIVERGENCE_LOG_THRESHOLD = math.log(1e3)
 M_MAX = 64
 LEMMA22_LOG_BOUND = math.log(1e12)
 
@@ -414,31 +419,39 @@ def _scan_horizon(alpha, horizon):
     return int(horizon)
 
 
-def _resolve(log_ratios, ns, declared, horizon,
-             threshold=DIVERGENCE_THRESHOLD):
-    """Turn a scan of log-ratios into a GrowthVerdict.
+def scan_verdict(log_vals, ns, declared=None, grant_holds=True):
+    """The growth-verdict rule: is sup_n exp(log_vals) bounded?
 
-    Decision rule: a declared flag wins outright; otherwise the status is
-    ``fails`` only when the supremum exceeds the divergence threshold AND
-    the running supremum still grew in the last decade of the scan;
-    everything else is ``inconclusive`` evidence.
+    ``ns`` are the increasing scan indices and the horizon is ns[-1].  A
+    declared flag (True/False) decides the status outright.  Otherwise
+    the supremum *grew* when the last decade (indices above
+    max(horizon // 10, ns[0])) beats the earlier scan by more than 1e-9;
+    the status is ``fails`` when the log supremum is above
+    DIVERGENCE_LOG_THRESHOLD and grew, ``holds`` when it is at most the
+    threshold and did not grow (only if ``grant_holds``), and
+    ``inconclusive`` otherwise, always for a NaN supremum.  The witness
+    is the first index of the supremum, or of the first NaN.
     """
-    i = int(np.argmax(log_ratios))
-    with np.errstate(over="ignore"):
-        sup = float(np.exp(log_ratios[i]))
-    witness = int(ns[i])
-    if declared is True:
-        return GrowthVerdict("holds", horizon, sup, witness, True)
-    if declared is False:
-        return GrowthVerdict("fails", horizon, sup, witness, True)
-    cut = max(horizon // 10, int(ns[0]))
-    early = log_ratios[ns <= cut]
-    late = log_ratios[ns > cut]
-    grew = late.size > 0 and (early.size == 0
-                              or late.max() > early.max() + 1e-9)
-    if sup > threshold and grew:
-        return GrowthVerdict("fails", horizon, sup, witness, False)
-    return GrowthVerdict("inconclusive", horizon, sup, witness, False)
+    if len(ns) == 0:
+        raise ValueError("empty scan: the horizon leaves no index to scan")
+    horizon = int(ns[-1])
+    i = int(np.argmax(log_vals))
+    log_sup = log_vals[i]
+    sup = float(np.exp(min(log_sup, 709.0)))
+    if declared is not None:
+        status = "holds" if declared else "fails"
+        return GrowthVerdict(status, horizon, sup, int(ns[i]), True)
+    cut = int(np.searchsorted(ns, max(horizon // 10, int(ns[0])),
+                              side="right"))
+    late = log_vals[cut:]
+    grew = late.size > 0 and late.max() > log_vals[:cut].max() + 1e-9
+    if log_sup > DIVERGENCE_LOG_THRESHOLD and grew:
+        status = "fails"
+    elif grant_holds and log_sup <= DIVERGENCE_LOG_THRESHOLD and not grew:
+        status = "holds"
+    else:
+        status = "inconclusive"
+    return GrowthVerdict(status, horizon, sup, int(ns[i]), False)
 
 
 def check_nuclear(alpha, horizon=10 ** 5):
@@ -449,7 +462,8 @@ def check_nuclear(alpha, horizon=10 ** 5):
     ns = np.arange(2, horizon + 1)
     la = alpha.log_values(ns)
     ratios = np.log(np.log(ns.astype(float))) - la
-    return _resolve(ratios, ns, alpha.flag("nuclear"), horizon)
+    return scan_verdict(ratios, ns, alpha.flag("nuclear"),
+                        grant_holds=False)
 
 
 def check_shift_stable(alpha, horizon=10 ** 5):
@@ -462,7 +476,8 @@ def check_shift_stable(alpha, horizon=10 ** 5):
     ns = np.arange(1, horizon + 1)
     la = alpha.log_values(np.arange(1, horizon + 2))
     ratios = la[1:] - la[:-1]
-    return _resolve(ratios, ns, alpha.flag("shift_stable"), horizon)
+    return scan_verdict(ratios, ns, alpha.flag("shift_stable"),
+                        grant_holds=False)
 
 
 def check_delta_criterion(alpha, horizon=10 ** 5):
@@ -473,7 +488,8 @@ def check_delta_criterion(alpha, horizon=10 ** 5):
     ns = np.arange(1, horizon + 1)
     la = alpha.log_values(ns)
     ratios = np.log(ns.astype(float)) - la
-    return _resolve(ratios, ns, alpha.flag("delta_continuous"), horizon)
+    return scan_verdict(ratios, ns, alpha.flag("delta_continuous"),
+                        grant_holds=False)
 
 
 def check_loglog(alpha, horizon=10 ** 5):
@@ -484,7 +500,8 @@ def check_loglog(alpha, horizon=10 ** 5):
     ns = np.arange(3, horizon + 1)
     la = alpha.log_values(ns)
     ratios = np.log(np.log(np.log(ns.astype(float)))) - la
-    return _resolve(ratios, ns, alpha.flag("loglog_finite"), horizon)
+    return scan_verdict(ratios, ns, alpha.flag("loglog_finite"),
+                        grant_holds=False)
 
 
 def check_lemma22(alpha, gamma, horizon=10 ** 5, m_max=M_MAX,

@@ -77,6 +77,8 @@ def test_verify_sandwich_and_finite(tmp_path):
     ["verify", "--suite", "eigen", "--m", "0"],
     ["ergodic", "--alpha", "preset:n", "--tol", "-1"],
     ["ergodic", "--alpha", "preset:n", "--tol", "nan"],
+    # the probe scans the strict rows n >= 2: horizon 1 leaves none
+    ["probe", "--alpha", "preset:n", "--lambda", "2", "--horizon", "1"],
 ])
 def test_invalid_count_or_lambda_rejected(tmp_path, capsys, argv):
     out = tmp_path / "r.json"
@@ -85,6 +87,19 @@ def test_invalid_count_or_lambda_rejected(tmp_path, capsys, argv):
     assert err.count("\n") == 1 and "error:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_ergodic_n_beyond_csv_rejected(tmp_path, capsys):
+    csv = tmp_path / "alpha.csv"
+    csv.write_text("".join(f"{n},{n * 2.0}\n" for n in range(1, 11)))
+    out = tmp_path / "e.json"
+    argv = ["ergodic", "--alpha", f"file:{csv}", "--output", str(out)]
+    assert run(argv + ["--N", "50"]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds the 10 values" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert run(argv + ["--N", "10"]) == EXIT_OK
 
 
 def test_verify_unknown_suite():
@@ -121,6 +136,19 @@ def test_probe_command(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["report"]["verdict"] == "bounded"
     assert doc["report"]["l_found"] is not None
+
+
+def test_probe_nan_rows_are_not_bounded(tmp_path, capsys):
+    # n_pow_n overflows alpha_n from n = 144, so the weighted rows there
+    # are -inf + inf = NaN: evidence of nothing, never a bounded verdict
+    out = tmp_path / "p.json"
+    assert run(["probe", "--alpha", "preset:n_pow_n", "--lambda", "2",
+                "--horizon", "1000", "--output", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())["report"]
+    assert report["verdict"] == "unbounded_evidence"
+    assert report["l_found"] is None
+    assert report["sup_row_sum"] == "nan"
+    assert capsys.readouterr().err == ""
 
 
 def test_probe_l_max_zero_tries_only_k(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cesarolab.operators import (TriangularOperator, WeightedVector,
-                                 _bounded_verdict, _log_weight_row,
+                                 _log_weight_row,
                                  _weighted_sup_rows, c0_continuity_test,
                                  cesaro_apply, cesaro_inverse_apply,
                                  cesaro_matrix_exact, cesaro_operator,
@@ -18,6 +18,7 @@ from cesarolab.operators import (TriangularOperator, WeightedVector,
                                  step_continuity_test, verify_factorizations,
                                  weighted_norm)
 from cesarolab.weights import WeightFamily, make_alpha
+from test_weights import reference_bounded_verdict
 
 F = Fraction
 
@@ -315,7 +316,7 @@ def test_delta_criterion_matches_elementwise_reference(preset, k, l):
     assert v.sup_value == float(np.exp(np.max(exact)))
 
     # an independent reference from exact binomials
-    ref = _bounded_verdict(_delta_log_row_sums(
+    ref = reference_bounded_verdict(_delta_log_row_sums(
         W, k, l, ns, lambda n, m: math.log(math.comb(n - 1, m - 1))), ns, 60)
     assert (v.status, v.witness_index) == (ref.status, ref.witness_index)
     assert v.sup_value == pytest.approx(ref.sup_value, rel=1e-12)

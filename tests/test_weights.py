@@ -8,7 +8,7 @@ from cesarolab.weights import (AlphaSequence, GrowthVerdict, MonotonicityError,
                                PRESET_NAMES, WeightFamily, check_delta_criterion,
                                check_lemma22, check_loglog, check_nuclear,
                                check_shift_stable, make_alpha,
-                               make_alpha_from_csv)
+                               make_alpha_from_csv, scan_verdict)
 
 
 def test_preset_names_cover_contract():
@@ -210,3 +210,165 @@ def test_predicates_total_on_random_increasing(increments):
 def test_weight_monotone_in_k(n, k):
     W = WeightFamily(make_alpha("n"))
     assert W.log_weight(k + 1, n) < W.log_weight(k, n)
+
+
+# the growth-verdict rule against the two copies it replaced
+
+def reference_resolve(log_ratios, ns, declared, horizon, threshold=1e3):
+    """Turn a scan of log-ratios into a GrowthVerdict.
+
+    Decision rule: a declared flag wins outright; otherwise the status is
+    ``fails`` only when the supremum exceeds the divergence threshold AND
+    the running supremum still grew in the last decade of the scan;
+    everything else is ``inconclusive`` evidence.
+    """
+    i = int(np.argmax(log_ratios))
+    with np.errstate(over="ignore"):
+        sup = float(np.exp(log_ratios[i]))
+    witness = int(ns[i])
+    if declared is True:
+        return GrowthVerdict("holds", horizon, sup, witness, True)
+    if declared is False:
+        return GrowthVerdict("fails", horizon, sup, witness, True)
+    cut = max(horizon // 10, int(ns[0]))
+    early = log_ratios[ns <= cut]
+    late = log_ratios[ns > cut]
+    grew = late.size > 0 and (early.size == 0
+                              or late.max() > early.max() + 1e-9)
+    if sup > threshold and grew:
+        return GrowthVerdict("fails", horizon, sup, witness, False)
+    return GrowthVerdict("inconclusive", horizon, sup, witness, False)
+
+
+def reference_bounded_verdict(log_ratios, ns, horizon,
+                              threshold=math.log(1e3)):
+    """Boundedness decision shared by the step criteria.
+
+    bounded (holds) when the supremum stays under the divergence
+    threshold and did not grow over the last decade of the scan;
+    divergent (fails) when it crossed the threshold while still growing;
+    inconclusive otherwise.
+    """
+    i = int(np.argmax(log_ratios))
+    with np.errstate(over="ignore"):
+        sup = float(np.exp(log_ratios[i]))
+    cut = max(horizon // 10, int(ns[0]))
+    early = log_ratios[ns <= cut]
+    late = log_ratios[ns > cut]
+    grew = late.size > 0 and (early.size == 0
+                              or late.max() > early.max() + 1e-9)
+    if log_ratios[i] <= threshold and not grew:
+        status = "holds"
+    elif log_ratios[i] > threshold and grew:
+        status = "fails"
+    else:
+        status = "inconclusive"
+    return GrowthVerdict(status, horizon, sup, int(ns[i]), False)
+
+
+_LOG_T = math.log(1e3)
+_SPECIAL = [math.nan, math.inf, -math.inf, _LOG_T,
+            math.nextafter(_LOG_T, -math.inf), math.nextafter(_LOG_T, math.inf),
+            709.0, 709.5, 710.0, 1.0, 1.0 + 1e-9, 1.0 + 2e-9]
+_log_entries = st.one_of(st.sampled_from(_SPECIAL),
+                         st.floats(-20.0, 20.0), st.floats(-800.0, 800.0))
+
+
+@st.composite
+def _scans(draw):
+    """Increasing indices from 1, 2, 3 or some m, mostly consecutive (a
+    sparse tail as in the finite-type scans), with log values."""
+    start = draw(st.one_of(st.sampled_from([1, 2, 3]),
+                           st.integers(4, 500)))
+    steps = draw(st.lists(st.sampled_from([1, 1, 1, 1, 1, 7, 1000]),
+                          max_size=60))
+    ns = start + np.cumsum([0] + steps)
+    vals = draw(st.lists(_log_entries, min_size=ns.size, max_size=ns.size))
+    return np.array(vals, dtype=float), ns
+
+
+def _same_verdict(new, ref):
+    assert (new.status, new.horizon, new.witness_index,
+            new.declared_override) == (ref.status, ref.horizon,
+                                       ref.witness_index,
+                                       ref.declared_override)
+    cap = float(np.exp(709.0))
+    if ref.sup_value > cap:
+        # the one difference: the supremum is capped at e^709
+        assert new.sup_value == cap
+    elif math.isnan(ref.sup_value):
+        assert math.isnan(new.sup_value)
+    else:
+        assert new.sup_value == ref.sup_value
+
+
+@given(_scans(), st.sampled_from([True, False, None]))
+@settings(max_examples=400, deadline=None)
+def test_scan_verdict_matches_both_replaced_rules(scan, declared):
+    log_vals, ns = scan
+    horizon = int(ns[-1])
+    v = scan_verdict(log_vals, ns, declared, grant_holds=False)
+    _same_verdict(v, reference_resolve(log_vals, ns, declared, horizon))
+    if declared is None:
+        v = scan_verdict(log_vals, ns)
+        _same_verdict(v, reference_bounded_verdict(log_vals, ns, horizon))
+        if math.isnan(v.sup_value):
+            assert v.status == "inconclusive"
+
+
+@pytest.mark.parametrize("top", [math.nextafter(_LOG_T, -math.inf), _LOG_T,
+                                 math.nextafter(_LOG_T, math.inf)])
+@pytest.mark.parametrize("n_scan", [2, 9, 19, 100])
+def test_scan_verdict_threshold_is_log_1e3(top, n_scan):
+    # a scan whose supremum sits on the last index, so it grew; the
+    # log threshold cuts where reference_resolve's linear 1e3 does
+    ns = np.arange(1, n_scan + 1)
+    log_vals = np.zeros(n_scan)
+    log_vals[-1] = top
+    v = scan_verdict(log_vals, ns, grant_holds=False)
+    assert v.status == ("fails" if top > _LOG_T else "inconclusive")
+    _same_verdict(v, reference_resolve(log_vals, ns, None, n_scan))
+    _same_verdict(scan_verdict(log_vals, ns),
+                  reference_bounded_verdict(log_vals, ns, n_scan))
+
+
+@pytest.mark.parametrize("top", [math.nextafter(_LOG_T, -math.inf), _LOG_T,
+                                 math.nextafter(_LOG_T, math.inf)])
+def test_scan_verdict_holds_up_to_the_threshold(top):
+    # the supremum sits on the first index, so nothing grew
+    ns = np.arange(1, 31)
+    log_vals = np.zeros(30)
+    log_vals[0] = top
+    v = scan_verdict(log_vals, ns)
+    assert v.status == ("holds" if top <= _LOG_T else "inconclusive")
+    _same_verdict(v, reference_bounded_verdict(log_vals, ns, 30))
+
+
+@pytest.mark.parametrize("late,grew", [(1.0 + 0.5e-9, False),
+                                       (1.0 + 2e-9, True)])
+def test_scan_verdict_growth_margin(late, grew):
+    # the last decade must beat the earlier scan by more than 1e-9
+    ns = np.arange(1, 31)
+    log_vals = np.full(30, 1.0)
+    log_vals[-1] = late
+    v = scan_verdict(log_vals, ns)
+    assert v.status == ("inconclusive" if grew else "holds")
+    _same_verdict(v, reference_bounded_verdict(log_vals, ns, 30))
+
+
+def test_scan_verdict_nan_is_never_conclusive():
+    ns = np.arange(1, 101)
+    log_vals = np.zeros(100)
+    log_vals[50] = math.nan
+    log_vals[90] = 50.0          # a late growth beyond the threshold
+    v = scan_verdict(log_vals, ns)
+    assert v.status == "inconclusive" and math.isnan(v.sup_value)
+    assert v.witness_index == 51
+    # a declared flag still decides, with the NaN evidence attached
+    v = scan_verdict(log_vals, ns, declared=True)
+    assert v.status == "holds" and v.declared_override
+
+
+def test_scan_verdict_empty_scan_rejected():
+    with pytest.raises(ValueError, match="empty scan"):
+        scan_verdict(np.array([]), np.arange(2, 2))
