@@ -9,9 +9,8 @@ from .weights import (AlphaSequence, GrowthVerdict, PRESET_NAMES,
                       WeightFamily, check_delta_criterion, check_lemma22,
                       check_loglog, check_nuclear, check_shift_stable,
                       make_alpha, make_alpha_from_csv)
-from .operators import (TriangularOperator, TruncatedMatrix, WeightedVector,
-                        cesaro_apply, cesaro_inverse_apply, cesaro_operator,
-                        delta_apply, delta_operator, diff_apply, shift_apply,
+from .operators import (TriangularOperator, cesaro_apply, cesaro_inverse_apply,
+                        delta_apply, diff_apply, shift_apply,
                         step_continuity_test, verify_factorizations,
                         weighted_norm)
 from .resolvent import (equicontinuity_probe, resolvent_entries,

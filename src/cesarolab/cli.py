@@ -142,7 +142,10 @@ def _positive_int(s):
 
 
 def _nonnegative_int(s):
-    """argparse type: an integer >= 0 (probe --l-max 0 tries l = k only)."""
+    """argparse type: an integer >= 0, where 0 has a meaning of its own:
+    probe --l-max 0 tries l = k only, verify --N 0 is the suite default,
+    finite --k 0 or --l 0 runs the acts search, and grid
+    --probe-subsample 0 probes nothing."""
     return _int_at_least(s, 0, "non-negative")
 
 
@@ -447,7 +450,7 @@ def build_parser():
 
     v = sub.add_parser("verify", help="run a named invariant suite")
     v.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    v.add_argument("--N", type=int, default=0)
+    v.add_argument("--N", type=_nonnegative_int, default=0)
     v.add_argument("--m", type=_positive_int, default=10)
     v.add_argument("--samples", type=_positive_int, default=50)
     v.add_argument("--horizon", type=_positive_int, default=10 ** 5)
@@ -460,7 +463,7 @@ def build_parser():
     g.add_argument("--re", default="-1:2")
     g.add_argument("--im", default="-1.5:1.5")
     g.add_argument("--res", type=_positive_int, required=True)
-    g.add_argument("--probe-subsample", type=int, default=0)
+    g.add_argument("--probe-subsample", type=_nonnegative_int, default=0)
     g.add_argument("--horizon", type=_positive_int, default=10 ** 4)
     g.add_argument("--out", required=True)
     g.add_argument("--svg", default=None)
@@ -489,8 +492,8 @@ def build_parser():
 
     f = sub.add_parser("finite", help="finite-type continuity criteria")
     f.add_argument("--weights", required=True)
-    f.add_argument("--k", type=int, default=0)
-    f.add_argument("--l", type=int, default=0)
+    f.add_argument("--k", type=_nonnegative_int, default=0)
+    f.add_argument("--l", type=_nonnegative_int, default=0)
     f.add_argument("--horizon", type=_positive_int, default=10 ** 6)
     f.add_argument("--output", default=None)
     f.set_defaults(func=cmd_finite)

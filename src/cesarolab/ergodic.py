@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import _log_weight_row, _vals, _weighted_sup_rows
+from .operators import (_identity_deviation, _log_weight_row, _mat_mul,
+                        _weighted_sup_rows)
 from .weights import WeightFamily, scan_verdict
 
 __all__ = [
@@ -55,7 +56,7 @@ def power_apply(x, m, N=None):
     """m-fold application of the averaging map at truncation N."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    v = np.asarray(_vals(x), dtype=complex)
+    v = np.asarray(x, dtype=complex)
     if N is not None:
         v = v[:N]
     for _ in range(m):
@@ -67,7 +68,7 @@ def cesaro_means(x, n, N=None):
     """(1/n) sum_{m=1}^{n} C^m x, averaged in order m = 1..n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    v = np.asarray(_vals(x), dtype=complex)
+    v = np.asarray(x, dtype=complex)
     if N is not None:
         v = v[:N]
     acc = np.zeros_like(v)
@@ -104,7 +105,7 @@ def power_bounded_check(W: WeightFamily, k, trials=20, m_max=200, N=50,
 
 def decomposition_split(x):
     """x = y + z with y = x_1 * (1,...,1) and z_1 = 0, exactly."""
-    vals = _vals(x)
+    vals = list(x)
     if not vals:
         return [], []
     c = vals[0]
@@ -123,7 +124,7 @@ def iterates_limit_check(x, W: WeightFamily, k, N, tol=ITERATE_TOL,
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    v = np.asarray(_vals(x), dtype=complex)[:N]
+    v = np.asarray(x, dtype=complex)[:N]
     limit = np.full(N, v[0], dtype=complex)
     lw = _log_weight_row(W, k, len(v))
     m_values, distances = [], []
@@ -136,7 +137,7 @@ def iterates_limit_check(x, W: WeightFamily, k, N, tol=ITERATE_TOL,
         if d < tol:
             status = "converged"
             break
-    return IterationTrace(m_values, distances, list(np.asarray(_vals(x))[:N]),
+    return IterationTrace(m_values, distances, list(np.asarray(x)[:N]),
                           k, N, status)
 
 
@@ -165,18 +166,8 @@ def range_inverse_matrices(N, exact=True):
         raise ValueError("N must be >= 1")
     A = _a_matrix_exact(N)
     B = _b_matrix_exact(N)
-
-    def mul(X, Y):
-        return [[sum(X[i][t] * Y[t][j] for t in range(N))
-                 for j in range(N)] for i in range(N)]
-
-    ident = [[Fraction(1) if i == j else Fraction(0) for j in range(N)]
-             for i in range(N)]
-    ab = mul(A, B)
-    ba = mul(B, A)
-    residual = max(
-        max(abs(ab[i][j] - ident[i][j]) for i in range(N) for j in range(N)),
-        max(abs(ba[i][j] - ident[i][j]) for i in range(N) for j in range(N)))
+    residual = max(_identity_deviation(_mat_mul(A, B)),
+                   _identity_deviation(_mat_mul(B, A)))
     if not exact:
         A = np.array([[float(v) for v in row] for row in A])
         B = np.array([[float(v) for v in row] for row in B])

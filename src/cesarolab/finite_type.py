@@ -118,6 +118,8 @@ class _Scan:
 
 def ft_continuity_criterion(ftw: FiniteTypeWeights, k, l, horizon=10 ** 6):
     """Boundedness of (v_l(n)/n) sum_{m<=n} 1/v_k(m), log-sum-exp form."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     if l <= k:
         raise ValueError("need l > k")
     scan = _Scan(ftw.alpha, horizon)
@@ -207,13 +209,7 @@ def gp_nuclearity(weights, k, l, horizon=10 ** 5):
     if alpha.max_index is not None:
         horizon = min(horizon, alpha.max_index)
     ns = np.arange(1, int(horizon) + 1)
-    if isinstance(weights, FiniteTypeWeights):
-        with np.errstate(over="ignore"):
-            av = np.exp(alpha.log_values(ns))
-        log_terms = av / l - av / k          # negative: 1/l < 1/k
-    else:
-        log_terms = (weights.log_weights(l, ns)
-                     - weights.log_weights(k, ns))
+    log_terms = weights.log_weights(l, ns) - weights.log_weights(k, ns)
     partial = np.logaddexp.accumulate(log_terms)
     total = float(np.exp(min(partial[-1], 709.0)))
     cut = max(int(horizon) // 10, 1)

@@ -1,20 +1,21 @@
-"""Concrete triangular operators, weighted norms and continuity tests.
+"""Triangular operators in exact and log-domain arithmetic.
 
 Two arithmetic tiers are used throughout: exact rationals / big-integer
 binomials for the small-N identity checks (the averaging matrix, its
 similarity to diag(1/n), the involution), and double precision with
 log-domain weight conjugation for everything scanned to large horizons.
-All declared-triangular operators commute with truncation exactly, so a
-finite section is a faithful witness; the differentiation operator is
-the one super-diagonal case and its truncated output is declared one
-coordinate shorter.
+The coordinatewise applications commute with truncation exactly, so a
+finite section is a faithful witness; differentiation, the one
+super-diagonal map, gives a truncated output one coordinate shorter.
+``TriangularOperator`` is a lower-triangular entry(n, m) with a dense
+truncation, from which the resolvent is built.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,20 +24,13 @@ from .weights import WeightFamily, scan_verdict
 
 __all__ = [
     "TriangularOperator",
-    "TruncatedMatrix",
-    "WeightedVector",
     "N_EXACT",
     "cesaro_apply",
     "cesaro_inverse_apply",
     "diff_apply",
     "shift_apply",
-    "diag_apply",
     "delta_apply",
-    "delta_row",
     "delta_log_abs",
-    "cesaro_operator",
-    "delta_operator",
-    "shift_operator",
     "cesaro_matrix_exact",
     "delta_matrix_exact",
     "verify_factorizations",
@@ -48,68 +42,22 @@ __all__ = [
 
 N_EXACT = 64          # exact big-integer tier for identity checks
 N_DOUBLE_BINOM = 1020  # binom(n-1, k) overflows double beyond this
-IDENTITY_RTOL = 1e-10
 COLUMN_DECAY_TOL = 1e-6
 
 
 @dataclass
-class WeightedVector:
-    """Finite coordinate vector tagged with the weight step of its norm."""
-
-    values: list
-    step_k: int = 1
-
-    def __post_init__(self):
-        self.values = list(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-
-def _vals(x):
-    return x.values if isinstance(x, WeightedVector) else list(x)
-
-
-@dataclass
-class TruncatedMatrix:
-    entries: np.ndarray
-    provenance: str
-
-    @property
-    def N(self):
-        return self.entries.shape[0]
-
-
-@dataclass
 class TriangularOperator:
-    """Lazily evaluated infinite matrix, entry(n, m) with 1-based indices.
-
-    ``structure`` is one of "lower", "subdiagonal", "superdiagonal",
-    "diagonal"; the differentiation operator is the single permitted
-    non-lower case.  ``log_abs_entry`` optionally supplies
-    log|entry(n,m)| directly for matrices whose entries overflow double
-    precision (signed binomials, conjugated weights).
-    """
+    """Lower-triangular infinite matrix, entry(n, m) with 1-based indices."""
 
     entry: object
-    name: str = "operator"
-    structure: str = "lower"
-    log_abs_entry: object = field(default=None)
 
     def truncate(self, N):
-        if self.name == "delta" and N > N_DOUBLE_BINOM:
-            raise OverflowError(
-                f"dense double truncation of delta limited to "
-                f"N <= {N_DOUBLE_BINOM}")
+        """Dense complex N x N section, one entry() call per m <= n."""
         A = np.zeros((N, N), dtype=complex)
         for n in range(1, N + 1):
-            hi = n if self.structure in ("lower", "subdiagonal") else N
-            for m in range(1, hi + 1):
+            for m in range(1, n + 1):
                 A[n - 1, m - 1] = self.entry(n, m)
-        return TruncatedMatrix(A, f"{self.name}@N={N}")
+        return A
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +69,7 @@ def _one_over(n, like):
 
 def cesaro_apply(x):
     """(x_1, (x_1+x_2)/2, ..., (x_1+...+x_n)/n)."""
-    vals = _vals(x)
+    vals = list(x)
     out, acc = [], 0
     for n, v in enumerate(vals, start=1):
         acc = acc + v
@@ -131,7 +79,7 @@ def cesaro_apply(x):
 
 def cesaro_inverse_apply(y):
     """(n y_n - (n-1) y_{n-1}) with the y_0 := 0 convention."""
-    vals = _vals(y)
+    vals = list(y)
     out, prev = [], 0
     for n, v in enumerate(vals, start=1):
         out.append(n * v - (n - 1) * prev)
@@ -141,31 +89,25 @@ def cesaro_inverse_apply(y):
 
 def diff_apply(x):
     """(x_2, 2 x_3, 3 x_4, ...); truncated output has length N-1."""
-    vals = _vals(x)
+    vals = list(x)
     return [n * vals[n] for n in range(1, len(vals))]
 
 
 def shift_apply(x):
-    vals = _vals(x)
+    vals = list(x)
     zero = Fraction(0) if vals and isinstance(vals[0], Fraction) else 0
     return [zero] + vals
 
 
-def diag_apply(d, x):
-    vals = _vals(x)
-    return [d(n) * v for n, v in enumerate(vals, start=1)]
-
-
-def delta_apply(x, n_exact=N_EXACT):
+def delta_apply(x):
     """Signed-binomial involution applied to a truncated vector.
 
-    Exact big-integer binomials up to the exact tier; log-domain
-    magnitudes are available separately via delta_log_abs for large
-    indices.
+    Exact big-integer binomials; log-domain magnitudes are available
+    separately via delta_log_abs for large indices.
     """
-    vals = _vals(x)
+    vals = list(x)
     N = len(vals)
-    if N > n_exact and N > N_DOUBLE_BINOM:
+    if N > N_DOUBLE_BINOM:
         raise OverflowError(
             f"dense delta application limited to N <= {N_DOUBLE_BINOM}")
     out = []
@@ -176,12 +118,6 @@ def delta_apply(x, n_exact=N_EXACT):
             acc = acc + (c if (m % 2) else -c) * vals[m - 1]
         out.append(acc)
     return out
-
-
-def delta_row(n, length):
-    """First ``length`` entries of row n of the involution matrix."""
-    return [((-1) ** (m - 1)) * math.comb(n - 1, m - 1) if m <= n else 0
-            for m in range(1, length + 1)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -208,28 +144,6 @@ def delta_log_abs(n, m):
 
 
 # ---------------------------------------------------------------------------
-# operator objects
-
-def cesaro_operator():
-    return TriangularOperator(
-        lambda n, m: 1.0 / n if m <= n else 0.0, "cesaro", "lower")
-
-
-def delta_operator():
-    def entry(n, m):
-        if m > n:
-            return 0.0
-        return float((-1) ** (m - 1) * math.comb(n - 1, m - 1))
-    return TriangularOperator(entry, "delta", "lower",
-                              log_abs_entry=delta_log_abs)
-
-
-def shift_operator():
-    return TriangularOperator(
-        lambda n, m: 1.0 if m == n - 1 else 0.0, "shift", "subdiagonal")
-
-
-# ---------------------------------------------------------------------------
 # exact matrices and factorization checks
 
 def cesaro_matrix_exact(N):
@@ -248,6 +162,12 @@ def _mat_mul(A, B):
             for i in range(N)]
 
 
+def _identity_deviation(X):
+    """max |X - I| over a square matrix, in the arithmetic of X."""
+    return max(abs(x - (1 if i == j else 0))
+               for i, row in enumerate(X) for j, x in enumerate(row))
+
+
 def verify_factorizations(N, rng=None):
     """Exact checks of the two factorizations of the averaging matrix.
 
@@ -261,10 +181,7 @@ def verify_factorizations(N, rng=None):
     if N > N_EXACT:
         raise ValueError(f"exact tier limited to N <= {N_EXACT}")
     delta = delta_matrix_exact(N)
-    dd = _mat_mul(delta, delta)
-    ident = [[1 if i == j else 0 for j in range(N)] for i in range(N)]
-    dev_invol = max(abs(dd[i][j] - ident[i][j])
-                    for i in range(N) for j in range(N))
+    dev_invol = _identity_deviation(_mat_mul(delta, delta))
 
     diag = [[Fraction(1, i + 1) if i == j else Fraction(0)
              for j in range(N)] for i in range(N)]
@@ -346,7 +263,7 @@ def weighted_norm(x, W: WeightFamily, k):
     memoised scalar path, which keeps results bit-identical to a
     term-by-term loop over Python floats.
     """
-    row = np.asarray(_vals(x))[None, :]
+    row = np.asarray(x)[None, :]
     return _weighted_sup_rows(row, _log_weight_row(W, k, row.shape[1]))[0]
 
 
@@ -360,17 +277,6 @@ def conjugate_to_c0(A: TriangularOperator, W: WeightFamily, k, l):
     if l < k:
         raise ValueError("need l >= k")
 
-    if A.log_abs_entry is not None:
-        base_log = A.log_abs_entry
-
-        def log_abs(n, m):
-            lv = base_log(n, m)
-            if lv == -math.inf:
-                return -math.inf
-            return W.log_weight(l, n) - W.log_weight(k, m) + lv
-    else:
-        log_abs = None
-
     def entry(n, m):
         v = A.entry(n, m)
         if v == 0:
@@ -378,8 +284,7 @@ def conjugate_to_c0(A: TriangularOperator, W: WeightFamily, k, l):
         scale = W.log_weight(l, n) - W.log_weight(k, m)
         return v * math.exp(scale)
 
-    return TriangularOperator(entry, f"conj({A.name},{k},{l})", A.structure,
-                              log_abs_entry=log_abs)
+    return TriangularOperator(entry)
 
 
 def c0_continuity_test(A: TriangularOperator, horizon, col_check,
@@ -393,20 +298,13 @@ def c0_continuity_test(A: TriangularOperator, horizon, col_check,
     if not (horizon >= col_check >= 1):
         raise ValueError("need horizon >= col_check >= 1")
 
-    def a_abs(n, m):
-        if A.log_abs_entry is not None:
-            lv = A.log_abs_entry(n, m)
-            return 0.0 if lv == -math.inf else math.exp(min(lv, 700.0))
-        return abs(A.entry(n, m))
-
     row_sup = 0.0
     col_max = [0.0] * col_check
     last_row = [0.0] * col_check
     for n in range(1, horizon + 1):
-        hi = n if A.structure in ("lower", "subdiagonal") else horizon
         s = 0.0
-        for m in range(1, hi + 1):
-            v = a_abs(n, m)
+        for m in range(1, n + 1):
+            v = abs(A.entry(n, m))
             s += v
             if m <= col_check:
                 col_max[m - 1] = max(col_max[m - 1], v)
@@ -461,7 +359,7 @@ def step_continuity_test(op_name, W: WeightFamily, k, l, horizon=10 ** 4):
         lw_l_next = W.log_weights(l, ns + 1)
         log_ratios = lw_l_next - lw_k
     elif op_name == "cesaro":
-        prefix = _logsumexp_accumulate(-lw_k)  # log sum_{m<=n} 1/v_k(m)
+        prefix = np.logaddexp.accumulate(-lw_k)  # log sum_{m<=n} 1/v_k(m)
         log_ratios = lw_l - log_n + prefix
     else:  # delta: row sums via log-sum-exp over each row
         # a power of two above the horizon, as delta_log_abs sizes it
@@ -480,8 +378,3 @@ def _logsumexp(terms):
     if m == -math.inf:
         return -math.inf
     return float(m + math.log(np.sum(np.exp(terms - m))))
-
-
-def _logsumexp_accumulate(terms):
-    """Running log of prefix sums of exp(terms), entirely in log domain."""
-    return np.logaddexp.accumulate(terms)

@@ -206,8 +206,8 @@ class ResolventDecomposition:
 
     def resolvent_matrix(self, N):
         """Dense truncation of D_mu - mu^{-2} E_mu."""
-        D = self.diag_part.truncate(N).entries
-        E = self.strict_part.truncate(N).entries
+        D = self.diag_part.truncate(N)
+        E = self.strict_part.truncate(N)
         return D - E / self.mu ** 2
 
     def reconstruction_residual(self, N):
@@ -259,9 +259,8 @@ def resolvent_entries(mu):
             return 0.0
         return 1.0 / (1.0 / n - mu)
 
-    diag = TriangularOperator(d_entry, f"D_mu({mu})", "diagonal")
-    strict = TriangularOperator(e_entry, f"E_mu({mu})", "lower")
-    return ResolventDecomposition(mu, diag, strict)
+    return ResolventDecomposition(mu, TriangularOperator(d_entry),
+                                  TriangularOperator(e_entry))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +330,10 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
                 break
         if best is None or sup_all < best[1]:
             best = (l, sup_all)
+        if math.isnan(best[1]):
+            # a NaN row (alpha_n = inf) recurs at every l, and no later
+            # sup replaces a NaN best: the search is decided
+            break
         if bounded:
             return {
                 "l_found": l,

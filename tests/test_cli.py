@@ -79,10 +79,17 @@ def test_verify_sandwich_and_finite(tmp_path):
     ["ergodic", "--alpha", "preset:n", "--tol", "nan"],
     # the probe scans the strict rows n >= 2: horizon 1 leaves none
     ["probe", "--alpha", "preset:n", "--lambda", "2", "--horizon", "1"],
+    # counts where 0 means the default (suite N, acts search, no probes)
+    # but a negative value has no meaning
+    ["verify", "--suite", "factorizations", "--N", "-3"],
+    ["finite", "--weights", "finite:log_np1", "--k", "-1", "--l", "2"],
+    ["finite", "--weights", "finite:log_np1", "--k", "1", "--l", "-2"],
+    ["grid", "--alpha", "preset:n", "--res", "4", "--probe-subsample", "-1"],
 ])
 def test_invalid_count_or_lambda_rejected(tmp_path, capsys, argv):
     out = tmp_path / "r.json"
-    assert run(argv + ["--output", str(out)]) == EXIT_FAIL
+    flag = "--out" if argv[0] == "grid" else "--output"
+    assert run(argv + [flag, str(out)]) == EXIT_FAIL
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error:" in err
     assert "Traceback" not in err

@@ -49,6 +49,10 @@ def test_criterion_majorant_slow_growth():
 def test_criterion_rejects_bad_steps():
     with pytest.raises(ValueError):
         ft_continuity_criterion(log_np1_weights(), 2, 2)
+    # l > k alone would let k = 0 or k < 0 through to a confident verdict
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k >= 1"):
+            ft_continuity_criterion(log_np1_weights(), k, 2)
 
 
 def test_criterion_diverges_fast_growth():
@@ -149,11 +153,34 @@ def test_gp_nuclearity_finite_type_divergent():
     assert v.status == "fails"
 
 
+# (status, sup) per alpha, weight family and (k, l) at horizon 1e4, as
+# recorded when FiniteTypeWeights took a branch of its own
+_GP_RECORDED = {
+    ("n_squared", WeightFamily, (1, 2)): ("holds", 0.38631860241332605),
+    ("n_squared", WeightFamily, (2, 5)): ("holds", 0.0497932125820968),
+    ("n_squared", FiniteTypeWeights, (1, 2)): ("holds", 0.7533141440214528),
+    ("n_squared", FiniteTypeWeights, (2, 5)): ("holds", 1.1180215937964328),
+    ("log_n_plus_1", WeightFamily, (1, 2)): ("inconclusive",
+                                             8.787706026045287),
+    ("log_n_plus_1", WeightFamily, (2, 5)): ("inconclusive",
+                                             0.20205689816109476),
+    ("log_n_plus_1", FiniteTypeWeights, (1, 2)): ("inconclusive",
+                                                  197.5546449495615),
+    ("log_n_plus_1", FiniteTypeWeights, (2, 5)): ("inconclusive",
+                                                  899.5577172656726),
+}
+
+
 def test_gp_nuclearity_finite_type_nuclear():
     # alpha_n = n^2 gives sum e^{-n^2/2}: nuclear even in finite type
     alpha = make_alpha(lambda n: float(n * n), name="n_squared")
     v = gp_nuclearity(FiniteTypeWeights(alpha), 1, 2, horizon=10 ** 4)
     assert v.status == "holds"
+    # both weight families take one path, with the recorded floats
+    alphas = {"n_squared": alpha, "log_n_plus_1": make_alpha("log_n_plus_1")}
+    for (name, family, (k, l)), want in _GP_RECORDED.items():
+        v = gp_nuclearity(family(alphas[name]), k, l, horizon=10 ** 4)
+        assert (v.status, v.sup_value) == want
 
 
 def test_gp_nuclearity_rejects_bad_steps():

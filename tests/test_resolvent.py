@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cesarolab import resolvent as rsv
 from cesarolab.resolvent import (a_fn, disc_samples, dist_sigma0,
                                  equicontinuity_probe, product_log,
                                  product_log_prefix, resolvent_entries,
                                  resolvent_norm_bound_check, sandwich_bounds,
                                  sandwich_check, u_fn, v_fn)
-from cesarolab.weights import WeightFamily, make_alpha
+from cesarolab.weights import WeightFamily, make_alpha, scan_verdict
 
 
 def test_a_fn_values():
@@ -182,6 +183,23 @@ def test_probe_unbounded_for_slow_alpha():
                                horizon=10 ** 4, l_max=16)
     assert res["verdict"] == "unbounded_evidence"
     assert res["l_found"] is None
+
+
+def test_probe_stops_at_nan_rows(monkeypatch):
+    # alpha_n overflows from n = 144 for n_pow_n, so the rows there are
+    # NaN at every step l: the first step decides the search
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scan_verdict(*args, **kwargs)
+
+    monkeypatch.setattr(rsv, "scan_verdict", counting)
+    W = WeightFamily(make_alpha("n_pow_n"))
+    res = equicontinuity_probe(2.0, 0.05, W, k=1, horizon=1000)
+    assert len(calls) == 1
+    assert (res["verdict"], res["l_found"]) == ("unbounded_evidence", None)
+    assert math.isnan(res["sup_row_sum"])
 
 
 def test_probe_rejects_disc_touching_sigma0():
