@@ -174,8 +174,15 @@ def _finite_complex(s):
 
 
 def _parse_range(s):
-    lo, _, hi = s.partition(":")
-    return float(lo), float(hi)
+    """argparse type: LO:HI, two finite floats (a side of the grid)."""
+    try:
+        lo, hi = map(float, s.split(":"))
+        if math.isfinite(lo) and math.isfinite(hi):
+            return lo, hi
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be LO:HI with two finite numbers, got {s!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +215,9 @@ def _checks_factorizations(args):
 
 
 def _checks_eigen(args):
+    if args.m > args.N:
+        raise ValueError(f"--m {args.m} exceeds the {args.N} columns of "
+                         f"the truncation --N")
     delta = delta_matrix_exact(args.N)
     checks = []
     for m in range(1, args.m + 1):
@@ -313,27 +323,26 @@ def _checks_finite(args):
     return checks
 
 
+# suite -> (checks, the truncation N that --N 0 stands for)
 _SUITES = {
-    "factorizations": _checks_factorizations,
-    "eigen": _checks_eigen,
-    "sandwich": _checks_sandwich,
-    "resolvent": _checks_resolvent,
-    "ergodic": _checks_ergodic,
-    "finite": _checks_finite,
+    "factorizations": (_checks_factorizations, 16),
+    "eigen": (_checks_eigen, 50),
+    "sandwich": (_checks_sandwich, 0),
+    "resolvent": (_checks_resolvent, 20),
+    "ergodic": (_checks_ergodic, 10),
+    "finite": (_checks_finite, 0),
 }
-
-_SUITE_DEFAULT_N = {"factorizations": 16, "eigen": 50, "sandwich": 0,
-                    "resolvent": 20, "ergodic": 10, "finite": 0}
 
 
 def cmd_verify(args):
+    checks_of, default_N = _SUITES[args.suite]
     if args.N == 0:
-        args.N = _SUITE_DEFAULT_N[args.suite]
+        args.N = default_N
     config = RunConfig("verify", horizon=args.horizon, N=args.N,
                        seed=args.seed,
                        options={"suite": args.suite, "m": args.m,
                                 "samples": args.samples})
-    checks = _SUITES[args.suite](args)
+    checks = checks_of(args)
     report = {"suite": args.suite, "checks": checks,
               "passed": all(c["passed"] for c in checks)}
     _emit_json(report, config, args.output)
@@ -341,15 +350,13 @@ def cmd_verify(args):
 
 
 def cmd_grid(args):
-    re_range = _parse_range(args.re)
-    im_range = _parse_range(args.im)
     config = RunConfig("grid", alpha_spec=args.alpha, horizon=args.horizon,
-                       options={"re": list(re_range), "im": list(im_range),
+                       options={"re": list(args.re), "im": list(args.im),
                                 "res": args.res,
                                 "probe_subsample": args.probe_subsample})
     alpha = _resolve_alpha(args.alpha)
     W = WeightFamily(alpha)
-    report, points = sample_grid(alpha, W, re_range, im_range, args.res,
+    report, points = sample_grid(alpha, W, args.re, args.im, args.res,
                                  horizon=args.horizon,
                                  probe_subsample=args.probe_subsample)
     with open(args.out, "w") as fh:
@@ -460,8 +467,8 @@ def build_parser():
 
     g = sub.add_parser("grid", help="complex-plane portrait CSV/SVG")
     g.add_argument("--alpha", required=True)
-    g.add_argument("--re", default="-1:2")
-    g.add_argument("--im", default="-1.5:1.5")
+    g.add_argument("--re", type=_parse_range, default="-1:2")
+    g.add_argument("--im", type=_parse_range, default="-1.5:1.5")
     g.add_argument("--res", type=_positive_int, required=True)
     g.add_argument("--probe-subsample", type=_nonnegative_int, default=0)
     g.add_argument("--horizon", type=_positive_int, default=10 ** 4)

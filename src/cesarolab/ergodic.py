@@ -16,7 +16,7 @@ import numpy as np
 
 from .operators import (_identity_deviation, _log_weight_row, _mat_mul,
                         _weighted_sup_rows)
-from .weights import WeightFamily, scan_verdict
+from .weights import WeightFamily, scan_horizon, scan_verdict
 
 __all__ = [
     "IterationTrace",
@@ -31,6 +31,7 @@ __all__ = [
 
 M_CAP = 10 ** 4
 ITERATE_TOL = 1e-8
+POWER_SLACK = 1e-10  # relative rounding room before a norm counts as grown
 
 
 @dataclass
@@ -80,7 +81,7 @@ def cesaro_means(x, n, N=None):
 
 
 def power_bounded_check(W: WeightFamily, k, trials=20, m_max=200, N=50,
-                        seed=0, slack=1e-10):
+                        seed=0):
     """Random-vector evidence that iterates contract the k-norm."""
     rng = np.random.default_rng(seed)
     lw = _log_weight_row(W, k, N)
@@ -96,7 +97,7 @@ def power_bounded_check(W: WeightFamily, k, trials=20, m_max=200, N=50,
         for q in qs:
             ratio = q / q0 if q0 > 0 else 0.0
             worst = max(worst, ratio)
-            if q > q0 * (1.0 + slack):
+            if q > q0 * (1.0 + POWER_SLACK):
                 failures += 1
     return {"trials": trials, "m_max": m_max, "N": N, "k": k,
             "worst_ratio": worst, "failures": failures,
@@ -159,7 +160,7 @@ def _b_matrix_exact(N):
              for m in range(1, N + 1)] for n in range(1, N + 1)]
 
 
-def range_inverse_matrices(N, exact=True):
+def range_inverse_matrices(N):
     """The shifted (I - C) restriction, its explicit inverse, and the
     exact residual max|AB - I|, |BA - I| at truncation N."""
     if N < 1:
@@ -168,10 +169,6 @@ def range_inverse_matrices(N, exact=True):
     B = _b_matrix_exact(N)
     residual = max(_identity_deviation(_mat_mul(A, B)),
                    _identity_deviation(_mat_mul(B, A)))
-    if not exact:
-        A = np.array([[float(v) for v in row] for row in A])
-        B = np.array([[float(v) for v in row] for row in B])
-        residual = float(residual)
     return A, B, residual
 
 
@@ -182,11 +179,8 @@ def b_continuity_check(W: WeightFamily, k, horizon=10 ** 4):
     + v_l(n+1) sum_{m<n} 1/(m v_k(m+1)); bounded exactly when the space
     is nuclear.
     """
-    alpha = W.alpha
     l = k + 1
-    if alpha.max_index is not None:
-        horizon = min(horizon, alpha.max_index - 1)
-    ns = np.arange(1, horizon + 1)
+    ns = np.arange(1, scan_horizon(W.alpha, horizon, tail=1) + 1)
     lw_l = W.log_weights(l, ns + 1)
     lw_k = W.log_weights(k, ns + 1)
     log_n = np.log(ns.astype(float))
@@ -195,4 +189,4 @@ def b_continuity_check(W: WeightFamily, k, horizon=10 ** 4):
     diag_term = np.log1p(1.0 / ns) + lw_l - lw_k
     rows = np.array(diag_term)
     rows[1:] = np.logaddexp(diag_term[1:], lw_l[1:] + prefix[:-1])
-    return scan_verdict(rows, ns, alpha.flag("nuclear"), grant_holds=False)
+    return scan_verdict(rows, ns, W.alpha.flag("nuclear"), grant_holds=False)

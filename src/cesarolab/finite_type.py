@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .weights import (DIVERGENCE_LOG_THRESHOLD, AlphaSequence, GrowthVerdict,
-                      make_alpha, scan_verdict)
+                      make_alpha, scan_horizon, scan_verdict)
 
 __all__ = [
     "FiniteTypeWeights",
@@ -43,33 +43,30 @@ class FiniteTypeWeights:
         return self.alpha.value(n) / k
 
     def log_weights(self, k, ns):
-        with np.errstate(over="ignore"):
-            return np.exp(self.alpha.log_values(ns)) / k
+        return self.alpha.values(ns) / k
 
 
 def _scan_indices(alpha, horizon):
     """Indices scanned by the finite-type criteria.
 
-    Dense up to 1e6; beyond that a log-spaced grid plus (for the
-    staircase sequence) the exact block boundaries, where the divergence
-    lower bound lives.  The criterion needs prefix sums, so the dense
-    part always covers the full prefix of the largest dense index.
+    Dense up to 1e6; beyond that a log-spaced grid plus (for a staircase
+    sequence) the exact block boundaries, where the divergence lower
+    bound lives.  The criterion needs prefix sums, so the dense part
+    always covers the full prefix of the largest dense index.
     """
-    if alpha.max_index is not None:
-        horizon = min(horizon, alpha.max_index)
-    horizon = int(horizon)
+    horizon = scan_horizon(alpha, horizon)
     dense_top = min(horizon, 10 ** 6)
     extras = []
     if horizon > dense_top:
         grid = np.unique(np.round(np.logspace(
             math.log10(dense_top), math.log10(horizon), 40)).astype(np.int64))
         extras.extend(int(g) for g in grid if g > dense_top)
-    if alpha.name == "appendix_5_3":
-        from .weights import _APPENDIX53
+    j = alpha.block_bounds
+    if j is not None:
         k = 2
-        while _APPENDIX53.j(k) <= horizon:
-            if _APPENDIX53.j(k) > dense_top:
-                extras.append(int(_APPENDIX53.j(k)))
+        while j(k) <= horizon:
+            if j(k) > dense_top:
+                extras.append(int(j(k)))
             k += 1
     return dense_top, sorted(set(extras))
 
@@ -86,18 +83,15 @@ class _Scan:
         if dense_top < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         ns = np.arange(1, dense_top + 1)
-        with np.errstate(over="ignore"):
-            av = np.exp(alpha.log_values(ns))
+        av = alpha.values(ns)
         log_n = np.log(ns.astype(float))
         self.dense_top = dense_top
         self.log_tail_len = None
         if extras:
             ex = np.array(extras, dtype=np.int64)
-            with np.errstate(over="ignore"):
-                av_ex = np.exp(alpha.log_values(ex))
             self.log_tail_len = np.log(ex.astype(float) - dense_top)
             ns = np.concatenate([ns, ex])
-            av = np.concatenate([av, av_ex])
+            av = np.concatenate([av, alpha.values(ex)])
             log_n = np.concatenate([log_n, np.log(ex.astype(float))])
         self.ns, self.av, self.log_n = ns, av, log_n
 
@@ -126,20 +120,20 @@ def ft_continuity_criterion(ftw: FiniteTypeWeights, k, l, horizon=10 ** 6):
     return scan.verdict(scan.log_prefix(k), l)
 
 
-def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX,
-                   k_probe=K_PROBE):
-    """Search, for each small k, a step l where the criterion is bounded.
+def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX):
+    """Search, for each k <= K_PROBE, a step l where the criterion holds.
 
-    For the staircase sequence the numeric scan cannot reach the blocks
-    where divergence shows for larger l, so the closed-form lower bound
-    at the block boundaries supplies the divergence evidence there.
+    For a staircase sequence (``block_bounds``) the numeric scan cannot
+    reach the blocks where divergence shows for larger l, so the closed-
+    form lower bound at its block boundaries supplies that evidence.
     """
     per_k = {}
     acts = True
     conclusive = True
-    analytic_divergent = (ftw.alpha.name == "appendix_5_3")
+    j = ftw.alpha.block_bounds
+    analytic_divergent = j is not None
     scan = None if analytic_divergent else _Scan(ftw.alpha, horizon)
-    for k in range(1, k_probe + 1):
+    for k in range(1, K_PROBE + 1):
         found = None
         last = None
         log_prefix = None if analytic_divergent else scan.log_prefix(k)
@@ -149,7 +143,7 @@ def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX,
                 # in the block index for every fixed l
                 last = GrowthVerdict("fails", horizon,
                                      example53_lower_bound(10 * l, l),
-                                     int(example53_j(min(10 * l, 6))), True)
+                                     int(j(min(10 * l, 6))), True)
                 continue
             v = scan.verdict(log_prefix, l)
             last = v
@@ -164,7 +158,7 @@ def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX,
             acts = False
     if acts:
         verdict = "acts_evidence"
-    elif conclusive or analytic_divergent:
+    elif conclusive:
         verdict = "does_not_act"
     else:
         verdict = "inconclusive"
@@ -173,8 +167,7 @@ def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX,
 
 def example53_j(k):
     """Block boundaries j(1) = 1, j(k+1) = 2 (k+1) j(k)^k (exact ints)."""
-    from .weights import _APPENDIX53
-    return _APPENDIX53.j(k)
+    return example53_alpha().block_bounds(k)
 
 
 def example53_alpha():
@@ -205,14 +198,12 @@ def gp_nuclearity(weights, k, l, horizon=10 ** 5):
     """
     if l <= k:
         raise ValueError("need l > k")
-    alpha = weights.alpha
-    if alpha.max_index is not None:
-        horizon = min(horizon, alpha.max_index)
-    ns = np.arange(1, int(horizon) + 1)
+    horizon = scan_horizon(weights.alpha, horizon)
+    ns = np.arange(1, horizon + 1)
     log_terms = weights.log_weights(l, ns) - weights.log_weights(k, ns)
     partial = np.logaddexp.accumulate(log_terms)
     total = float(np.exp(min(partial[-1], 709.0)))
-    cut = max(int(horizon) // 10, 1)
+    cut = max(horizon // 10, 1)
     s_cut = float(partial[cut - 1])
     rel_growth = partial[-1] - s_cut  # log-domain growth over last decade
     if rel_growth < 1e-9:
@@ -221,5 +212,5 @@ def gp_nuclearity(weights, k, l, horizon=10 ** 5):
         status = "fails"
     else:
         status = "inconclusive"
-    return GrowthVerdict(status, int(horizon), total,
+    return GrowthVerdict(status, horizon, total,
                          int(ns[int(np.argmax(log_terms))]), False)

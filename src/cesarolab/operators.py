@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .weights import WeightFamily, scan_verdict
+from .weights import WeightFamily, scan_horizon, scan_verdict
 
 __all__ = [
     "TriangularOperator",
@@ -168,7 +168,7 @@ def _identity_deviation(X):
                for i, row in enumerate(X) for j, x in enumerate(row))
 
 
-def verify_factorizations(N, rng=None):
+def verify_factorizations(N):
     """Exact checks of the two factorizations of the averaging matrix.
 
     Returns a dict with the (exact) deviations of
@@ -176,7 +176,7 @@ def verify_factorizations(N, rng=None):
       * averaging = involution . diag(1/n) . involution,
       * inverse-averaging = (I - right shift) . differentiation . right
         shift, checked coordinatewise on the first N-1 coordinates of
-        random rational vectors.
+        ten random rational vectors (a fixed seed).
     """
     if N > N_EXACT:
         raise ValueError(f"exact tier limited to N <= {N_EXACT}")
@@ -190,7 +190,7 @@ def verify_factorizations(N, rng=None):
     dev_sim = max(abs(sim[i][j] - ces[i][j])
                   for i in range(N) for j in range(N))
 
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     dev_inv = Fraction(0)
     for _ in range(10):
         y = [Fraction(int(a), int(b)) for a, b in
@@ -287,13 +287,12 @@ def conjugate_to_c0(A: TriangularOperator, W: WeightFamily, k, l):
     return TriangularOperator(entry)
 
 
-def c0_continuity_test(A: TriangularOperator, horizon, col_check,
-                       tol=COLUMN_DECAY_TOL):
+def c0_continuity_test(A: TriangularOperator, horizon, col_check):
     """Row-sum / column-decay evidence that a matrix acts on c0.
 
     row_sup is the largest absolute row sum over rows n <= horizon;
     column_decay holds when each of the first ``col_check`` columns has
-    decayed at row ``horizon`` to below tol times its column maximum.
+    decayed at row ``horizon`` below COLUMN_DECAY_TOL times its maximum.
     """
     if not (horizon >= col_check >= 1):
         raise ValueError("need horizon >= col_check >= 1")
@@ -311,8 +310,8 @@ def c0_continuity_test(A: TriangularOperator, horizon, col_check,
                 if n == horizon:
                     last_row[m - 1] = v
         row_sup = max(row_sup, s)
-    column_decay = all(
-        last <= tol * mx for last, mx in zip(last_row, col_max) if mx > 0)
+    column_decay = all(last <= COLUMN_DECAY_TOL * mx
+                       for last, mx in zip(last_row, col_max) if mx > 0)
     return {
         "row_sup": row_sup,
         "column_decay": column_decay,
@@ -323,7 +322,34 @@ def c0_continuity_test(A: TriangularOperator, horizon, col_check,
 # ---------------------------------------------------------------------------
 # step-to-step continuity criteria
 
-STEP_OPS = ("cesaro", "cesaro_inverse", "diff", "delta", "shift")
+def _delta_rows(W, k, l, ns, log_n):
+    """Row sums by log-sum-exp, log binom(n-1, m-1) read off the lgamma
+    table shared with delta_log_abs (sized to a power of two as there)."""
+    lw_l = W.log_weights(l, ns)
+    lw_k = W.log_weights(k, ns)
+    lg = _lgamma_table(1 << len(ns).bit_length())
+    log_ratios = np.empty(len(ns))
+    for i, n in enumerate(ns):
+        ms = ns[: n]
+        terms = lw_l[i] - lw_k[: n] + (lg[n] - lg[ms] - lg[n - ms + 1])
+        log_ratios[i] = _logsumexp(terms)
+    return log_ratios
+
+
+# the log row of each criterion at n = 1..horizon
+_STEP_ROWS = {
+    "cesaro": lambda W, k, l, ns, log_n: (
+        W.log_weights(l, ns) - log_n
+        + np.logaddexp.accumulate(-W.log_weights(k, ns))),
+    "cesaro_inverse": lambda W, k, l, ns, log_n: (
+        log_n + W.log_weights(l, ns) - W.log_weights(k, ns)),
+    "diff": lambda W, k, l, ns, log_n: (
+        log_n + W.log_weights(l, ns) - W.log_weights(k, ns + 1)),
+    "delta": _delta_rows,
+    "shift": lambda W, k, l, ns, log_n: (
+        W.log_weights(l, ns + 1) - W.log_weights(k, ns)),
+}
+STEP_OPS = tuple(_STEP_ROWS)
 
 
 def step_continuity_test(op_name, W: WeightFamily, k, l, horizon=10 ** 4):
@@ -334,43 +360,14 @@ def step_continuity_test(op_name, W: WeightFamily, k, l, horizon=10 ** 4):
     delta:          sup_n sum_m (v_l(n)/v_k(m)) binom(n-1, m-1)
     cesaro:         sup_n (v_l(n)/n) sum_m 1/v_k(m)
     shift:          sup_n v_l(n+1) / v_k(n)
-
-    The delta row sums read log binom(n-1, m-1) off the cached lgamma
-    table shared with delta_log_abs, one row at a time.
     """
-    if op_name not in STEP_OPS:
+    if op_name not in _STEP_ROWS:
         raise ValueError(f"unknown operator {op_name!r}; one of {STEP_OPS}")
     if l < k:
         raise ValueError("need l >= k")
-    alpha = W.alpha
-    if alpha.max_index is not None:
-        horizon = min(horizon, alpha.max_index - 1)
-    ns = np.arange(1, horizon + 1)
-    lw_l = W.log_weights(l, ns)
-    lw_k = W.log_weights(k, ns)
+    ns = np.arange(1, scan_horizon(W.alpha, horizon, tail=1) + 1)
     log_n = np.log(ns.astype(float))
-
-    if op_name == "diff":
-        lw_k_next = W.log_weights(k, ns + 1)
-        log_ratios = log_n + lw_l - lw_k_next
-    elif op_name == "cesaro_inverse":
-        log_ratios = log_n + lw_l - lw_k
-    elif op_name == "shift":
-        lw_l_next = W.log_weights(l, ns + 1)
-        log_ratios = lw_l_next - lw_k
-    elif op_name == "cesaro":
-        prefix = np.logaddexp.accumulate(-lw_k)  # log sum_{m<=n} 1/v_k(m)
-        log_ratios = lw_l - log_n + prefix
-    else:  # delta: row sums via log-sum-exp over each row
-        # a power of two above the horizon, as delta_log_abs sizes it
-        lg = _lgamma_table(1 << int(horizon).bit_length())
-        log_ratios = np.empty(horizon)
-        for i, n in enumerate(ns):
-            ms = ns[: n]
-            terms = (lw_l[i] - lw_k[: n]
-                     + (lg[n] - lg[ms] - lg[n - ms + 1]))
-            log_ratios[i] = _logsumexp(terms)
-    return scan_verdict(log_ratios, ns)
+    return scan_verdict(_STEP_ROWS[op_name](W, k, l, ns, log_n), ns)
 
 
 def _logsumexp(terms):

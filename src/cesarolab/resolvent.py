@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import TriangularOperator
-from .weights import WeightFamily, scan_verdict
+from .weights import WeightFamily, scan_horizon, scan_verdict
 
 __all__ = [
     "ResolventDecomposition",
@@ -298,6 +298,7 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
     counts as bounded when ``scan_verdict`` grants ``holds`` to the rows
     n >= 2 (row 1 of the strict part is zero) at every sample; a NaN row
     never does.  alpha is evaluated once; each step only rescales it.
+    The horizon is capped to the indices a finite alpha defines.
     """
     if not delta > 0:
         raise ValueError(f"disc radius must be positive, got {delta}")
@@ -308,8 +309,9 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
             f"(dist = {d_lam:.3g})")
     mus = disc_samples(lam, delta, boundary=max(samples - 1, 1), interior=0)
     mus = mus[:samples]
+    horizon = scan_horizon(W.alpha, horizon)
     ns = np.arange(1, horizon + 1)
-    alpha_ns = W.alpha_values(ns)
+    alpha_ns = W.alpha.values(ns)
     lw_k = W.step_log_weights(k, alpha_ns)
     bases = [_strict_row_base(mu, lw_k)[1:] for mu in mus]
     strict_ns, strict_alpha = ns[1:], alpha_ns[1:]

@@ -18,7 +18,7 @@ import numpy as np
 from . import resolvent as rsv
 from .operators import delta_log_abs
 from .weights import (AlphaSequence, GrowthVerdict, WeightFamily,
-                      check_loglog, check_nuclear, scan_verdict)
+                      check_loglog, check_nuclear, scan_horizon, scan_verdict)
 
 __all__ = [
     "SpectralReport",
@@ -33,7 +33,9 @@ __all__ = [
 REGIONS = ("Sigma", "Sigma0", "{1}", "{0,1}uD(1)", "closure(D(1))",
            "unknown")
 REGION_TOL = 1e-9
-GRID_MARGIN = 1e-3
+GRID_MARGIN = 1e-3       # grid points this close to Sigma0 are excluded
+GRID_PROBE_DELTA = 0.01  # disc radius of the probe at a grid point
+SVG_CELL = 4             # pixels per grid point
 POINT_K_MAX = 64
 
 
@@ -102,13 +104,12 @@ def point_spectrum_test(m, alpha: AlphaSequence, W: WeightFamily,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if alpha.max_index is not None:
-        horizon = min(horizon, alpha.max_index)
+    horizon = scan_horizon(alpha, horizon)
     ns = np.arange(max(m, 1), horizon + 1)
     if m == 1:
         return GrowthVerdict("holds", horizon, 1.0, 1, False)
     log_row = delta_log_abs(ns, m)
-    alpha_ns = W.alpha_values(ns)
+    alpha_ns = W.alpha.values(ns)
     # membership of the m-th eigenvector (m >= 2) is equivalent to
     # nuclearity, and the row grows too slowly for a finite scan to
     # expose divergence (it sets in beyond n = e^k); a declared
@@ -200,13 +201,12 @@ class GridPoint:
 
 
 def sample_grid(alpha, W, re_range, im_range, resolution,
-                horizon=10 ** 4, probe_subsample=0, probe_delta=0.01,
-                margin=GRID_MARGIN):
+                horizon=10 ** 4, probe_subsample=0):
     """Per-point verdicts over a rectangle of the complex plane.
 
-    Points within ``margin`` of {0} u {1/n} are excluded; the remaining
+    Points within GRID_MARGIN of {0} u {1/n} are excluded; the remaining
     points are labeled by the symbolic sigma descriptor, and a
-    deterministic subsample of them is probed numerically.
+    deterministic subsample of them is probed (disc radius GRID_PROBE_DELTA).
     """
     if resolution < 1 or resolution ** 2 > 10 ** 6:
         raise ValueError("resolution out of range")
@@ -217,8 +217,8 @@ def sample_grid(alpha, W, re_range, im_range, resolution,
     z.real = res[None, :]
     z.imag = ims[:, None]
     d = rsv.dist_sigma0(z)
-    usable = d > margin
-    labels = np.where(_region_mask(report.sigma, z, d, margin),
+    usable = d > GRID_MARGIN
+    labels = np.where(_region_mask(report.sigma, z, d, GRID_MARGIN),
                       "spectrum", "resolvent")
     labels[~usable] = "excluded"
     usable_idx = np.flatnonzero(usable)      # row-major, like the CSV
@@ -234,7 +234,7 @@ def sample_grid(alpha, W, re_range, im_range, resolution,
         if idx in probe_idx:
             try:
                 probe = rsv.equicontinuity_probe(
-                    complex(res[j], ims[i]), probe_delta, W, k=1,
+                    complex(res[j], ims[i]), GRID_PROBE_DELTA, W, k=1,
                     horizon=horizon, samples=4)
                 point.probe_status = probe["verdict"]
                 point.probe_sup = probe["sup_row_sum"]
@@ -264,15 +264,16 @@ _PALETTE = {
 }
 
 
-def grid_to_svg(points, resolution, fh, cell=4):
+def grid_to_svg(points, resolution, fh):
     """Deterministic SVG heatmap, one cell per grid point."""
-    size = resolution * cell
+    size = resolution * SVG_CELL
     fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'width="{size}" height="{size}">\n')
     for idx, p in enumerate(points):
         i, j = divmod(idx, resolution)
         probed = p.probe_status != "skipped"
         color = _PALETTE[(p.region_label, probed)]
-        fh.write(f'<rect x="{j * cell}" y="{(resolution - 1 - i) * cell}" '
-                 f'width="{cell}" height="{cell}" fill="{color}"/>\n')
+        fh.write(f'<rect x="{j * SVG_CELL}" '
+                 f'y="{(resolution - 1 - i) * SVG_CELL}" '
+                 f'width="{SVG_CELL}" height="{SVG_CELL}" fill="{color}"/>\n')
     fh.write("</svg>\n")

@@ -2,22 +2,26 @@
 
 Everything downstream (operator continuity, spectrum classification,
 ergodic bounds, the finite-type criteria) is driven by boundedness of a
-supremum such as sup log(n)/alpha_n or sup alpha_{n+1}/alpha_n.  A
-finite scan cannot decide a supremum over all of N, so every criterion
-hands its log-domain scan to the one rule ``scan_verdict``: a declared
-ground-truth flag decides outright; otherwise ``fails`` needs a supremum
-above the divergence threshold that still grew over the last decade of
-the scan, and ``holds`` (where the caller grants it) a supremum under
-the threshold that did not grow.  Everything else, a NaN supremum
-included, is ``inconclusive`` with the scan evidence attached.  The
-``check_*`` predicates here never grant ``holds`` from a scan.
+supremum such as sup log(n)/alpha_n or sup alpha_{n+1}/alpha_n.  Every
+criterion sets its scan up from the same pieces: ``scan_horizon`` caps
+the horizon, ``AlphaSequence.values`` gives alpha_n and ``WeightFamily``
+the log weights log v_k(n) = -k alpha_n.  A finite scan cannot decide a
+supremum over all of N, so every criterion hands its log-domain scan to
+the one rule ``scan_verdict``: a declared ground-truth flag decides
+outright; otherwise ``fails`` needs a supremum above the divergence
+threshold that still grew over the last decade of the scan, and
+``holds`` (where the caller grants it) a supremum under the threshold
+that did not grow over a non-empty last decade.  Everything else, a NaN
+supremum or a one-index scan included, is ``inconclusive`` with the
+scan evidence attached.  The ``check_*`` predicates here never grant
+``holds`` from a scan.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +32,7 @@ __all__ = [
     "PRESET_NAMES",
     "make_alpha",
     "make_alpha_from_csv",
+    "scan_horizon",
     "check_nuclear",
     "check_lemma22",
     "check_shift_stable",
@@ -70,10 +75,12 @@ class AlphaSequence:
     decrease is a hard error.  Equality of adjacent *floats* is tolerated
     only when the underlying increment falls below double resolution
     (relevant for the appendix staircase sequence deep inside a block).
+    ``block_bounds`` (k -> j(k), exact ints) is set for a staircase
+    sequence that is constant on the blocks [j(k), j(k+1)).
     """
 
     def __init__(self, name, value_fn=None, log_fn=None, *, vec_log_fn=None,
-                 declared_flags=None, max_index=None):
+                 declared_flags=None, max_index=None, block_bounds=None):
         if value_fn is None and log_fn is None:
             raise ValueError("need value_fn or log_fn")
         self.name = name
@@ -81,6 +88,7 @@ class AlphaSequence:
         self._log_fn = log_fn
         self._vec_log_fn = vec_log_fn
         self.max_index = max_index
+        self.block_bounds = block_bounds
         self.declared_flags = dict.fromkeys(FLAG_NAMES)
         if declared_flags:
             for key, val in declared_flags.items():
@@ -161,42 +169,29 @@ class AlphaSequence:
                 f"alpha {self.name!r} not strictly increasing in batch")
         return out
 
+    def values(self, ns):
+        """alpha_n over an index array, inf where it overflows double."""
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_values(ns))
+
 
 @dataclass
 class WeightFamily:
-    """Decreasing weights v_k(n) = s_k^(-alpha_n) in log form.
-
-    ``log_base(k)`` is log(s_k); the default preset is s_k = e^k so that
-    log v_k(n) = -k * alpha_n.
-    """
+    """Decreasing weights v_k(n) = e^(-k alpha_n) in log form."""
 
     alpha: AlphaSequence
-    log_base: object = field(default=None)
-
-    def __post_init__(self):
-        if self.log_base is None:
-            self.log_base = lambda k: float(k)
 
     def log_weight(self, k, n):
-        return -self.alpha.value(n) * self.log_base(k)
+        return -self.alpha.value(n) * k
 
     def log_weights(self, k, ns):
-        return self.step_log_weights(k, self.alpha_values(ns))
-
-    def alpha_values(self, ns):
-        """alpha_n over an index array: the part of log v_k(n) that does
-        not depend on the step k (inf where alpha_n overflows)."""
-        with np.errstate(over="ignore"):
-            return np.exp(self.alpha.log_values(ns))
+        return self.step_log_weights(k, self.alpha.values(ns))
 
     def step_log_weights(self, k, alpha_ns):
-        """log v_k(n) = -alpha_n log s_k from alpha_values(ns), so that a
-        scan over steps k evaluates alpha once."""
+        """log v_k(n) = -k alpha_n from alpha.values(ns), so that a scan
+        over steps k evaluates alpha once."""
         with np.errstate(over="ignore"):
-            return alpha_ns * -self.log_base(k)
-
-    def weight(self, k, n):
-        return math.exp(self.log_weight(k, n))
+            return alpha_ns * -k
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +360,7 @@ _PRESETS = {
     "appendix_5_3": lambda: _preset(
         "appendix_5_3", _APPENDIX53, _appendix53_vec,
         dict(nuclear=True, shift_stable=False, delta_continuous=False,
-             loglog_finite=True)),
+             loglog_finite=True), block_bounds=_APPENDIX53.j),
 }
 
 PRESET_NAMES = tuple(_PRESETS)
@@ -413,9 +408,11 @@ def make_alpha_from_csv(path, name=None):
 # ---------------------------------------------------------------------------
 # predicates
 
-def _scan_horizon(alpha, horizon):
+def scan_horizon(alpha, horizon, tail=0):
+    """The last index a scan reaches: ``horizon``, capped so that a scan
+    reading alpha up to n + tail stays within a finite sequence."""
     if alpha.max_index is not None:
-        horizon = min(horizon, alpha.max_index)
+        horizon = min(horizon, alpha.max_index - tail)
     return int(horizon)
 
 
@@ -429,8 +426,10 @@ def scan_verdict(log_vals, ns, declared=None, grant_holds=True):
     the status is ``fails`` when the log supremum is above
     DIVERGENCE_LOG_THRESHOLD and grew, ``holds`` when it is at most the
     threshold and did not grow (only if ``grant_holds``), and
-    ``inconclusive`` otherwise, always for a NaN supremum.  The witness
-    is the first index of the supremum, or of the first NaN.
+    ``inconclusive`` otherwise, always for a NaN supremum and for a
+    one-index scan (its last decade is empty, so it shows no growth or
+    lack of it).  The witness is the first index of the supremum, or of
+    the first NaN.
     """
     if len(ns) == 0:
         raise ValueError("empty scan: the horizon leaves no index to scan")
@@ -447,30 +446,36 @@ def scan_verdict(log_vals, ns, declared=None, grant_holds=True):
     grew = late.size > 0 and late.max() > log_vals[:cut].max() + 1e-9
     if log_sup > DIVERGENCE_LOG_THRESHOLD and grew:
         status = "fails"
-    elif grant_holds and log_sup <= DIVERGENCE_LOG_THRESHOLD and not grew:
+    elif (grant_holds and late.size > 0
+          and log_sup <= DIVERGENCE_LOG_THRESHOLD and not grew):
         status = "holds"
     else:
         status = "inconclusive"
     return GrowthVerdict(status, horizon, sup, int(ns[i]), False)
 
 
+def _ratio_scan(alpha, horizon, first, log_f, flag):
+    """Boundedness evidence for sup_n f(n)/alpha_n, n = first..horizon,
+    with log f of the float indices from ``log_f``."""
+    horizon = scan_horizon(alpha, horizon)
+    least = max(first, 2)
+    if horizon < least:
+        raise ValueError(f"horizon must be >= {least}")
+    ns = np.arange(first, horizon + 1)
+    la = alpha.log_values(ns)
+    ratios = log_f(ns.astype(float)) - la
+    return scan_verdict(ratios, ns, alpha.flag(flag), grant_holds=False)
+
+
 def check_nuclear(alpha, horizon=10 ** 5):
     """Boundedness evidence for sup_n log(n)/alpha_n."""
-    horizon = _scan_horizon(alpha, horizon)
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
-    ns = np.arange(2, horizon + 1)
-    la = alpha.log_values(ns)
-    ratios = np.log(np.log(ns.astype(float))) - la
-    return scan_verdict(ratios, ns, alpha.flag("nuclear"),
-                        grant_holds=False)
+    return _ratio_scan(alpha, horizon, 2, lambda x: np.log(np.log(x)),
+                       "nuclear")
 
 
 def check_shift_stable(alpha, horizon=10 ** 5):
     """Boundedness evidence for sup_n alpha_{n+1}/alpha_n."""
-    if alpha.max_index is not None:
-        horizon = min(horizon, alpha.max_index - 1)
-    horizon = _scan_horizon(alpha, horizon)
+    horizon = scan_horizon(alpha, horizon, tail=1)
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     ns = np.arange(1, horizon + 1)
@@ -482,57 +487,38 @@ def check_shift_stable(alpha, horizon=10 ** 5):
 
 def check_delta_criterion(alpha, horizon=10 ** 5):
     """Boundedness evidence for sup_n n/alpha_n."""
-    horizon = _scan_horizon(alpha, horizon)
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
-    ns = np.arange(1, horizon + 1)
-    la = alpha.log_values(ns)
-    ratios = np.log(ns.astype(float)) - la
-    return scan_verdict(ratios, ns, alpha.flag("delta_continuous"),
-                        grant_holds=False)
+    return _ratio_scan(alpha, horizon, 1, np.log, "delta_continuous")
 
 
 def check_loglog(alpha, horizon=10 ** 5):
     """Boundedness evidence for sup_n log(log(n))/alpha_n."""
-    horizon = _scan_horizon(alpha, horizon)
-    if horizon < 3:
-        raise ValueError("horizon must be >= 3")
-    ns = np.arange(3, horizon + 1)
-    la = alpha.log_values(ns)
-    ratios = np.log(np.log(np.log(ns.astype(float)))) - la
-    return scan_verdict(ratios, ns, alpha.flag("loglog_finite"),
-                        grant_holds=False)
+    return _ratio_scan(alpha, horizon, 3,
+                       lambda x: np.log(np.log(np.log(x))), "loglog_finite")
 
 
-def check_lemma22(alpha, gamma, horizon=10 ** 5, m_max=M_MAX,
-                  log_bound=LEMMA22_LOG_BOUND):
-    """Smallest M with sup_n n^gamma e^(-M alpha_n) below the bound.
+def check_lemma22(alpha, gamma, horizon=10 ** 5):
+    """Smallest M with sup_n n^gamma e^(-M alpha_n) below 1e12.
 
-    Returns (M, verdict); M is None (status fails) when no M <= m_max
+    Returns (M, verdict); M is None (status fails) when no M <= M_MAX
     keeps the scanned supremum under the bound.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    horizon = _scan_horizon(alpha, horizon)
+    horizon = scan_horizon(alpha, horizon)
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     ns = np.arange(1, horizon + 1)
-    la = alpha.log_values(ns)
-    with np.errstate(over="ignore"):
-        av = np.exp(la)
+    av = alpha.values(ns)
     glog = gamma * np.log(ns.astype(float))
-    for m in range(1, m_max + 1):
+    for m in range(1, M_MAX + 1):
         with np.errstate(invalid="ignore"):
             vals = glog - m * av
         vals = np.where(np.isnan(vals), -np.inf, vals)
-        if vals.max() <= log_bound:
+        if vals.max() <= LEMMA22_LOG_BOUND:
             i = int(np.argmax(vals))
             sup = float(np.exp(vals[i]))
             return m, GrowthVerdict("holds", horizon, sup, int(ns[i]), False)
-    with np.errstate(invalid="ignore", over="ignore"):
-        vals = glog - m_max * av
-    vals = np.where(np.isnan(vals), -np.inf, vals)
-    i = int(np.argmax(vals))
+    i = int(np.argmax(vals))  # vals of M = M_MAX
     with np.errstate(over="ignore"):
         sup = float(np.exp(vals[i]))
     return None, GrowthVerdict("fails", horizon, sup, int(ns[i]), False)

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cesarolab.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, RunConfig,
                            main)
@@ -85,6 +88,13 @@ def test_verify_sandwich_and_finite(tmp_path):
     ["finite", "--weights", "finite:log_np1", "--k", "-1", "--l", "2"],
     ["finite", "--weights", "finite:log_np1", "--k", "1", "--l", "-2"],
     ["grid", "--alpha", "preset:n", "--res", "4", "--probe-subsample", "-1"],
+    # the eigenvector checks read column m of the N x N involution
+    ["verify", "--suite", "eigen", "--N", "3", "--m", "10"],
+    # a grid side is LO:HI with two finite numbers
+    ["grid", "--alpha", "preset:n", "--res", "2", "--re=nan:1"],
+    ["grid", "--alpha", "preset:n", "--res", "2", "--re=1:inf"],
+    ["grid", "--alpha", "preset:n", "--res", "2", "--im=1"],
+    ["grid", "--alpha", "preset:n", "--res", "2", "--im=a:b"],
 ])
 def test_invalid_count_or_lambda_rejected(tmp_path, capsys, argv):
     out = tmp_path / "r.json"
@@ -156,6 +166,25 @@ def test_probe_nan_rows_are_not_bounded(tmp_path, capsys):
     assert report["l_found"] is None
     assert report["sup_row_sum"] == "nan"
     assert capsys.readouterr().err == ""
+
+
+def test_one_index_scan_grants_nothing(tmp_path):
+    # horizon 2 leaves the probe one strict row (n = 2), horizon 1 leaves
+    # the finite-type criterion one index: with an empty last decade
+    # neither scan shows that its supremum stopped growing
+    out = tmp_path / "r.json"
+    assert run(["probe", "--alpha", "logloglog_n", "--lambda=0.4+0.2i",
+                "--horizon", "2", "--output", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())["report"]
+    assert report["verdict"] == "unbounded_evidence"
+    assert report["l_found"] is None
+    assert run(["finite", "--weights", "log_np1", "--horizon", "1",
+                "--output", str(out)]) == EXIT_INCONCLUSIVE
+    report = json.loads(out.read_text())["report"]
+    assert report["verdict"] == "inconclusive"
+    for step in report["per_step"].values():
+        assert step["l_found"] is None
+        assert step["verdict"]["status"] == "inconclusive"
 
 
 def test_probe_l_max_zero_tries_only_k(tmp_path):
@@ -231,3 +260,98 @@ def test_rerun_byte_identical(tmp_path):
              "--out", str(csv), "--svg", str(svg)])
         grids.append(csv.read_bytes() + svg.read_bytes())
     assert grids[0] == grids[1]
+
+
+# every argv, valid or not, ends in an exit code
+
+_JUNK = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "", "a:b", "1e999",
+                         "1.5", "0x10", "2:1"])
+
+
+def _count(lo, hi):
+    return st.one_of(st.integers(lo, hi).map(str), _JUNK)
+
+
+def _real(lo, hi):
+    return st.one_of(st.floats(lo, hi).map(repr), _JUNK)
+
+
+_RANGE = st.one_of(st.tuples(st.floats(-3, 3), st.floats(-3, 3)).map(
+    lambda t: f"{t[0]!r}:{t[1]!r}"), _JUNK)
+_LAMBDA = st.one_of(
+    st.complex_numbers(max_magnitude=4, allow_nan=False,
+                       allow_infinity=False).map(
+        lambda z: f"{z.real!r}{z.imag:+}j"),
+    st.sampled_from(["0", "0.5", "1", "0.4+0.2i", "nan+1j", "1+infj"]),
+    _JUNK)
+
+
+def _command_options(alpha_file):
+    alpha = st.sampled_from(["n", "preset:sqrt_n", "loglog_n", "logloglog_n",
+                             "n_pow_n", "appendix_5_3", "log_n",
+                             "log_n_plus_1", "preset:bogus", "file:",
+                             f"file:{alpha_file}", ""])
+    horizon = ("--horizon", _count(1, 200))
+    # (required flags, optional flags) per command
+    return {
+        "classify": ([("--alpha", alpha), horizon],
+                     [("--no-probe", None)]),
+        "verify": ([("--suite", st.sampled_from(
+            ["factorizations", "eigen", "sandwich", "resolvent", "ergodic",
+             "finite", "nonsense"])), horizon],
+            [("--N", _count(0, 20)), ("--m", _count(1, 25)),
+             ("--samples", _count(1, 8)), ("--seed", _count(0, 5))]),
+        "grid": ([("--alpha", alpha), ("--res", _count(1, 5)), horizon],
+                 [("--re", _RANGE), ("--im", _RANGE),
+                  ("--probe-subsample", _count(0, 5)), ("--svg", "g.svg")]),
+        "probe": ([("--alpha", alpha), ("--lambda", _LAMBDA), horizon],
+                  [("--delta", _real(1e-3, 1.0)), ("--k", _count(1, 4)),
+                   ("--samples", _count(1, 8)), ("--l-max", _count(0, 8))]),
+        "ergodic": ([("--alpha", alpha)],
+                    [("--N", _count(0, 20)), ("--k", _count(1, 4)),
+                     ("--tol", _real(1e-12, 1.0)),
+                     ("--m-cap", _count(1, 500)), ("--trace", "t.csv")]),
+        "finite": ([("--weights", st.sampled_from(
+            ["finite:log_np1", "log_np1", "finite:example53", "example53",
+             "finite:bogus"])), horizon],
+            [("--k", _count(0, 4)), ("--l", _count(0, 6))]),
+    }
+
+
+@st.composite
+def _argvs(draw, out_dir, alpha_file):
+    command = draw(st.sampled_from(["classify", "verify", "grid", "probe",
+                                    "ergodic", "finite"]))
+    required, optional = _command_options(alpha_file)[command]
+    argv = [command]
+    chosen = [o for o in optional if draw(st.booleans())]
+    for flag, values in required + chosen:
+        if values is None:
+            argv.append(flag)
+        elif isinstance(values, str):
+            argv.append(f"{flag}={out_dir / values}")
+        else:
+            argv.append(f"{flag}={draw(values)}")
+    out_flag = "--out" if command == "grid" else "--output"
+    return argv + [f"{out_flag}={out_dir / 'r.out'}"]
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli")
+    (d / "alpha.csv").write_text("".join(f"{n},{n * 2.0}\n"
+                                         for n in range(1, 11)))
+    return d
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_argv_ends_in_an_exit_code(cli_dir, data):
+    argv = data.draw(_argvs(cli_dir, cli_dir / "alpha.csv"))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_INCONCLUSIVE)
+    if code == EXIT_FAIL:
+        assert err.getvalue().count("\n") <= 1

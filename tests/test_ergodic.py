@@ -149,13 +149,6 @@ def test_range_inverse_exact_identity():
     assert A[0][1] == 0 and B[0][1] == 0
 
 
-def test_range_inverse_float_mode():
-    A, B, residual = range_inverse_matrices(6, exact=False)
-    assert isinstance(A, np.ndarray)
-    assert residual == 0.0
-    assert A.shape == (6, 6)
-
-
 def test_range_inverse_rejects_bad_n():
     with pytest.raises(ValueError):
         range_inverse_matrices(0)

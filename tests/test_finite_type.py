@@ -95,6 +95,19 @@ def test_does_not_act_staircase():
         assert info["verdict"].declared_override
 
 
+def test_staircase_is_data_not_a_name():
+    # a log(n+1) sequence named like the staircase carries no block
+    # bounds, so it is scanned, and averaging acts as on log_n_plus_1
+    alpha = make_alpha(lambda n: math.log(n + 1), name="appendix_5_3")
+    assert alpha.block_bounds is None
+    res = ft_cesaro_acts(FiniteTypeWeights(alpha), horizon=10 ** 4)
+    assert res["verdict"] == "acts_evidence"
+    for info in res["per_step"].values():
+        assert not info["verdict"].declared_override
+    assert [example53_alpha().block_bounds(k) for k in range(1, 5)] == [
+        example53_j(k) for k in range(1, 5)]
+
+
 def test_staircase_j_values():
     assert [example53_j(k) for k in range(1, 5)] == [1, 4, 96, 7077888]
     # recurrence j(k+1) = 2 (k+1) j(k)^k

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cesarolab.operators import (N_DOUBLE_BINOM, TriangularOperator,
+from cesarolab.ergodic import b_continuity_check
+from cesarolab.finite_type import (FiniteTypeWeights, ft_continuity_criterion,
+                                   gp_nuclearity)
+from cesarolab.operators import (N_DOUBLE_BINOM, STEP_OPS, TriangularOperator,
                                  _log_weight_row, _weighted_sup_rows,
                                  c0_continuity_test, cesaro_apply,
                                  cesaro_inverse_apply, cesaro_matrix_exact,
@@ -14,7 +17,12 @@ from cesarolab.operators import (N_DOUBLE_BINOM, TriangularOperator,
                                  delta_matrix_exact, diff_apply, shift_apply,
                                  step_continuity_test, verify_factorizations,
                                  weighted_norm)
-from cesarolab.weights import WeightFamily, make_alpha
+from cesarolab.resolvent import equicontinuity_probe
+from cesarolab.spectrum import point_spectrum_test
+from cesarolab.weights import (WeightFamily, check_delta_criterion,
+                               check_lemma22, check_loglog, check_nuclear,
+                               check_shift_stable, make_alpha,
+                               make_alpha_from_csv, scan_horizon)
 from test_weights import reference_bounded_verdict
 
 F = Fraction
@@ -317,8 +325,42 @@ def test_step_continuity_divergent_case():
 
 def test_step_continuity_unknown_operator():
     W = WeightFamily(make_alpha("n"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mystery") as err:
         step_continuity_test("mystery", W, 1, 2)
+    assert str(STEP_OPS) in str(err.value)
+
+
+@pytest.mark.parametrize("op", STEP_OPS)
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_step_continuity_empty_scan_rejected(op, horizon):
+    W = WeightFamily(make_alpha("n"))
+    with pytest.raises(ValueError, match="empty scan"):
+        step_continuity_test(op, W, 1, 2, horizon=horizon)
+
+
+def test_scans_capped_at_a_file_alpha(tmp_path):
+    # ten values: a scan reading alpha_{n+1} stops at n = 9, every other
+    # scan at n = 10, whatever horizon is asked for
+    path = tmp_path / "alpha.csv"
+    path.write_text("".join(f"{n},{n * 2.0}\n" for n in range(1, 11)))
+    alpha = make_alpha_from_csv(str(path))
+    W = WeightFamily(alpha)
+    assert scan_horizon(alpha, 10 ** 4) == 10
+    assert scan_horizon(alpha, 10 ** 4, tail=1) == 9
+    assert scan_horizon(alpha, 5, tail=1) == 5
+    assert scan_horizon(make_alpha("n"), 10 ** 4, tail=1) == 10 ** 4
+    for op in STEP_OPS:
+        assert step_continuity_test(op, W, 1, 2).horizon == 9
+    assert b_continuity_check(W, 1).horizon == 9
+    assert check_shift_stable(alpha).horizon == 9
+    for check in (check_nuclear, check_delta_criterion, check_loglog):
+        assert check(alpha).horizon == 10
+    assert check_lemma22(alpha, 1.0)[1].horizon == 10
+    assert point_spectrum_test(2, alpha, W).horizon == 10
+    assert gp_nuclearity(W, 1, 2).horizon == 10
+    ftw = FiniteTypeWeights(alpha)
+    assert ft_continuity_criterion(ftw, 1, 2).horizon == 10
+    assert equicontinuity_probe(2.0, 0.05, W, 1)["horizon"] == 10
 
 
 @given(st.integers(min_value=2, max_value=40))
