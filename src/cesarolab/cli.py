@@ -230,11 +230,11 @@ def _checks_eigen(args):
     return checks
 
 
-def _random_lambda(rng, min_dist=0.05, max_abs=3.0):
+def _random_lambda(rng):
+    """A uniform point of |lambda| <= 3 farther than 0.05 from Sigma0."""
     while True:
-        lam = complex(rng.uniform(-max_abs, max_abs),
-                      rng.uniform(-max_abs, max_abs))
-        if abs(lam) <= max_abs and rsv.dist_sigma0(lam) > min_dist:
+        lam = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        if abs(lam) <= 3.0 and rsv.dist_sigma0(lam) > 0.05:
             return lam
 
 
@@ -271,7 +271,7 @@ def _checks_resolvent(args):
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.samples):
-        mu = _random_lambda(rng, min_dist=0.05, max_abs=3.0)
+        mu = _random_lambda(rng)
         dec = rsv.resolvent_entries(mu)
         worst = max(worst, dec.reconstruction_residual(args.N))
     return [{"check": "Sec2/resolvent_reconstruction",
@@ -356,18 +356,18 @@ def cmd_grid(args):
                                 "probe_subsample": args.probe_subsample})
     alpha = _resolve_alpha(args.alpha)
     W = WeightFamily(alpha)
-    report, points = sample_grid(alpha, W, args.re, args.im, args.res,
-                                 horizon=args.horizon,
-                                 probe_subsample=args.probe_subsample)
+    report, grid = sample_grid(alpha, W, args.re, args.im, args.res,
+                               horizon=args.horizon,
+                               probe_subsample=args.probe_subsample)
     with open(args.out, "w") as fh:
         fh.write(_header_comment(config))
         fh.write(f"# sigma={report.sigma} sigma_star={report.sigma_star}\n")
-        grid_to_csv(points, fh)
+        grid_to_csv(grid, fh)
     if args.svg:
         with open(args.svg, "w") as fh:
             hdr = _header_comment(config).strip("# \n")
             fh.write(f"<!-- {hdr} -->\n")
-            grid_to_svg(points, args.res, fh)
+            grid_to_svg(grid, fh)
     return EXIT_OK
 
 

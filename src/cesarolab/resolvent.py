@@ -140,14 +140,14 @@ def disc_samples(lam, delta, boundary=64, interior=32):
     return pts
 
 
-def sandwich_bounds(lam, delta, boundary=64, interior=32):
+def sandwich_bounds(lam, delta):
     """Disc-wide constants d_delta = inf u, D_delta = sup v."""
     d_lam = dist_sigma0(lam)
     if d_lam <= delta:
         raise ValueError(
             f"closed disc B({lam}, {delta}) touches Sigma0 "
             f"(dist = {d_lam:.3g})")
-    pts = disc_samples(lam, delta, boundary, interior)
+    pts = disc_samples(lam, delta)
     us = [u_fn(p) for p in pts]
     vs = [v_fn(p) for p in pts]
     return SandwichBounds(lam, delta, a_fn(lam), u_fn(lam), v_fn(lam),
@@ -363,7 +363,8 @@ def resolvent_norm_bound_check(lam, W: WeightFamily, k, horizon=10 ** 4,
 
     Only valid outside the closed disc |lam - 1/2| <= 1/2, where
     a(lam) < 1.  Reports the worst ratio of the truncated row-sum norm
-    to 1/(1 - a(mu)) over sampled mu near lam.
+    to 1/(1 - a(mu)) over sampled mu near lam.  The horizon is capped to
+    the indices a finite alpha defines.
     """
     if a_fn(lam) >= 1.0:
         raise ValueError(
@@ -374,6 +375,7 @@ def resolvent_norm_bound_check(lam, W: WeightFamily, k, horizon=10 ** 4,
     mus = [mu for mu in mus[:samples] if a_fn(mu) < 1.0]
     worst = 0.0
     rows = []
+    horizon = scan_horizon(W.alpha, horizon)
     ns = np.arange(1, horizon + 1)
     lw_k = W.log_weights(k, ns)
     for mu in mus:

@@ -6,6 +6,8 @@ three regimes, decided by two growth predicates on alpha: nuclearity
 (log n / alpha_n bounded) and the log-log dichotomy.  Region descriptors
 come from a closed vocabulary; probe numerics only corroborate, since no
 finite scan can certify membership of a single point in the spectrum.
+The portrait ``sample_grid`` stays a ``Grid`` of columns (coordinates,
+labels, probed points only) up to its CSV and SVG writers.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ __all__ = [
     "point_spectrum_test",
     "classify_spectrum",
     "sample_grid",
-    "GridPoint",
+    "Grid",
 ]
 
 REGIONS = ("Sigma", "Sigma0", "{1}", "{0,1}uD(1)", "closure(D(1))",
@@ -191,18 +193,19 @@ def classify_spectrum(alpha: AlphaSequence, W: WeightFamily = None,
 
 
 @dataclass
-class GridPoint:
-    re: float
-    im: float
-    region_label: str        # "spectrum" | "resolvent" | "excluded"
-    probe_status: str        # "bounded" | "unbounded_evidence" | "skipped"
-    probe_sup: float
-    l_found: object
+class Grid:
+    """A portrait in columns: ``labels[i, j]`` of the point re[j] + i im[i],
+    and the equicontinuity_probe report of each probed point, keyed by its
+    row-major number i * len(re) + j (none where the disc touches Sigma0)."""
+    re: np.ndarray
+    im: np.ndarray
+    labels: np.ndarray       # "spectrum" | "resolvent" | "excluded"
+    probes: dict
 
 
 def sample_grid(alpha, W, re_range, im_range, resolution,
                 horizon=10 ** 4, probe_subsample=0):
-    """Per-point verdicts over a rectangle of the complex plane.
+    """Labels over a rectangle of the complex plane, as a Grid.
 
     Points within GRID_MARGIN of {0} u {1/n} are excluded; the remaining
     points are labeled by the symbolic sigma descriptor, and a
@@ -222,36 +225,42 @@ def sample_grid(alpha, W, re_range, im_range, resolution,
                       "spectrum", "resolvent")
     labels[~usable] = "excluded"
     usable_idx = np.flatnonzero(usable)      # row-major, like the CSV
-    probe_idx = set()
+    probes = {}
     if probe_subsample > 0 and usable_idx.size:
         step = max(usable_idx.size // probe_subsample, 1)
-        probe_idx = set(usable_idx[::step][:probe_subsample].tolist())
-    points = []
-    res, ims = res.tolist(), ims.tolist()
-    for idx, label in enumerate(labels.ravel().tolist()):
-        i, j = divmod(idx, resolution)
-        point = GridPoint(res[j], ims[i], label, "skipped", math.nan, None)
-        if idx in probe_idx:
+        for idx in usable_idx[::step][:probe_subsample].tolist():
             try:
-                probe = rsv.equicontinuity_probe(
-                    complex(res[j], ims[i]), GRID_PROBE_DELTA, W, k=1,
+                probes[idx] = rsv.equicontinuity_probe(
+                    complex(z.flat[idx]), GRID_PROBE_DELTA, W, k=1,
                     horizon=horizon, samples=4)
-                point.probe_status = probe["verdict"]
-                point.probe_sup = probe["sup_row_sum"]
-                point.l_found = probe["l_found"]
             except ValueError:
                 pass
-        points.append(point)
-    return report, points
+    return report, Grid(res, ims, labels, probes)
 
 
-def grid_to_csv(points, fh):
+def _probed_rows(grid):
+    """{row i: {column j: probe report}} over the probed points."""
+    rows = {}
+    for idx, probe in grid.probes.items():
+        i, j = divmod(idx, len(grid.re))
+        rows.setdefault(i, {})[j] = probe
+    return rows
+
+
+def grid_to_csv(grid, fh):
+    """One CSV row per point, row-major; each coordinate formatted once."""
     fh.write("re,im,region_label,probe_status,probe_sup,l_found\n")
-    for p in points:
-        sup = "" if math.isnan(p.probe_sup) else f"{p.probe_sup:.17g}"
-        lf = "" if p.l_found is None else str(p.l_found)
-        fh.write(f"{p.re:.17g},{p.im:.17g},{p.region_label},"
-                 f"{p.probe_status},{sup},{lf}\n")
+    res = [f"{x:.17g}" for x in grid.re.tolist()]
+    probed = _probed_rows(grid)
+    for i, (y, row) in enumerate(zip(grid.im.tolist(), grid.labels.tolist())):
+        y = f"{y:.17g}"
+        cells = [f"{x},{y},{label},skipped,,\n" for x, label in zip(res, row)]
+        for j, probe in probed.get(i, {}).items():
+            sup, lf = probe["sup_row_sum"], probe["l_found"]
+            sup = "" if math.isnan(sup) else f"{sup:.17g}"
+            lf = "" if lf is None else str(lf)
+            cells[j] = f"{res[j]},{y},{row[j]},{probe['verdict']},{sup},{lf}\n"
+        fh.write("".join(cells))
 
 
 _PALETTE = {
@@ -264,16 +273,18 @@ _PALETTE = {
 }
 
 
-def grid_to_svg(points, resolution, fh):
+def grid_to_svg(grid, fh):
     """Deterministic SVG heatmap, one cell per grid point."""
+    resolution = len(grid.re)
     size = resolution * SVG_CELL
     fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'width="{size}" height="{size}">\n')
-    for idx, p in enumerate(points):
-        i, j = divmod(idx, resolution)
-        probed = p.probe_status != "skipped"
-        color = _PALETTE[(p.region_label, probed)]
-        fh.write(f'<rect x="{j * SVG_CELL}" '
-                 f'y="{(resolution - 1 - i) * SVG_CELL}" '
-                 f'width="{SVG_CELL}" height="{SVG_CELL}" fill="{color}"/>\n')
+    xs = [f'<rect x="{j * SVG_CELL}" ' for j in range(resolution)]
+    probed = _probed_rows(grid)
+    for i, row in enumerate(grid.labels.tolist()):
+        y = (f'y="{(resolution - 1 - i) * SVG_CELL}" '
+             f'width="{SVG_CELL}" height="{SVG_CELL}" fill="')
+        on = probed.get(i, {})
+        fh.write("".join(f'{xs[j]}{y}{_PALETTE[(label, j in on)]}"/>\n'
+                         for j, label in enumerate(row)))
     fh.write("</svg>\n")

@@ -14,7 +14,8 @@ threshold that still grew over the last decade of the scan, and
 that did not grow over a non-empty last decade.  Everything else, a NaN
 supremum or a one-index scan included, is ``inconclusive`` with the
 scan evidence attached.  The ``check_*`` predicates here never grant
-``holds`` from a scan.
+``holds`` from a scan.  Presets defined from a first index on get
+their head from one ramp rule, ``_ramped``.
 """
 
 from __future__ import annotations
@@ -79,10 +80,8 @@ class AlphaSequence:
     sequence that is constant on the blocks [j(k), j(k+1)).
     """
 
-    def __init__(self, name, value_fn=None, log_fn=None, *, vec_log_fn=None,
+    def __init__(self, name, value_fn, log_fn=None, *, vec_log_fn=None,
                  declared_flags=None, max_index=None, block_bounds=None):
-        if value_fn is None and log_fn is None:
-            raise ValueError("need value_fn or log_fn")
         self.name = name
         self._value_fn = value_fn
         self._log_fn = log_fn
@@ -102,13 +101,9 @@ class AlphaSequence:
 
     def _raw(self, n):
         """Return (value, log_value) without monotonicity checking."""
-        if self._value_fn is not None:
-            v = float(self._value_fn(n))
-            lg = math.log(v) if v < math.inf else (
-                self._log_fn(n) if self._log_fn else math.inf)
-        else:
-            lg = float(self._log_fn(n))
-            v = math.exp(lg) if lg < 709.0 else math.inf
+        v = float(self._value_fn(n))
+        lg = math.log(v) if v < math.inf else (
+            self._log_fn(n) if self._log_fn else math.inf)
         return v, lg
 
     def _eval(self, n):
@@ -197,67 +192,26 @@ class WeightFamily:
 # ---------------------------------------------------------------------------
 # presets
 
-_LOGLOG_FIRST_N = 27  # 3**3, first index where log(log(n)) > 1
-_LOGLOG_FIRST_VAL = math.log(math.log(_LOGLOG_FIRST_N))
-_L3_FIRST_N = 3 ** 27  # 7 625 597 484 987
-_L3_FIRST_VAL = math.log(math.log(math.log(_L3_FIRST_N)))
-
-
-def _ramp(n, n_first, v_first):
-    """Strictly increasing padding below the first defined value.
+def _ramped(f, vf, n_first):
+    """(value_fn, vec_log_fn) of alpha_n = f(n) from n_first on, padded
+    below n_first by a linear ramp (``vf`` is f over a float array).
 
     The head of the sequence is free as long as it stays positive and
-    strictly increasing, so a linear ramp from just above 1 (or above 0
-    when the first defined value is itself <= 1) up to v_first is used.
+    strictly increasing, so the ramp runs from just above 1 (or above 0
+    when f(n_first) is itself <= 1) up to f(n_first).
     """
-    if v_first > 1.0:
-        return 1.0 + (v_first - 1.0) * n / n_first
-    return v_first * n / n_first
+    v_first = f(n_first)
+    lo, rise = (1.0, v_first - 1.0) if v_first > 1.0 else (0.0, v_first)
 
+    def value(n):
+        return f(n) if n >= n_first else lo + rise * n / n_first
 
-def _loglog_val(n):
-    if n >= _LOGLOG_FIRST_N:
-        return math.log(math.log(n))
-    return _ramp(n, _LOGLOG_FIRST_N, _LOGLOG_FIRST_VAL)
+    def vec_log(ns):
+        ns = np.asarray(ns, dtype=float)
+        return np.log(np.where(ns >= n_first, vf(np.maximum(ns, n_first)),
+                               lo + rise * ns / n_first))
 
-
-def _loglog_vec(ns):
-    ns = np.asarray(ns, dtype=float)
-    out = np.where(ns >= _LOGLOG_FIRST_N,
-                   np.log(np.log(np.maximum(ns, 3.0))),
-                   _ramp(ns, _LOGLOG_FIRST_N, _LOGLOG_FIRST_VAL))
-    return np.log(out)
-
-
-def _l3_val(n):
-    if n >= _L3_FIRST_N:
-        return math.log(math.log(math.log(n)))
-    return _ramp(n, _L3_FIRST_N, _L3_FIRST_VAL)
-
-
-def _l3_vec(ns):
-    ns = np.asarray(ns, dtype=float)
-    out = np.where(ns >= _L3_FIRST_N,
-                   np.log(np.maximum(np.log(np.log(np.maximum(ns, 16.0))), 1e-300)),
-                   _ramp(ns, float(_L3_FIRST_N), _L3_FIRST_VAL))
-    return np.log(out)
-
-
-_LOGN_FIRST_N = 2
-_LOGN_FIRST_VAL = math.log(2.0)
-
-
-def _logn_val(n):
-    if n >= _LOGN_FIRST_N:
-        return math.log(n)
-    return _ramp(n, _LOGN_FIRST_N, _LOGN_FIRST_VAL)
-
-
-def _logn_vec(ns):
-    ns = np.asarray(ns, dtype=float)
-    return np.log(np.where(ns >= _LOGN_FIRST_N,
-                           np.log(np.maximum(ns, 2.0)),
-                           _ramp(ns, _LOGN_FIRST_N, _LOGN_FIRST_VAL)))
+    return value, vec_log
 
 
 class _Appendix53:
@@ -303,6 +257,8 @@ _APPENDIX53 = _Appendix53()
 
 def _appendix53_vec(ns):
     ns = np.asarray(ns, dtype=np.int64)
+    if not ns.size:
+        return np.empty(0)
     top = int(ns.max())
     k_top = _APPENDIX53.block_of(top)
     bounds = np.array([_APPENDIX53.j(k) for k in range(1, k_top + 2)],
@@ -334,7 +290,7 @@ _PRESETS = {
         dict(nuclear=True, shift_stable=True, delta_continuous=False,
              loglog_finite=True)),
     "log_n": lambda: _preset(
-        "log_n", _logn_val, _logn_vec,
+        "log_n", *_ramped(math.log, np.log, 2),
         dict(nuclear=True, shift_stable=True, delta_continuous=False,
              loglog_finite=True)),
     "sqrt_n": lambda: _preset(
@@ -350,11 +306,14 @@ _PRESETS = {
         declared_flags=dict(nuclear=True, shift_stable=False,
                             delta_continuous=True, loglog_finite=True)),
     "loglog_n": lambda: _preset(
-        "loglog_n", _loglog_val, _loglog_vec,
+        "loglog_n", *_ramped(lambda n: math.log(math.log(n)),
+                             lambda x: np.log(np.log(x)), 3 ** 3),
         dict(nuclear=False, shift_stable=True, delta_continuous=False,
              loglog_finite=True)),
     "logloglog_n": lambda: _preset(
-        "logloglog_n", _l3_val, _l3_vec,
+        "logloglog_n", *_ramped(lambda n: math.log(math.log(math.log(n))),
+                                lambda x: np.log(np.log(np.log(x))),
+                                3 ** 27),
         dict(nuclear=False, shift_stable=True, delta_continuous=False,
              loglog_finite=False)),
     "appendix_5_3": lambda: _preset(

@@ -17,7 +17,8 @@ from cesarolab.operators import (N_DOUBLE_BINOM, STEP_OPS, TriangularOperator,
                                  delta_matrix_exact, diff_apply, shift_apply,
                                  step_continuity_test, verify_factorizations,
                                  weighted_norm)
-from cesarolab.resolvent import equicontinuity_probe
+from cesarolab.resolvent import (equicontinuity_probe,
+                                 resolvent_norm_bound_check)
 from cesarolab.spectrum import point_spectrum_test
 from cesarolab.weights import (WeightFamily, check_delta_criterion,
                                check_lemma22, check_loglog, check_nuclear,
@@ -333,9 +334,10 @@ def test_step_continuity_unknown_operator():
 @pytest.mark.parametrize("op", STEP_OPS)
 @pytest.mark.parametrize("horizon", [0, -3])
 def test_step_continuity_empty_scan_rejected(op, horizon):
-    W = WeightFamily(make_alpha("n"))
-    with pytest.raises(ValueError, match="empty scan"):
-        step_continuity_test(op, W, 1, 2, horizon=horizon)
+    for preset in ("n", "appendix_5_3"):
+        W = WeightFamily(make_alpha(preset))
+        with pytest.raises(ValueError, match="empty scan"):
+            step_continuity_test(op, W, 1, 2, horizon=horizon)
 
 
 def test_scans_capped_at_a_file_alpha(tmp_path):
@@ -361,6 +363,7 @@ def test_scans_capped_at_a_file_alpha(tmp_path):
     ftw = FiniteTypeWeights(alpha)
     assert ft_continuity_criterion(ftw, 1, 2).horizon == 10
     assert equicontinuity_probe(2.0, 0.05, W, 1)["horizon"] == 10
+    assert resolvent_norm_bound_check(2.0, W, 1)["horizon"] == 10
 
 
 @given(st.integers(min_value=2, max_value=40))

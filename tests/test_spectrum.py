@@ -1,14 +1,18 @@
+import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cesarolab import resolvent as rsv
 from cesarolab import spectrum
 from cesarolab.resolvent import dist_sigma0
-from cesarolab.spectrum import (GRID_MARGIN, GridPoint, REGIONS,
-                                SpectralReport, classify_spectrum,
-                                grid_to_csv, grid_to_svg, point_spectrum_test,
+from cesarolab.spectrum import (GRID_MARGIN, GRID_PROBE_DELTA, REGIONS,
+                                SVG_CELL, SpectralReport, _PALETTE,
+                                _region_mask, classify_spectrum, grid_to_csv,
+                                grid_to_svg, point_spectrum_test,
                                 region_contains, sample_grid)
 from cesarolab.weights import WeightFamily, make_alpha
 
@@ -125,15 +129,16 @@ def test_classified_regions_nest_per_preset(name):
 def test_sample_grid_labels_and_probe():
     alpha = make_alpha("n")
     W = WeightFamily(alpha)
-    report, points = sample_grid(alpha, W, (-0.5, 1.5), (-0.5, 0.5), 11,
-                                 horizon=2000, probe_subsample=3)
-    assert len(points) == 121
-    labels = {p.region_label for p in points}
+    report, grid = sample_grid(alpha, W, (-0.5, 1.5), (-0.5, 0.5), 11,
+                               horizon=2000, probe_subsample=3)
+    assert grid.labels.size == 121
+    labels = set(grid.labels.ravel().tolist())
     assert labels <= {"spectrum", "resolvent", "excluded"}
-    assert sum(p.probe_status != "skipped" for p in points) >= 1
+    assert len(grid.probes) >= 1
     # the eigenvalue 1/2 cell is excluded or labeled spectrum
-    near = min(points, key=lambda p: abs(complex(p.re, p.im) - 0.5))
-    assert near.region_label in ("spectrum", "excluded")
+    z = grid.re[None, :] + 1j * grid.im[:, None]
+    near = np.unravel_index(np.argmin(np.abs(z - 0.5)), z.shape)
+    assert grid.labels[near] in ("spectrum", "excluded")
 
 
 def test_sample_grid_rejects_bad_resolution():
@@ -143,16 +148,15 @@ def test_sample_grid_rejects_bad_resolution():
 
 
 def test_grid_csv_and_svg_deterministic(tmp_path):
-    import io
     alpha = make_alpha("n")
     W = WeightFamily(alpha)
     outs = []
     for _ in range(2):
-        _, points = sample_grid(alpha, W, (-0.5, 1.5), (-0.5, 0.5), 6,
-                                horizon=500, probe_subsample=2)
+        _, grid = sample_grid(alpha, W, (-0.5, 1.5), (-0.5, 0.5), 6,
+                              horizon=500, probe_subsample=2)
         buf_csv, buf_svg = io.StringIO(), io.StringIO()
-        grid_to_csv(points, buf_csv)
-        grid_to_svg(points, 6, buf_svg)
+        grid_to_csv(grid, buf_csv)
+        grid_to_svg(grid, buf_svg)
         outs.append((buf_csv.getvalue(), buf_svg.getvalue()))
     assert outs[0] == outs[1]
     assert outs[0][0].startswith("re,im,region_label")
@@ -176,17 +180,124 @@ def test_grid_labels_match_scalar_path(region, window, monkeypatch):
         spectrum, "classify_spectrum",
         lambda *a, **kw: SpectralReport("n", None, None, region, region,
                                         region, "classified"))
-    _, points = sample_grid(alpha, WeightFamily(alpha), *window, 30,
-                            horizon=100)
+    _, grid = sample_grid(alpha, WeightFamily(alpha), *window, 30,
+                          horizon=100)
     labels = set()
-    for p in points:
-        z = complex(p.re, p.im)
+    for (i, j), label in np.ndenumerate(grid.labels):
+        z = complex(grid.re[j], grid.im[i])
         if dist_sigma0(z) <= GRID_MARGIN:
             want = "excluded"
         elif region_contains(region, z, tol=GRID_MARGIN):
             want = "spectrum"
         else:
             want = "resolvent"
-        assert p.region_label == want, z
+        assert label == want, z
         labels.add(want)
     assert "excluded" in labels and len(labels) > 1
+
+
+# The per-point grid path that the columnar Grid replaced, kept verbatim
+# as the reference its CSV and SVG text must reproduce.
+
+@dataclass
+class GridPoint:
+    re: float
+    im: float
+    region_label: str        # "spectrum" | "resolvent" | "excluded"
+    probe_status: str        # "bounded" | "unbounded_evidence" | "skipped"
+    probe_sup: float
+    l_found: object
+
+
+def reference_sample_grid(alpha, W, re_range, im_range, resolution,
+                          horizon=10 ** 4, probe_subsample=0):
+    if resolution < 1 or resolution ** 2 > 10 ** 6:
+        raise ValueError("resolution out of range")
+    report = classify_spectrum(alpha, W, horizon=horizon, with_probe=False)
+    res = np.linspace(re_range[0], re_range[1], resolution)
+    ims = np.linspace(im_range[0], im_range[1], resolution)
+    z = np.empty((resolution, resolution), dtype=complex)   # z[i, j]
+    z.real = res[None, :]
+    z.imag = ims[:, None]
+    d = rsv.dist_sigma0(z)
+    usable = d > GRID_MARGIN
+    labels = np.where(_region_mask(report.sigma, z, d, GRID_MARGIN),
+                      "spectrum", "resolvent")
+    labels[~usable] = "excluded"
+    usable_idx = np.flatnonzero(usable)      # row-major, like the CSV
+    probe_idx = set()
+    if probe_subsample > 0 and usable_idx.size:
+        step = max(usable_idx.size // probe_subsample, 1)
+        probe_idx = set(usable_idx[::step][:probe_subsample].tolist())
+    points = []
+    res, ims = res.tolist(), ims.tolist()
+    for idx, label in enumerate(labels.ravel().tolist()):
+        i, j = divmod(idx, resolution)
+        point = GridPoint(res[j], ims[i], label, "skipped", math.nan, None)
+        if idx in probe_idx:
+            try:
+                probe = rsv.equicontinuity_probe(
+                    complex(res[j], ims[i]), GRID_PROBE_DELTA, W, k=1,
+                    horizon=horizon, samples=4)
+                point.probe_status = probe["verdict"]
+                point.probe_sup = probe["sup_row_sum"]
+                point.l_found = probe["l_found"]
+            except ValueError:
+                pass
+        points.append(point)
+    return report, points
+
+
+def reference_grid_to_csv(points, fh):
+    fh.write("re,im,region_label,probe_status,probe_sup,l_found\n")
+    for p in points:
+        sup = "" if math.isnan(p.probe_sup) else f"{p.probe_sup:.17g}"
+        lf = "" if p.l_found is None else str(p.l_found)
+        fh.write(f"{p.re:.17g},{p.im:.17g},{p.region_label},"
+                 f"{p.probe_status},{sup},{lf}\n")
+
+
+def reference_grid_to_svg(points, resolution, fh):
+    size = resolution * SVG_CELL
+    fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
+             f'width="{size}" height="{size}">\n')
+    for idx, p in enumerate(points):
+        i, j = divmod(idx, resolution)
+        probed = p.probe_status != "skipped"
+        color = _PALETTE[(p.region_label, probed)]
+        fh.write(f'<rect x="{j * SVG_CELL}" '
+                 f'y="{(resolution - 1 - i) * SVG_CELL}" '
+                 f'width="{SVG_CELL}" height="{SVG_CELL}" fill="{color}"/>\n')
+    fh.write("</svg>\n")
+
+
+_GRID_FAMILIES = {p: WeightFamily(make_alpha(p))
+                  for p in ("n", "loglog_n", "logloglog_n", "n_pow_n")}
+_side = st.tuples(st.floats(-1.5, 2.0), st.floats(1e-3, 2.5)).map(
+    lambda s: (s[0], s[0] + s[1]))
+
+
+# n_pow_n: its probes have NaN sups, written as empty cells; the second
+# example puts every point at 1e-3 < d <= 0.01 from 1/2, where the grid
+# keeps the point but its probe disc touches Sigma0, so the probe is
+# skipped
+@example("n_pow_n", (-0.9, 1.8), (-1.2, 1.1), 5, 6)
+@example("n", (0.495, 0.505), (0.003, 0.008), 2, 4)
+@given(st.sampled_from(sorted(_GRID_FAMILIES)), _side, _side,
+       st.integers(1, 12), st.integers(0, 6))
+@settings(max_examples=25, deadline=None)
+def test_columnar_grid_text_matches_reference(name, re_range, im_range,
+                                              res, probe_subsample):
+    W = _GRID_FAMILIES[name]
+    args = (W.alpha, W, re_range, im_range, res, 200, probe_subsample)
+    report, grid = sample_grid(*args)
+    ref_report, points = reference_sample_grid(*args)
+    assert report == ref_report
+    got, want = io.StringIO(), io.StringIO()
+    grid_to_csv(grid, got)
+    reference_grid_to_csv(points, want)
+    assert got.getvalue() == want.getvalue()
+    got, want = io.StringIO(), io.StringIO()
+    grid_to_svg(grid, got)
+    reference_grid_to_svg(points, res, want)
+    assert got.getvalue() == want.getvalue()

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cesarolab.weights import (AlphaSequence, GrowthVerdict, MonotonicityError,
                                PRESET_NAMES, WeightFamily, check_delta_criterion,
@@ -380,3 +380,98 @@ def test_scan_verdict_nan_is_never_conclusive():
 def test_scan_verdict_empty_scan_rejected():
     with pytest.raises(ValueError, match="empty scan"):
         scan_verdict(np.array([]), np.arange(2, 2))
+
+
+# The hand-written heads of the three ramped presets that weights._ramped
+# replaced, kept verbatim as the reference its presets must reproduce
+# bit for bit.
+
+_LOGLOG_FIRST_N = 27  # 3**3, first index where log(log(n)) > 1
+_LOGLOG_FIRST_VAL = math.log(math.log(_LOGLOG_FIRST_N))
+_L3_FIRST_N = 3 ** 27  # 7 625 597 484 987
+_L3_FIRST_VAL = math.log(math.log(math.log(_L3_FIRST_N)))
+
+
+def _ramp(n, n_first, v_first):
+    """Strictly increasing padding below the first defined value.
+
+    The head of the sequence is free as long as it stays positive and
+    strictly increasing, so a linear ramp from just above 1 (or above 0
+    when the first defined value is itself <= 1) up to v_first is used.
+    """
+    if v_first > 1.0:
+        return 1.0 + (v_first - 1.0) * n / n_first
+    return v_first * n / n_first
+
+
+def _loglog_val(n):
+    if n >= _LOGLOG_FIRST_N:
+        return math.log(math.log(n))
+    return _ramp(n, _LOGLOG_FIRST_N, _LOGLOG_FIRST_VAL)
+
+
+def _loglog_vec(ns):
+    ns = np.asarray(ns, dtype=float)
+    out = np.where(ns >= _LOGLOG_FIRST_N,
+                   np.log(np.log(np.maximum(ns, 3.0))),
+                   _ramp(ns, _LOGLOG_FIRST_N, _LOGLOG_FIRST_VAL))
+    return np.log(out)
+
+
+def _l3_val(n):
+    if n >= _L3_FIRST_N:
+        return math.log(math.log(math.log(n)))
+    return _ramp(n, _L3_FIRST_N, _L3_FIRST_VAL)
+
+
+def _l3_vec(ns):
+    ns = np.asarray(ns, dtype=float)
+    out = np.where(ns >= _L3_FIRST_N,
+                   np.log(np.maximum(np.log(np.log(np.maximum(ns, 16.0))), 1e-300)),
+                   _ramp(ns, float(_L3_FIRST_N), _L3_FIRST_VAL))
+    return np.log(out)
+
+
+_LOGN_FIRST_N = 2
+_LOGN_FIRST_VAL = math.log(2.0)
+
+
+def _logn_val(n):
+    if n >= _LOGN_FIRST_N:
+        return math.log(n)
+    return _ramp(n, _LOGN_FIRST_N, _LOGN_FIRST_VAL)
+
+
+def _logn_vec(ns):
+    ns = np.asarray(ns, dtype=float)
+    return np.log(np.where(ns >= _LOGN_FIRST_N,
+                           np.log(np.maximum(ns, 2.0)),
+                           _ramp(ns, _LOGN_FIRST_N, _LOGN_FIRST_VAL)))
+
+
+_RAMPED_REFERENCE = {
+    "log_n": (_logn_val, _logn_vec, _LOGN_FIRST_N),
+    "loglog_n": (_loglog_val, _loglog_vec, _LOGLOG_FIRST_N),
+    "logloglog_n": (_l3_val, _l3_vec, _L3_FIRST_N),
+}
+
+
+def _bits(xs):
+    return np.asarray(xs, dtype=float).view(np.int64)
+
+
+@example("logloglog_n", list(range(-40, 41)), [2 ** 62 - 1])
+@given(st.sampled_from(sorted(_RAMPED_REFERENCE)),
+       st.lists(st.integers(-40, 40), min_size=1, max_size=30),
+       st.lists(st.integers(1, 2 ** 62 - 1), max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_ramped_presets_bit_equal_to_reference(name, offsets, large):
+    # around the first defined index, where the ramp hands over, and at
+    # large n
+    val, vec, n_first = _RAMPED_REFERENCE[name]
+    ns = np.array(sorted({max(n_first + o, 1) for o in offsets} | set(large)),
+                  dtype=np.int64)
+    alpha = make_alpha(name)
+    assert np.array_equal(_bits(alpha.log_values(ns)), _bits(vec(ns)))
+    assert np.array_equal(_bits([alpha.value(int(n)) for n in ns]),
+                          _bits([val(int(n)) for n in ns]))
