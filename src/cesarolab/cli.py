@@ -57,7 +57,8 @@ class RunConfig:
 
 
 def _canon(obj):
-    """Canonical JSON-safe form: fixed field order, 17-digit floats."""
+    """Canonical JSON-safe form: fixed field order, non-finite floats as
+    strings (json writes a finite float as its shortest round-trip repr)."""
     if is_dataclass(obj) and not isinstance(obj, type):
         return _canon(asdict(obj))
     if isinstance(obj, dict):
@@ -77,7 +78,7 @@ def _canon(obj):
             return "nan"
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
-        return float(f"{x:.17g}")
+        return x
     if isinstance(obj, np.ndarray):
         return [_canon(v) for v in obj.tolist()]
     return obj
@@ -195,7 +196,7 @@ def cmd_classify(args):
     alpha = _resolve_alpha(args.alpha)
     report = classify_spectrum(alpha, horizon=args.horizon,
                                with_probe=not args.no_probe)
-    _emit_json(report.as_dict(), config, args.output)
+    _emit_json(report, config, args.output)
     return EXIT_OK if report.status == "classified" else EXIT_INCONCLUSIVE
 
 
@@ -247,15 +248,10 @@ def _checks_sandwich(args):
     bad = 0
     for _ in range(args.samples):
         lam = _random_lambda(rng)
-        a = rsv.a_fn(lam)
-        u = rsv.u_fn(lam)
-        log_u = math.log(u) if u > 0 else -math.inf
-        log_v = math.log(rsv.v_fn(lam))
-        prefix = rsv.product_log_prefix(lam, N_list[-1])
-        for N in N_list:
-            log_prod = float(prefix[N - 1])
-            lo = log_prod - (log_u - a * math.log(N)) + math.log(slack)
-            hi = (log_v - a * math.log(N)) - log_prod + math.log(slack)
+        for lo, hi in rsv._log_slacks(lam, rsv.u_fn(lam), rsv.v_fn(lam),
+                                      N_list):
+            lo += math.log(slack)
+            hi += math.log(slack)
             worst_lo = min(worst_lo, lo)
             worst_hi = min(worst_hi, hi)
             if lo < 0 or hi < 0:

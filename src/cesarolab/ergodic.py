@@ -38,10 +38,7 @@ POWER_SLACK = 1e-10  # relative rounding room before a norm counts as grown
 class IterationTrace:
     m_values: list
     distances: list
-    x: list
-    k: int
-    N: int
-    status: str = "converged"  # "converged" | "not_converged"
+    status: str  # "converged" | "not_converged"
 
     def to_csv(self, fh):
         fh.write("m,distance\n")
@@ -138,8 +135,7 @@ def iterates_limit_check(x, W: WeightFamily, k, N, tol=ITERATE_TOL,
         if d < tol:
             status = "converged"
             break
-    return IterationTrace(m_values, distances, list(np.asarray(x)[:N]),
-                          k, N, status)
+    return IterationTrace(m_values, distances, status)
 
 
 # ---------------------------------------------------------------------------

@@ -209,14 +209,8 @@ def verify_factorizations(N):
 
 def _factored_inverse_apply(y):
     """(I - S_r) D S_r applied at truncation; output length N-1."""
-    shifted = shift_apply(y)             # length N+1
-    z = diff_apply(shifted)              # length N: (1*y_1, 2*y_2, ...)
-    out = []
-    prev = 0
-    for n in range(len(z) - 1):
-        out.append(z[n] - prev)
-        prev = z[n]
-    return out
+    z = diff_apply(shift_apply(y))      # length N: (1*y_1, 2*y_2, ...)
+    return [a - b for a, b in zip(z[:-1], shift_apply(z))]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ The distance to Sigma0 = {0} u {1/n} is exact: the nearest point of
 Sigma0 is read off Re z in closed form, elementwise over arrays, with no
 cap on n.  Grid margins and the lower sandwich constant u(lam) are
 measured with it.
+
+Every disc B(lam, delta) comes from ``disc_samples``, which rejects a
+radius <= 0, a negative sample count and a closed disc touching Sigma0.
+``_log_slacks`` is the one measure of the Lemma 2.7 sandwich; a lower
+constant 0 is read as the bound 0.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .weights import WeightFamily, scan_horizon, scan_verdict
 
 __all__ = [
     "ResolventDecomposition",
-    "SandwichBounds",
     "a_fn",
     "dist_sigma0",
     "u_fn",
@@ -73,9 +77,11 @@ def dist_sigma0(z):
 
 
 def v_fn(lam):
-    """Upper sandwich constant exp(1/|lam| + 1/|lam|^2)."""
+    """Upper sandwich constant exp(1/|lam| + 1/|lam|^2); inf past the
+    double range (|lam| < 0.0383), where the upper bound is trivial."""
     r = abs(lam)
-    return math.exp(1.0 / r + 1.0 / r ** 2)
+    arg = 1.0 / r + 1.0 / r ** 2
+    return math.exp(arg) if arg <= 709.782712893384 else math.inf
 
 
 def u_fn(lam):
@@ -91,19 +97,7 @@ def u_fn(lam):
         return 0.0
     big_d = 3.0 * (1.0 + r) ** 2 / (r ** 1.5 * d ** 2.5)
     arg = -1.0 / r - 2.0 * big_d
-    return math.exp(max(arg, -745.0)) if arg > -745.0 else 0.0
-
-
-@dataclass
-class SandwichBounds:
-    lam: complex
-    delta: float
-    a_val: float
-    u_val: float
-    v_val: float
-    d_lambda: float
-    d_delta: float
-    D_delta: float
+    return math.exp(arg) if arg > -745.0 else 0.0
 
 
 def product_log(mu, N):
@@ -125,9 +119,21 @@ def product_log_prefix(mu, N):
 def disc_samples(lam, delta, boundary=64, interior=32):
     """Deterministic sample grid of the closed disc around lam.
 
-    A boundary ring plus an interior spiral lattice; includes the
-    center.  Reproducible sup/inf estimates depend on this fixed order.
+    The center, a boundary ring and an interior spiral lattice, in the
+    fixed order reproducible sup/inf estimates depend on.  ValueError
+    unless delta > 0, both counts are >= 0 and the closed disc misses
+    Sigma0.
     """
+    if not delta > 0:
+        raise ValueError(f"disc radius must be positive, got {delta}")
+    if boundary < 0 or interior < 0:
+        raise ValueError(f"disc sample counts must be >= 0, got "
+                         f"boundary={boundary}, interior={interior}")
+    d_lam = dist_sigma0(lam)
+    if d_lam <= delta:
+        raise ValueError(
+            f"closed disc B({lam}, {delta}) touches Sigma0 "
+            f"(dist = {d_lam:.3g})")
     lam = complex(lam)
     pts = [lam]
     for i in range(boundary):
@@ -141,26 +147,30 @@ def disc_samples(lam, delta, boundary=64, interior=32):
 
 
 def sandwich_bounds(lam, delta):
-    """Disc-wide constants d_delta = inf u, D_delta = sup v."""
-    d_lam = dist_sigma0(lam)
-    if d_lam <= delta:
-        raise ValueError(
-            f"closed disc B({lam}, {delta}) touches Sigma0 "
-            f"(dist = {d_lam:.3g})")
+    """Disc-wide constants (d_delta, D_delta) = (inf u, sup v)."""
     pts = disc_samples(lam, delta)
-    us = [u_fn(p) for p in pts]
-    vs = [v_fn(p) for p in pts]
-    return SandwichBounds(lam, delta, a_fn(lam), u_fn(lam), v_fn(lam),
-                          d_lam, min(us), max(vs))
+    return min(u_fn(p) for p in pts), max(v_fn(p) for p in pts)
+
+
+def _log_slacks(mu, lo, hi, N_list):
+    """Log slacks (lower, upper) of lo/N^a <= prod_{n<=N} |1 - 1/(n mu)|
+    <= hi/N^a, a = a(mu), for each N of the increasing N_list; a lower
+    constant 0 is the bound 0 (log -inf)."""
+    log_prods = product_log_prefix(mu, N_list[-1])[np.asarray(N_list) - 1]
+    a = a_fn(mu)
+    log_lo = math.log(lo) if lo > 0 else -math.inf
+    log_hi = math.log(hi)
+    return [(p - (log_lo - a * math.log(N)), (log_hi - a * math.log(N)) - p)
+            for N, p in zip(N_list, log_prods.tolist())]
 
 
 def sandwich_check(lam, delta, N_list, samples=16):
     """Assert d_delta/N^a <= prod |1 - 1/(n mu)| <= D_delta/N^a on a grid.
 
-    Returns a report with the worst lower/upper slack factors (> 1 means
+    Returns a report with the worst lower/upper log slacks (> 0 means
     the inequality holds with room to spare).
     """
-    bounds = sandwich_bounds(lam, delta)
+    d_delta, D_delta = sandwich_bounds(lam, delta)
     pts = disc_samples(lam, delta, boundary=samples,
                        interior=max(samples // 2, 1))
     N_list = sorted(int(N) for N in N_list)
@@ -168,14 +178,8 @@ def sandwich_check(lam, delta, N_list, samples=16):
     worst_hi = math.inf
     failures = []
     for mu in pts:
-        prefix = product_log_prefix(mu, N_list[-1])
-        a_mu = a_fn(mu)
-        for N in N_list:
-            log_prod = float(prefix[N - 1])
-            log_lo = math.log(bounds.d_delta) - a_mu * math.log(N)
-            log_hi = math.log(bounds.D_delta) - a_mu * math.log(N)
-            slack_lo = log_prod - log_lo
-            slack_hi = log_hi - log_prod
+        for N, (slack_lo, slack_hi) in zip(
+                N_list, _log_slacks(mu, d_delta, D_delta, N_list)):
             worst_lo = min(worst_lo, slack_lo)
             worst_hi = min(worst_hi, slack_hi)
             if slack_lo < 0 or slack_hi < 0:
@@ -186,8 +190,8 @@ def sandwich_check(lam, delta, N_list, samples=16):
         "delta": delta,
         "N_list": N_list,
         "samples": len(pts),
-        "d_delta": bounds.d_delta,
-        "D_delta": bounds.D_delta,
+        "d_delta": d_delta,
+        "D_delta": D_delta,
         "worst_log_slack_lower": worst_lo,
         "worst_log_slack_upper": worst_hi,
         "passed": not failures,
@@ -300,15 +304,7 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
     never does.  alpha is evaluated once; each step only rescales it.
     The horizon is capped to the indices a finite alpha defines.
     """
-    if not delta > 0:
-        raise ValueError(f"disc radius must be positive, got {delta}")
-    d_lam = dist_sigma0(lam)
-    if d_lam <= delta:
-        raise ValueError(
-            f"closed disc B({lam}, {delta}) touches Sigma0 "
-            f"(dist = {d_lam:.3g})")
-    mus = disc_samples(lam, delta, boundary=max(samples - 1, 1), interior=0)
-    mus = mus[:samples]
+    mus = disc_samples(lam, delta, boundary=samples - 1, interior=0)
     horizon = scan_horizon(W.alpha, horizon)
     ns = np.arange(1, horizon + 1)
     alpha_ns = W.alpha.values(ns)
@@ -371,8 +367,8 @@ def resolvent_norm_bound_check(lam, W: WeightFamily, k, horizon=10 ** 4,
             f"lambda = {lam} lies in the closed disc (a(lambda) >= 1)")
     if delta is None:
         delta = 0.25 * min(dist_sigma0(lam), abs(lam - 0.5) - 0.5)
-    mus = disc_samples(lam, delta, boundary=max(samples - 1, 1), interior=0)
-    mus = [mu for mu in mus[:samples] if a_fn(mu) < 1.0]
+    mus = [mu for mu in disc_samples(lam, delta, boundary=samples - 1,
+                                     interior=0) if a_fn(mu) < 1.0]
     worst = 0.0
     rows = []
     horizon = scan_horizon(W.alpha, horizon)

@@ -74,7 +74,7 @@ def region_contains(region, z, tol=REGION_TOL):
 
 @dataclass
 class SpectralReport:
-    alpha_name: str
+    alpha: str
     nuclear: object          # True / False / None
     loglog_finite: object
     sigma_pt: str
@@ -82,18 +82,6 @@ class SpectralReport:
     sigma_star: str
     status: str              # "classified" | "inconclusive"
     evidence: list = field(default_factory=list)
-
-    def as_dict(self):
-        return {
-            "alpha": self.alpha_name,
-            "nuclear": self.nuclear,
-            "loglog_finite": self.loglog_finite,
-            "sigma_pt": self.sigma_pt,
-            "sigma": self.sigma,
-            "sigma_star": self.sigma_star,
-            "status": self.status,
-            "evidence": self.evidence,
-        }
 
 
 def point_spectrum_test(m, alpha: AlphaSequence, W: WeightFamily,
@@ -196,7 +184,7 @@ def classify_spectrum(alpha: AlphaSequence, W: WeightFamily = None,
 class Grid:
     """A portrait in columns: ``labels[i, j]`` of the point re[j] + i im[i],
     and the equicontinuity_probe report of each probed point, keyed by its
-    row-major number i * len(re) + j (none where the disc touches Sigma0)."""
+    row-major number i * len(re) + j (none where the disc reaches Sigma0)."""
     re: np.ndarray
     im: np.ndarray
     labels: np.ndarray       # "spectrum" | "resolvent" | "excluded"

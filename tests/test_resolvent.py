@@ -1,17 +1,21 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cesarolab import resolvent as rsv
-from cesarolab.resolvent import (a_fn, disc_samples, dist_sigma0,
+from cesarolab.resolvent import (_log_slacks, a_fn, disc_samples, dist_sigma0,
                                  equicontinuity_probe, product_log,
                                  product_log_prefix, resolvent_entries,
                                  resolvent_norm_bound_check, sandwich_bounds,
                                  sandwich_check, u_fn, v_fn)
 from cesarolab.weights import WeightFamily, make_alpha, scan_verdict
+
+# an overflow or a NaN in this layer is a failure, not a line on stderr
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_a_fn_values():
@@ -116,6 +120,138 @@ def test_sandwich_bounds_and_check():
 def test_sandwich_rejects_disc_touching_sigma0():
     with pytest.raises(ValueError):
         sandwich_bounds(0.5, 0.6)
+
+
+def test_sandwich_bounds_are_the_disc_inf_and_sup():
+    pts = disc_samples(2.0 + 0.5j, 0.1)
+    assert sandwich_bounds(2.0 + 0.5j, 0.1) == (
+        min(map(u_fn, pts)), max(map(v_fn, pts)))
+
+
+_W_N = WeightFamily(make_alpha("n"))
+
+# each call that makes a disc around lam = 2, with a radius and a count
+_DISC_CALLS = {
+    "sandwich_bounds": lambda delta, samples: sandwich_bounds(2.0, delta),
+    "sandwich_check": lambda delta, samples: sandwich_check(
+        2.0, delta, [10, 100], samples=samples),
+    "equicontinuity_probe": lambda delta, samples: equicontinuity_probe(
+        2.0, delta, _W_N, 1, horizon=100, samples=samples),
+    "resolvent_norm_bound_check":
+        lambda delta, samples: resolvent_norm_bound_check(
+            2.0, _W_N, 1, horizon=100, delta=delta, samples=samples),
+}
+# the smallest count each call turns into a negative disc count
+_BAD_COUNT = {"sandwich_check": -1, "equicontinuity_probe": 0,
+              "resolvent_norm_bound_check": 0}
+_RADIUS = "disc radius must be positive, got "
+_DISC_CASES = [
+    *((name, delta, 4, message) for name in sorted(_DISC_CALLS)
+      for delta, message in [
+          (0.0, _RADIUS + "0.0"),
+          (-0.1, _RADIUS + "-0.1"),
+          (math.nan, _RADIUS + "nan"),
+          # dist_sigma0(2) = 1: this disc passes through 0 and every 1/n
+          (2.0, "closed disc B(2.0, 2.0) touches Sigma0 (dist = 1)")]),
+    *((name, 0.1, samples, "disc sample counts must be >= 0")
+      for name, samples in sorted(_BAD_COUNT.items())),
+]
+
+
+@pytest.mark.parametrize("name,delta,samples,message", _DISC_CASES)
+def test_every_disc_obeys_one_rule(name, delta, samples, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _DISC_CALLS[name](delta, samples)
+
+
+def test_disc_samples_rejects_negative_counts():
+    with pytest.raises(ValueError, match="counts"):
+        disc_samples(2.0, 0.1, boundary=-1)
+    with pytest.raises(ValueError, match="counts"):
+        disc_samples(2.0, 0.1, interior=-1)
+    assert disc_samples(2.0, 0.1, boundary=0, interior=0) == [2.0]
+
+
+def test_one_sample_is_the_center():
+    probe = equicontinuity_probe(0.4 + 0.2j, 0.05, _W_N, 1, horizon=1000,
+                                 samples=1)
+    assert probe["samples"] == 1
+    res = resolvent_norm_bound_check(2.0, _W_N, 1, horizon=100, samples=1)
+    assert [row["mu"] for row in res["samples"]] == [2.0]
+
+
+@pytest.mark.parametrize("lam,delta", [(0.3 + 0.01j, 0.005),
+                                       (0.4 + 0.2j, 0.02)])
+def test_sandwich_with_underflowed_lower_constant(lam, delta):
+    # u underflows to 0 on the whole disc: the lower bound is 0, which
+    # every product clears with infinite log slack
+    res = sandwich_check(lam, delta, [10, 100, 1000, 10000])
+    assert res["d_delta"] == 0.0
+    assert res["worst_log_slack_lower"] == math.inf
+    assert res["passed"]
+
+
+def test_v_fn_past_double_range_is_inf():
+    assert v_fn(0.038) == math.inf
+    assert v_fn(0.0625) == math.exp(16.0 + 256.0)
+    res = sandwich_check(-0.03, 0.01, [10, 100])
+    assert res["D_delta"] == math.inf
+    assert res["worst_log_slack_upper"] == math.inf
+    assert res["passed"]
+
+
+def reference_sandwich_slacks(mu, d_delta, D_delta, N_list):
+    """The slack loop of sandwich_check before _log_slacks, verbatim."""
+    slacks = []
+    prefix = product_log_prefix(mu, N_list[-1])
+    a_mu = a_fn(mu)
+    for N in N_list:
+        log_prod = float(prefix[N - 1])
+        log_lo = math.log(d_delta) - a_mu * math.log(N)
+        log_hi = math.log(D_delta) - a_mu * math.log(N)
+        slack_lo = log_prod - log_lo
+        slack_hi = log_hi - log_prod
+        slacks.append((slack_lo, slack_hi))
+    return slacks
+
+
+def reference_verify_slacks(lam, u, v, N_list, slack=1.001):
+    """The slack loop of ``verify --suite sandwich`` before _log_slacks,
+    verbatim, with its 0.1 percent floating slack."""
+    slacks = []
+    a = a_fn(lam)
+    log_u = math.log(u) if u > 0 else -math.inf
+    log_v = math.log(v)
+    prefix = product_log_prefix(lam, N_list[-1])
+    for N in N_list:
+        log_prod = float(prefix[N - 1])
+        lo = log_prod - (log_u - a * math.log(N)) + math.log(slack)
+        hi = (log_v - a * math.log(N)) - log_prod + math.log(slack)
+        slacks.append((lo, hi))
+    return slacks
+
+
+def _bits(pairs):
+    return [(lo.hex(), hi.hex()) for lo, hi in pairs]
+
+
+_CONSTANT = st.floats(1e-300, 1e300)
+
+
+@given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), _CONSTANT, _CONSTANT,
+       st.lists(st.integers(1, 3000), min_size=1, max_size=5,
+                unique=True).map(sorted))
+@settings(max_examples=200, deadline=None)
+def test_log_slacks_bit_equal_to_both_retired_loops(x, y, lo, hi, N_list):
+    mu = complex(x, y)
+    if dist_sigma0(mu) <= 0.01:
+        return
+    got = _log_slacks(mu, lo, hi, N_list)
+    assert _bits(got) == _bits(reference_sandwich_slacks(mu, lo, hi, N_list))
+    for u in (lo, 0.0):
+        got = [(a + math.log(1.001), b + math.log(1.001))
+               for a, b in _log_slacks(mu, u, hi, N_list)]
+        assert _bits(got) == _bits(reference_verify_slacks(mu, u, hi, N_list))
 
 
 def test_sandwich_single_lambda_all_scales():

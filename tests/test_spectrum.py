@@ -1,6 +1,6 @@
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -105,7 +105,7 @@ def test_classify_inconclusive_without_flags():
 def test_classify_report_dict_shape():
     r = classify_spectrum(make_alpha("n"), with_probe=True,
                           horizon=10 ** 4)
-    d = r.as_dict()
+    d = asdict(r)
     assert set(d) == {"alpha", "nuclear", "loglog_finite", "sigma_pt",
                       "sigma", "sigma_star", "status", "evidence"}
     kinds = {e["kind"] for e in d["evidence"]}
