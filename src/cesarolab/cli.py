@@ -27,7 +27,8 @@ from .ergodic import (iterates_limit_check, power_bounded_check,
 from .finite_type import (FiniteTypeWeights, example53_alpha,
                           example53_j, example53_lower_bound,
                           ft_cesaro_acts, ft_continuity_criterion)
-from .operators import cesaro_apply, delta_matrix_exact, verify_factorizations
+from .operators import (_max_deviation, cesaro_apply, delta_matrix_exact,
+                        verify_factorizations)
 from .spectrum import classify_spectrum, grid_to_csv, grid_to_svg, sample_grid
 from .weights import (PRESET_NAMES, WeightFamily, make_alpha,
                       make_alpha_from_csv)
@@ -222,10 +223,8 @@ def _checks_eigen(args):
     delta = delta_matrix_exact(args.N)
     checks = []
     for m in range(1, args.m + 1):
-        col = [Fraction(delta[n][m - 1]) for n in range(args.N)]
-        lhs = cesaro_apply(col)
-        rhs = [Fraction(1, m) * v for v in col]
-        dev = max(abs(a - b) for a, b in zip(lhs, rhs))
+        col = np.array([Fraction(v) for v in delta[:, m - 1]], dtype=object)
+        dev = _max_deviation(cesaro_apply(col), col / m)
         checks.append({"check": f"Sec2/eigenvector_m={m}",
                        "passed": dev == 0, "deviation": float(dev)})
     return checks

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import (_identity_deviation, _log_weight_row, _mat_mul,
-                        _weighted_sup_rows)
+from .operators import (_log_weight_row, _max_deviation, _weighted_sup_rows,
+                        cesaro_matrix_exact)
 from .weights import WeightFamily, scan_horizon, scan_verdict
 
 __all__ = [
@@ -141,30 +141,27 @@ def iterates_limit_check(x, W: WeightFamily, k, N, tol=ITERATE_TOL,
 # ---------------------------------------------------------------------------
 # closed range: the shifted (I - C) and its explicit inverse
 
-def _a_matrix_exact(N):
-    """Truncation of S (I - C)|_{x_1 = 0} S^{-1}: a_nn = n/(n+1),
-    a_nm = -1/(n+1) below the diagonal."""
-    return [[Fraction(n, n + 1) if m == n
-             else (Fraction(-1, n + 1) if m < n else Fraction(0))
-             for m in range(1, N + 1)] for n in range(1, N + 1)]
-
-
 def _b_matrix_exact(N):
     """Explicit inverse: b_nn = (n+1)/n, b_nm = 1/m below the diagonal."""
-    return [[Fraction(n + 1, n) if m == n
-             else (Fraction(1, m) if m < n else Fraction(0))
-             for m in range(1, N + 1)] for n in range(1, N + 1)]
+    return np.array([[Fraction(n + 1, n) if m == n
+                      else (Fraction(1, m) if m < n else Fraction(0))
+                      for m in range(1, N + 1)] for n in range(1, N + 1)],
+                    dtype=object)
 
 
 def range_inverse_matrices(N):
     """The shifted (I - C) restriction, its explicit inverse, and the
-    exact residual max|AB - I|, |BA - I| at truncation N."""
+    exact residual max|AB - I|, |BA - I| at truncation N.
+
+    A = S (I - C)|_{x_1 = 0} S^{-1} is I - C with its first row and
+    column cut: a_nn = n/(n+1), a_nm = -1/(n+1) below the diagonal.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
-    A = _a_matrix_exact(N)
+    A = (np.eye(N + 1, dtype=object) - cesaro_matrix_exact(N + 1))[1:, 1:]
     B = _b_matrix_exact(N)
-    residual = max(_identity_deviation(_mat_mul(A, B)),
-                   _identity_deviation(_mat_mul(B, A)))
+    eye = np.eye(N, dtype=object)
+    residual = max(_max_deviation(A @ B, eye), _max_deviation(B @ A, eye))
     return A, B, residual
 
 

@@ -125,36 +125,37 @@ def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX):
 
     For a staircase sequence (``block_bounds``) the numeric scan cannot
     reach the blocks where divergence shows for larger l, so the closed-
-    form lower bound at its block boundaries supplies that evidence.
+    form lower bound at its block boundaries supplies that evidence: the
+    averaging map does not act, with the bound at l = k + l_max as the
+    verdict of step k (None when l_max is 0).
     """
+    j = ftw.alpha.block_bounds
     per_k = {}
+    if j is not None:
+        for k in range(1, K_PROBE + 1):
+            # lower bound k^(1/l) k^(k/l - 1) / 4 at blocks diverges in
+            # the block index for every fixed l
+            l = k + l_max
+            per_k[k] = {"l_found": None, "verdict": GrowthVerdict(
+                "fails", horizon, example53_lower_bound(10 * l, l),
+                int(j(min(10 * l, 6))), True) if l_max else None}
+        return {"verdict": "does_not_act", "per_step": per_k,
+                "horizon": horizon}
+    scan = _Scan(ftw.alpha, horizon)
     acts = True
     conclusive = True
-    j = ftw.alpha.block_bounds
-    analytic_divergent = j is not None
-    scan = None if analytic_divergent else _Scan(ftw.alpha, horizon)
     for k in range(1, K_PROBE + 1):
-        found = None
-        last = None
-        log_prefix = None if analytic_divergent else scan.log_prefix(k)
+        log_prefix = scan.log_prefix(k)
+        l_found = last = None
         for l in range(k + 1, k + l_max + 1):
-            if analytic_divergent:
-                # lower bound k^(1/l) k^(k/l - 1) / 4 at blocks diverges
-                # in the block index for every fixed l
-                last = GrowthVerdict("fails", horizon,
-                                     example53_lower_bound(10 * l, l),
-                                     int(j(min(10 * l, 6))), True)
-                continue
-            v = scan.verdict(log_prefix, l)
-            last = v
-            if v.status == "holds":
-                found = (l, v)
+            last = scan.verdict(log_prefix, l)
+            if last.status == "holds":
+                l_found = l
                 break
-            if v.status == "inconclusive":
+            if last.status == "inconclusive":
                 conclusive = False
-        per_k[k] = {"l_found": found[0] if found else None,
-                    "verdict": (found[1] if found else last)}
-        if found is None:
+        per_k[k] = {"l_found": l_found, "verdict": last}
+        if l_found is None:
             acts = False
     if acts:
         verdict = "acts_evidence"

@@ -4,6 +4,9 @@ Two arithmetic tiers are used throughout: exact rationals / big-integer
 binomials for the small-N identity checks (the averaging matrix, its
 similarity to diag(1/n), the involution), and double precision with
 log-domain weight conjugation for everything scanned to large horizons.
+An exact section is a NumPy object array of Python ints and Fractions,
+so ``A @ B`` multiplies exactly, and every exact identity is measured by
+the one rule ``_max_deviation``, max |X - Y|.
 The coordinatewise applications commute with truncation exactly, so a
 finite section is a faithful witness; differentiation, the one
 super-diagonal map, gives a truncated output one coordinate shorter.
@@ -147,25 +150,23 @@ def delta_log_abs(n, m):
 # exact matrices and factorization checks
 
 def cesaro_matrix_exact(N):
-    return [[Fraction(1, n) if m <= n else Fraction(0)
-             for m in range(1, N + 1)] for n in range(1, N + 1)]
+    """Averaging matrix section: Fraction(1, n) on and below the diagonal."""
+    return np.array([[Fraction(1, n) if m <= n else Fraction(0)
+                      for m in range(1, N + 1)] for n in range(1, N + 1)],
+                    dtype=object)
 
 
 def delta_matrix_exact(N):
-    return [[(-1) ** (m - 1) * math.comb(n - 1, m - 1) if m <= n else 0
-             for m in range(1, N + 1)] for n in range(1, N + 1)]
+    """Involution section: (-1)^(m-1) binom(n-1, m-1) as Python ints."""
+    return np.array([[(-1) ** (m - 1) * math.comb(n - 1, m - 1) if m <= n
+                      else 0 for m in range(1, N + 1)]
+                     for n in range(1, N + 1)], dtype=object)
 
 
-def _mat_mul(A, B):
-    N, K, M = len(A), len(B), len(B[0])
-    return [[sum(A[i][k] * B[k][j] for k in range(K)) for j in range(M)]
-            for i in range(N)]
-
-
-def _identity_deviation(X):
-    """max |X - I| over a square matrix, in the arithmetic of X."""
-    return max(abs(x - (1 if i == j else 0))
-               for i, row in enumerate(X) for j, x in enumerate(row))
+def _max_deviation(X, Y):
+    """max |X - Y| over exact (object) arrays, 0 when they are empty."""
+    diff = np.asarray(X, dtype=object) - np.asarray(Y, dtype=object)
+    return max(map(abs, diff.flat), default=0)
 
 
 def verify_factorizations(N):
@@ -178,32 +179,24 @@ def verify_factorizations(N):
         shift, checked coordinatewise on the first N-1 coordinates of
         ten random rational vectors (a fixed seed).
     """
-    if N > N_EXACT:
-        raise ValueError(f"exact tier limited to N <= {N_EXACT}")
+    if not 1 <= N <= N_EXACT:
+        raise ValueError(f"exact tier needs 1 <= N <= {N_EXACT}, got {N}")
     delta = delta_matrix_exact(N)
-    dev_invol = _identity_deviation(_mat_mul(delta, delta))
-
-    diag = [[Fraction(1, i + 1) if i == j else Fraction(0)
-             for j in range(N)] for i in range(N)]
-    sim = _mat_mul(_mat_mul(delta, diag), delta)
-    ces = cesaro_matrix_exact(N)
-    dev_sim = max(abs(sim[i][j] - ces[i][j])
-                  for i in range(N) for j in range(N))
-
+    inv_n = np.array([Fraction(1, n) for n in range(1, N + 1)], dtype=object)
     rng = np.random.default_rng(0)
-    dev_inv = Fraction(0)
-    for _ in range(10):
-        y = [Fraction(int(a), int(b)) for a, b in
-             zip(rng.integers(-99, 100, N), rng.integers(1, 50, N))]
-        lhs = _factored_inverse_apply(y)
-        rhs = cesaro_inverse_apply(y)[: N - 1]
-        dev_inv = max(dev_inv, max((abs(a - b) for a, b in zip(lhs, rhs)),
-                                   default=Fraction(0)))
+    ys = [[Fraction(int(a), int(b)) for a, b in
+           zip(rng.integers(-99, 100, N), rng.integers(1, 50, N))]
+          for _ in range(10)]
     return {
         "N": N,
-        "involution_squared_deviation": dev_invol,
-        "similarity_deviation": dev_sim,
-        "shift_diff_factorization_deviation": dev_inv,
+        "involution_squared_deviation": _max_deviation(
+            delta @ delta, np.eye(N, dtype=object)),
+        # delta * inv_n scales column m by 1/m: delta . diag(1/n)
+        "similarity_deviation": _max_deviation(
+            delta * inv_n @ delta, cesaro_matrix_exact(N)),
+        "shift_diff_factorization_deviation": _max_deviation(
+            [_factored_inverse_apply(y) for y in ys],
+            [cesaro_inverse_apply(y)[: N - 1] for y in ys]),
     }
 
 

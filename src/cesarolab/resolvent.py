@@ -312,7 +312,7 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
     bases = [_strict_row_base(mu, lw_k)[1:] for mu in mus]
     strict_ns, strict_alpha = ns[1:], alpha_ns[1:]
 
-    best = None
+    l_found = best = None  # best: the smallest log sup over the steps
     for l in range(k, k + l_max + 1):
         lw_l = W.step_log_weights(l, strict_alpha)
         sup_all = -math.inf
@@ -326,30 +326,25 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
             if v.status != "holds":
                 bounded = False
                 break
-        if best is None or sup_all < best[1]:
-            best = (l, sup_all)
-        if math.isnan(best[1]):
+        if bounded:
+            # every row holds, so sup_all <= log 1e3 and the cap is inert
+            l_found, best = l, sup_all
+            break
+        if best is None or sup_all < best:
+            best = sup_all
+        if math.isnan(best):
             # a NaN row (alpha_n = inf) recurs at every l, and no later
             # sup replaces a NaN best: the search is decided
             break
-        if bounded:
-            return {
-                "l_found": l,
-                "sup_row_sum": math.exp(sup_all),
-                "lambda": lam,
-                "delta": delta,
-                "horizon": horizon,
-                "samples": len(mus),
-                "verdict": "bounded",
-            }
     return {
-        "l_found": None,
-        "sup_row_sum": math.exp(min(best[1], 709.0)) if best else math.inf,
+        "l_found": l_found,
+        "sup_row_sum": (math.inf if best is None
+                        else math.exp(min(best, 709.0))),
         "lambda": lam,
         "delta": delta,
         "horizon": horizon,
         "samples": len(mus),
-        "verdict": "unbounded_evidence",
+        "verdict": "unbounded_evidence" if l_found is None else "bounded",
     }
 
 
@@ -359,16 +354,21 @@ def resolvent_norm_bound_check(lam, W: WeightFamily, k, horizon=10 ** 4,
 
     Only valid outside the closed disc |lam - 1/2| <= 1/2, where
     a(lam) < 1.  Reports the worst ratio of the truncated row-sum norm
-    to 1/(1 - a(mu)) over sampled mu near lam.  The horizon is capped to
-    the indices a finite alpha defines.
+    to 1/(1 - a(mu)) over the samples mu of the disc B(lam, delta), which
+    must stay clear of that closed disc as well (ValueError otherwise).
+    The horizon is capped to the indices a finite alpha defines.
     """
     if a_fn(lam) >= 1.0:
         raise ValueError(
             f"lambda = {lam} lies in the closed disc (a(lambda) >= 1)")
+    gap = abs(lam - 0.5) - 0.5
     if delta is None:
-        delta = 0.25 * min(dist_sigma0(lam), abs(lam - 0.5) - 0.5)
-    mus = [mu for mu in disc_samples(lam, delta, boundary=samples - 1,
-                                     interior=0) if a_fn(mu) < 1.0]
+        delta = 0.25 * min(dist_sigma0(lam), gap)
+    mus = disc_samples(lam, delta, boundary=samples - 1, interior=0)
+    if gap <= delta:
+        raise ValueError(
+            f"closed disc B({lam}, {delta}) meets the disc |z - 1/2| <= 1/2"
+            f" (gap = {gap:.3g})")
     worst = 0.0
     rows = []
     horizon = scan_horizon(W.alpha, horizon)

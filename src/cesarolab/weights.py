@@ -69,22 +69,22 @@ class GrowthVerdict:
 class AlphaSequence:
     """A positive, strictly increasing sequence n -> alpha_n (n >= 1).
 
-    Values are exposed both directly (``value``) and in log form
-    (``log_value``); the latter stays finite for sequences like n^n whose
-    values overflow double precision.  Evaluation is memoized; strict
-    monotonicity is checked against already-evaluated neighbours and any
-    decrease is a hard error.  Equality of adjacent *floats* is tolerated
-    only when the underlying increment falls below double resolution
-    (relevant for the appendix staircase sequence deep inside a block).
-    ``block_bounds`` (k -> j(k), exact ints) is set for a staircase
-    sequence that is constant on the blocks [j(k), j(k+1)).
+    ``value`` gives one alpha_n, memoized, inf where it overflows double
+    precision; ``log_values`` gives log alpha_n over an index array, from
+    ``vec_log_fn`` when there is one, so it stays finite for sequences
+    like n^n.  Strict monotonicity of the values is checked against
+    already-evaluated neighbours and any decrease is a hard error.
+    Equality of adjacent *floats* is tolerated only when the underlying
+    increment falls below double resolution (relevant for the appendix
+    staircase sequence deep inside a block).  ``block_bounds`` (k ->
+    j(k), exact ints) is set for a staircase sequence that is constant on
+    the blocks [j(k), j(k+1)).
     """
 
-    def __init__(self, name, value_fn, log_fn=None, *, vec_log_fn=None,
+    def __init__(self, name, value_fn, *, vec_log_fn=None,
                  declared_flags=None, max_index=None, block_bounds=None):
         self.name = name
         self._value_fn = value_fn
-        self._log_fn = log_fn
         self._vec_log_fn = vec_log_fn
         self.max_index = max_index
         self.block_bounds = block_bounds
@@ -99,14 +99,7 @@ class AlphaSequence:
     def flag(self, name):
         return self.declared_flags[name]
 
-    def _raw(self, n):
-        """Return (value, log_value) without monotonicity checking."""
-        v = float(self._value_fn(n))
-        lg = math.log(v) if v < math.inf else (
-            self._log_fn(n) if self._log_fn else math.inf)
-        return v, lg
-
-    def _eval(self, n):
+    def value(self, n):
         n = int(n)
         if n < 1:
             raise ValueError(f"index must be >= 1, got {n}")
@@ -116,32 +109,19 @@ class AlphaSequence:
         cached = self._memo.get(n)
         if cached is not None:
             return cached
-        v, lg = self._raw(n)
+        v = float(self._value_fn(n))
         if not (v > 0.0):
             raise ValueError(f"alpha_{n} = {v} is not positive ({self.name})")
-        for nb, incr in ((n - 1, True), (n + 1, False)):
-            other = self._memo.get(nb)
-            if other is None:
-                continue
-            lo, hi = (other, (v, lg)) if incr else ((v, lg), other)
-            # compare plain values when both finite, logs otherwise
-            if math.isfinite(lo[0]) and math.isfinite(hi[0]):
-                dec = hi[0] < lo[0]
-            else:
-                dec = hi[1] < lo[1]
-            if dec:
-                raise MonotonicityError(
-                    f"alpha {self.name!r} not strictly increasing at n={n}")
-        self._memo[n] = (v, lg)
-        return v, lg
-
-    def value(self, n):
-        return self._eval(n)[0]
+        # inf compares as the largest value: inf -> finite is a decrease
+        below, above = self._memo.get(n - 1), self._memo.get(n + 1)
+        if (below is not None and v < below) or (
+                above is not None and above < v):
+            raise MonotonicityError(
+                f"alpha {self.name!r} not strictly increasing at n={n}")
+        self._memo[n] = v
+        return v
 
     __call__ = value
-
-    def log_value(self, n):
-        return self._eval(n)[1]
 
     def log_values(self, ns):
         """Vectorized log(alpha_n) over an integer array.
@@ -158,7 +138,8 @@ class AlphaSequence:
         if self._vec_log_fn is not None:
             out = np.asarray(self._vec_log_fn(ns), dtype=float)
         else:
-            out = np.array([self._eval(int(n))[1] for n in ns], dtype=float)
+            out = np.array([math.log(self.value(n)) for n in ns],
+                           dtype=float)
         if ns.size > 1 and np.all(np.diff(ns) == 1) and np.any(np.diff(out) < 0):
             raise MonotonicityError(
                 f"alpha {self.name!r} not strictly increasing in batch")
@@ -298,13 +279,11 @@ _PRESETS = {
         lambda ns: 0.5 * np.log(ns.astype(float)),
         dict(nuclear=True, shift_stable=True, delta_continuous=False,
              loglog_finite=True)),
-    "n_pow_n": lambda: AlphaSequence(
-        "n_pow_n",
-        value_fn=lambda n: float(n) ** n if n < 144 else math.inf,
-        log_fn=lambda n: n * math.log(n) if n > 1 else 0.0,
-        vec_log_fn=lambda ns: ns.astype(float) * np.log(ns.astype(float)),
-        declared_flags=dict(nuclear=True, shift_stable=False,
-                            delta_continuous=True, loglog_finite=True)),
+    "n_pow_n": lambda: _preset(
+        "n_pow_n", lambda n: float(n) ** n if n < 144 else math.inf,
+        lambda ns: ns.astype(float) * np.log(ns.astype(float)),
+        dict(nuclear=True, shift_stable=False, delta_continuous=True,
+             loglog_finite=True)),
     "loglog_n": lambda: _preset(
         "loglog_n", *_ramped(lambda n: math.log(math.log(n)),
                              lambda x: np.log(np.log(x)), 3 ** 3),

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cesarolab import cli
 from cesarolab.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, RunConfig,
                            main)
 
@@ -58,6 +59,25 @@ def test_verify_suites_pass(tmp_path, suite):
     doc = json.loads(out.read_text())
     assert doc["report"]["passed"]
     assert all("/" in c["check"] for c in doc["report"]["checks"])
+
+
+def test_eigen_check_sees_one_perturbed_entry(tmp_path, monkeypatch):
+    # column 1 of the involution plus e_N averages to (N+1)/N at row N
+    # against 2 there, so only m = 1 deviates, by exactly (N-1)/N
+    exact = cli.delta_matrix_exact
+
+    def perturbed(N):
+        delta = exact(N)
+        delta[N - 1, 0] += 1
+        return delta
+
+    monkeypatch.setattr(cli, "delta_matrix_exact", perturbed)
+    out = tmp_path / "eigen.json"
+    assert run(["verify", "--suite", "eigen", "--N", "5", "--m", "3",
+                "--output", str(out)]) == EXIT_FAIL
+    checks = json.loads(out.read_text())["report"]["checks"]
+    assert [c["deviation"] for c in checks] == [0.8, 0.0, 0.0]
+    assert [c["passed"] for c in checks] == [False, True, True]
 
 
 def test_verify_sandwich_and_finite(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cesarolab import ergodic
 from cesarolab.ergodic import (cesaro_means, decomposition_split,
                                b_continuity_check, iterates_limit_check,
                                power_apply, power_bounded_check,
@@ -147,6 +148,31 @@ def test_range_inverse_exact_identity():
     assert A[0][0] == F(1, 2)
     # strict upper parts vanish
     assert A[0][1] == 0 and B[0][1] == 0
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_range_inverse_a_entries(N):
+    # A = S (I - C)|_{x_1 = 0} S^{-1}: n/(n+1) on the diagonal and
+    # -1/(n+1) below it
+    A, B, residual = range_inverse_matrices(N)
+    assert A.tolist() == [[F(n, n + 1) if m == n else
+                           (F(-1, n + 1) if m < n else 0)
+                           for m in range(1, N + 1)] for n in range(1, N + 1)]
+    assert residual == 0
+
+
+def test_range_inverse_sees_one_perturbed_entry(monkeypatch):
+    # B + e1 e1^T / 2: A B - I gains column 1 of A over 2, whose largest
+    # entry is a_11 / 2 = 1/4, and B A - I gains row 1 of A over 2
+    exact = ergodic._b_matrix_exact
+
+    def perturbed(N):
+        B = exact(N)
+        B[0, 0] += F(1, 2)
+        return B
+
+    monkeypatch.setattr(ergodic, "_b_matrix_exact", perturbed)
+    assert range_inverse_matrices(6)[2] == F(1, 4)
 
 
 def test_range_inverse_rejects_bad_n():

@@ -95,6 +95,19 @@ def test_does_not_act_staircase():
         assert info["verdict"].declared_override
 
 
+def test_staircase_verdict_is_the_bound_at_the_last_step():
+    ftw = FiniteTypeWeights(example53_alpha())
+    res = ft_cesaro_acts(ftw, horizon=10 ** 5, l_max=3)
+    for k, info in res["per_step"].items():
+        l = k + 3
+        assert info["l_found"] is None
+        assert info["verdict"].status == "fails"
+        assert info["verdict"].sup_value == example53_lower_bound(10 * l, l)
+    res = ft_cesaro_acts(ftw, horizon=10 ** 5, l_max=0)
+    assert res["verdict"] == "does_not_act"
+    assert [info["verdict"] for info in res["per_step"].values()] == [None] * 4
+
+
 def test_staircase_is_data_not_a_name():
     # a log(n+1) sequence named like the staircase carries no block
     # bounds, so it is scanned, and averaging acts as on log_n_plus_1

