@@ -350,8 +350,7 @@ def cmd_grid(args):
                                 "res": args.res,
                                 "probe_subsample": args.probe_subsample})
     alpha = _resolve_alpha(args.alpha)
-    W = WeightFamily(alpha)
-    report, grid = sample_grid(alpha, W, args.re, args.im, args.res,
+    report, grid = sample_grid(alpha, args.re, args.im, args.res,
                                horizon=args.horizon,
                                probe_subsample=args.probe_subsample)
     with open(args.out, "w") as fh:

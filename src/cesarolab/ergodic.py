@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import (_log_weight_row, _max_deviation, _weighted_sup_rows,
-                        cesaro_matrix_exact)
+from .operators import (_cesaro_step, _log_weight_row, _max_deviation,
+                        _weighted_sup_rows, cesaro_matrix_exact)
 from .weights import WeightFamily, scan_horizon, scan_verdict
 
 __all__ = [
@@ -44,10 +44,6 @@ class IterationTrace:
         fh.write("m,distance\n")
         for m, d in zip(self.m_values, self.distances):
             fh.write(f"{m},{d:.17g}\n")
-
-
-def _cesaro_step(v):
-    return np.cumsum(v) / np.arange(1, len(v) + 1)
 
 
 def power_apply(x, m, N=None):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import (DIVERGENCE_LOG_THRESHOLD, AlphaSequence, GrowthVerdict,
-                      make_alpha, scan_horizon, scan_verdict)
+from .weights import (AlphaSequence, GrowthVerdict, make_alpha, scan_horizon,
+                      scan_verdict)
 
 __all__ = [
     "FiniteTypeWeights",
@@ -192,26 +192,13 @@ def example53_lower_bound(k, l):
 def gp_nuclearity(weights, k, l, horizon=10 ** 5):
     """Summability evidence for (v_l(n)/v_k(n)) along the diagonal.
 
-    Accepts either weight family flavour; the verdict is on the partial
-    sums at the horizon: holds when the series has visibly converged
-    (negligible last-decade growth), fails when it crossed the
-    divergence threshold while still growing.
+    Accepts either weight family flavour; ``scan_verdict`` rules on the
+    log partial sums, so the sup is the sum at the horizon and the
+    witness the first index where it is reached.
     """
     if l <= k:
         raise ValueError("need l > k")
     horizon = scan_horizon(weights.alpha, horizon)
     ns = np.arange(1, horizon + 1)
     log_terms = weights.log_weights(l, ns) - weights.log_weights(k, ns)
-    partial = np.logaddexp.accumulate(log_terms)
-    total = float(np.exp(min(partial[-1], 709.0)))
-    cut = max(horizon // 10, 1)
-    s_cut = float(partial[cut - 1])
-    rel_growth = partial[-1] - s_cut  # log-domain growth over last decade
-    if rel_growth < 1e-9:
-        status = "holds"
-    elif partial[-1] > DIVERGENCE_LOG_THRESHOLD and rel_growth > 1e-3:
-        status = "fails"
-    else:
-        status = "inconclusive"
-    return GrowthVerdict(status, horizon, total,
-                         int(ns[int(np.argmax(log_terms))]), False)
+    return scan_verdict(np.logaddexp.accumulate(log_terms), ns)

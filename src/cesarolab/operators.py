@@ -11,7 +11,8 @@ The coordinatewise applications commute with truncation exactly, so a
 finite section is a faithful witness; differentiation, the one
 super-diagonal map, gives a truncated output one coordinate shorter.
 ``TriangularOperator`` is a lower-triangular entry(n, m) with a dense
-truncation, from which the resolvent is built.
+truncation, for the c0 conjugation and its row-sum test; the resolvent
+builds its sections itself.
 """
 
 from __future__ import annotations
@@ -66,18 +67,14 @@ class TriangularOperator:
 # ---------------------------------------------------------------------------
 # coordinatewise applications (dtype-agnostic: Fractions, floats, complex)
 
-def _one_over(n, like):
-    return Fraction(1, n) if isinstance(like, Fraction) else 1.0 / n
+def _cesaro_step(v):
+    return np.cumsum(v) / np.arange(1, len(v) + 1)
 
 
 def cesaro_apply(x):
     """(x_1, (x_1+x_2)/2, ..., (x_1+...+x_n)/n)."""
-    vals = list(x)
-    out, acc = [], 0
-    for n, v in enumerate(vals, start=1):
-        acc = acc + v
-        out.append(acc * _one_over(n, acc))
-    return out
+    # as objects: Fractions stay exact and ints cannot overflow int64
+    return list(_cesaro_step(np.asarray(x, dtype=object)))
 
 
 def cesaro_inverse_apply(y):

@@ -84,46 +84,43 @@ class SpectralReport:
     evidence: list = field(default_factory=list)
 
 
-def point_spectrum_test(m, alpha: AlphaSequence, W: WeightFamily,
-                        horizon=10 ** 4, k_max=POINT_K_MAX):
+def point_spectrum_test(m, W: WeightFamily, horizon=10 ** 4,
+                        k_max=POINT_K_MAX):
     """Does the eigenvector of eigenvalue 1/m live in the space?
 
     The m-th eigenvector row grows like n^{m-1}; membership means some
     step k tames it: sup_n |row_n| v_k(n) finite.  m = 1 is the constant
-    vector and always holds.
+    vector and always holds.  A scan returns the first ``holds`` over
+    k = 1..k_max, else the verdict at k_max, the row with the least sup.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    horizon = scan_horizon(alpha, horizon)
-    ns = np.arange(max(m, 1), horizon + 1)
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    horizon = scan_horizon(W.alpha, horizon)
     if m == 1:
         return GrowthVerdict("holds", horizon, 1.0, 1, False)
+    ns = np.arange(m, horizon + 1)
     log_row = delta_log_abs(ns, m)
     alpha_ns = W.alpha.values(ns)
     # membership of the m-th eigenvector (m >= 2) is equivalent to
     # nuclearity, and the row grows too slowly for a finite scan to
     # expose divergence (it sets in beyond n = e^k); a declared
     # nuclearity flag therefore decides the verdict outright
-    declared = alpha.flag("nuclear")
+    declared = W.alpha.flag("nuclear")
     if declared is not None:
+        # math.exp, not scan_verdict's np.exp: the two differ in the last
+        # bit at some horizons, and classify reports this sup
         vals = log_row + W.step_log_weights(1, alpha_ns)
         i = int(np.argmax(vals))
         sup = math.exp(min(float(vals[i]), 709.0))
         status = "holds" if declared else "fails"
         return GrowthVerdict(status, horizon, sup, int(ns[i]), True)
-    best = None
     for k in range(1, k_max + 1):
-        vals = log_row + W.step_log_weights(k, alpha_ns)
-        v = scan_verdict(vals, ns)
-        wit = v.witness_index
-        sup = float(vals[wit - m])  # the log supremum; vals[0] is n = m
-        if best is None or sup < best[1]:
-            best = (k, sup, wit)
+        v = scan_verdict(log_row + W.step_log_weights(k, alpha_ns), ns)
         if v.status == "holds":
-            return GrowthVerdict("holds", horizon, math.exp(sup), wit, False)
-    _, sup, wit = best
-    return GrowthVerdict("fails", horizon, math.exp(min(sup, 709.0)), wit,
-                         False)
+            break
+    return v
 
 
 def _trit(verdict: GrowthVerdict):
@@ -134,8 +131,7 @@ def _trit(verdict: GrowthVerdict):
     return None
 
 
-def classify_spectrum(alpha: AlphaSequence, W: WeightFamily = None,
-                      horizon=10 ** 5, with_probe=True):
+def classify_spectrum(alpha: AlphaSequence, horizon=10 ** 5, with_probe=True):
     """Full symbolic classification driven by the two predicates.
 
     nuclear            -> (Sigma, Sigma, Sigma0)
@@ -144,7 +140,7 @@ def classify_spectrum(alpha: AlphaSequence, W: WeightFamily = None,
     Unresolvable predicates propagate to "unknown" descriptors with
     status inconclusive.
     """
-    W = W or WeightFamily(alpha)
+    W = WeightFamily(alpha)
     nuc = _trit(check_nuclear(alpha, horizon))
     llog = _trit(check_loglog(alpha, min(horizon, 10 ** 5)))
     evidence = []
@@ -165,7 +161,7 @@ def classify_spectrum(alpha: AlphaSequence, W: WeightFamily = None,
     if status == "classified":
         pt_h = min(horizon, 10 ** 4)
         for m in (1, 2):
-            v = point_spectrum_test(m, alpha, W, horizon=pt_h)
+            v = point_spectrum_test(m, W, horizon=pt_h)
             evidence.append({"kind": "point_spectrum", "m": m,
                              "status": v.status, "sup": v.sup_value})
         if with_probe:
@@ -191,7 +187,7 @@ class Grid:
     probes: dict
 
 
-def sample_grid(alpha, W, re_range, im_range, resolution,
+def sample_grid(alpha: AlphaSequence, re_range, im_range, resolution,
                 horizon=10 ** 4, probe_subsample=0):
     """Labels over a rectangle of the complex plane, as a Grid.
 
@@ -201,7 +197,7 @@ def sample_grid(alpha, W, re_range, im_range, resolution,
     """
     if resolution < 1 or resolution ** 2 > 10 ** 6:
         raise ValueError("resolution out of range")
-    report = classify_spectrum(alpha, W, horizon=horizon, with_probe=False)
+    report = classify_spectrum(alpha, horizon=horizon, with_probe=False)
     res = np.linspace(re_range[0], re_range[1], resolution)
     ims = np.linspace(im_range[0], im_range[1], resolution)
     z = np.empty((resolution, resolution), dtype=complex)   # z[i, j]
@@ -215,6 +211,7 @@ def sample_grid(alpha, W, re_range, im_range, resolution,
     usable_idx = np.flatnonzero(usable)      # row-major, like the CSV
     probes = {}
     if probe_subsample > 0 and usable_idx.size:
+        W = WeightFamily(alpha)
         step = max(usable_idx.size // probe_subsample, 1)
         for idx in usable_idx[::step][:probe_subsample].tolist():
             try:

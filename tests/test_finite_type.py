@@ -8,7 +8,7 @@ from cesarolab.finite_type import (L_MAX, FiniteTypeWeights, example53_alpha,
                                    example53_j, example53_lower_bound,
                                    ft_cesaro_acts, ft_continuity_criterion,
                                    gp_nuclearity)
-from cesarolab.weights import WeightFamily, make_alpha
+from cesarolab.weights import AlphaSequence, WeightFamily, make_alpha
 
 
 def log_np1_weights():
@@ -207,6 +207,18 @@ def test_gp_nuclearity_finite_type_nuclear():
     for (name, family, (k, l)), want in _GP_RECORDED.items():
         v = gp_nuclearity(family(alphas[name]), k, l, horizon=10 ** 4)
         assert (v.status, v.sup_value) == want
+
+
+def test_gp_nuclearity_converged_sum_above_threshold_is_inconclusive():
+    # alpha_n = 9e-4 n: the sum of e^{-9e-4 n} converges to 1110.6, above
+    # the 1e3 threshold of scan_verdict, so no holds is granted
+    alpha = AlphaSequence("lin", lambda n: 9e-4 * n,
+                          vec_log_fn=lambda ns: np.log(9e-4 * ns))
+    v = gp_nuclearity(WeightFamily(alpha), 1, 2, horizon=10 ** 6)
+    assert v.status == "inconclusive"
+    assert v.sup_value == pytest.approx(1.0 / math.expm1(9e-4), rel=1e-9)
+    # the witness is the first index where the partial sums peak
+    assert v.witness_index == 31486
 
 
 def test_gp_nuclearity_rejects_bad_steps():

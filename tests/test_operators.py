@@ -53,6 +53,17 @@ def test_cesaro_alternating():
     assert cesaro_apply(fr([1, -1, 1, -1])) == [F(1), F(0), F(1, 3), F(0)]
 
 
+@given(st.lists(st.fractions(max_denominator=50), min_size=1, max_size=12))
+@settings(max_examples=50, deadline=None)
+def test_cesaro_apply_equals_exact_matrix(x):
+    assert cesaro_apply(x) == list(cesaro_matrix_exact(len(x)) @ np.array(
+        x, dtype=object))
+
+
+def test_cesaro_apply_does_not_overflow_int64():
+    assert cesaro_apply([2 ** 62, 2 ** 62]) == [2 ** 62, 2 ** 62]
+
+
 def test_cesaro_inverse_basis_vector():
     # inverse of averaging applied to e_2 at N = 3: (0, 2, -2)
     assert cesaro_inverse_apply(fr([0, 1, 0])) == [F(0), F(2), F(-2)]
@@ -469,7 +480,7 @@ def test_scans_capped_at_a_file_alpha(tmp_path):
     for check in (check_nuclear, check_delta_criterion, check_loglog):
         assert check(alpha).horizon == 10
     assert check_lemma22(alpha, 1.0)[1].horizon == 10
-    assert point_spectrum_test(2, alpha, W).horizon == 10
+    assert point_spectrum_test(2, W).horizon == 10
     assert gp_nuclearity(W, 1, 2).horizon == 10
     ftw = FiniteTypeWeights(alpha)
     assert ft_continuity_criterion(ftw, 1, 2).horizon == 10

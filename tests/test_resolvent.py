@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cesarolab import resolvent as rsv
+from cesarolab.operators import TriangularOperator
 from cesarolab.resolvent import (_log_slacks, a_fn, disc_samples, dist_sigma0,
                                  equicontinuity_probe, product_log,
                                  product_log_prefix, resolvent_entries,
@@ -262,14 +263,55 @@ def test_sandwich_single_lambda_all_scales():
 
 
 def test_resolvent_entry_oracle():
-    # e_{21}(-1) = 1/(2 (1+1)(1+1/2)) = 1/6
-    dec = resolvent_entries(-1.0)
-    e21 = dec.strict_part.entry(2, 1)
-    assert e21 == pytest.approx(1.0 / 6.0)
-    # first row of the strict part vanishes
-    assert dec.strict_part.entry(1, 1) == 0.0
+    mu = -1.0
+    R = resolvent_entries(mu).resolvent_matrix(3)
+    # e_{21}(-1) = 1/(2 (1+1)(1+1/2)) = 1/6, and R = D - E / mu^2
+    assert -mu ** 2 * R[1, 0] == pytest.approx(1.0 / 6.0)
+    # first row of the strict part vanishes: R[0, 0] is d_11 exactly
+    assert R[0, 0] == 1.0 / (1.0 / 1 - mu)
     # diagonal part
-    assert dec.diag_part.entry(3, 3) == pytest.approx(1.0 / (1.0 / 3.0 + 1.0))
+    assert R[2, 2] == pytest.approx(1.0 / (1.0 / 3.0 + 1.0))
+
+
+def retired_resolvent_matrix(mu, N):
+    # the entry-closure builder that resolvent_matrix replaced, verbatim
+    # from resolvent_entries and ResolventDecomposition.resolvent_matrix
+    mu = complex(mu)
+    cache = {"prefix": None}
+
+    def clog_prefix(n):
+        # cumulative complex log of the factors (1 - 1/(mu k)), k <= n
+        pref = cache["prefix"]
+        if pref is None or len(pref) < n:
+            top = max(n, 64, 2 * (len(pref) if pref is not None else 0))
+            ks = np.arange(1, top + 1, dtype=float)
+            factors = (1.0 - 1.0 / (mu * ks)).astype(complex)
+            pref = np.cumsum(np.log(factors))
+            cache["prefix"] = pref
+        return pref
+
+    def e_entry(n, m):
+        if n < 2 or m >= n or m < 1:
+            return 0.0
+        pref = clog_prefix(n)
+        acc = pref[n - 1] - (pref[m - 2] if m >= 2 else 0.0)
+        return complex(cmath.exp(-acc)) / n
+
+    def d_entry(n, m):
+        if n != m:
+            return 0.0
+        return 1.0 / (1.0 / n - mu)
+
+    D = TriangularOperator(d_entry).truncate(N)
+    E = TriangularOperator(e_entry).truncate(N)
+    return D - E / mu ** 2
+
+
+@pytest.mark.parametrize("N", [1, 2, 20, 64])
+@pytest.mark.parametrize("mu", [2.0, -1.0, 0.4 + 0.2j, -0.3 + 0.7j, 3.0j])
+def test_resolvent_matrix_matches_retired_builder(mu, N):
+    got = resolvent_entries(mu).resolvent_matrix(N)
+    assert got.tobytes() == retired_resolvent_matrix(mu, N).tobytes()
 
 
 def test_resolvent_rejects_sigma0():
@@ -368,6 +410,16 @@ def test_norm_bound_default_radius_keeps_every_sample(lam):
     res = resolvent_norm_bound_check(lam, _W_N, 1, horizon=100, samples=8)
     assert len(res["samples"]) == 8
     assert all(a_fn(row["mu"]) < 1.0 for row in res["samples"])
+
+
+def test_norm_bound_not_bounded_from_nan_estimates():
+    # n_pow_n overflows alpha_n, so every row sum is NaN; a NaN ratio
+    # must make the disc unbounded, not leave worst_ratio at 0
+    W = WeightFamily(make_alpha("n_pow_n"))
+    res = resolvent_norm_bound_check(2.0, W, 1, horizon=500)
+    assert all(math.isnan(row["norm_estimate"]) for row in res["samples"])
+    assert math.isnan(res["worst_ratio"])
+    assert res["bounded"] is False
 
 
 def test_norm_bound_rejects_disc_interior():

@@ -60,23 +60,40 @@ def test_region_nesting_chain(x, y):
 def test_point_spectrum_linear_alpha():
     alpha = make_alpha("n")
     W = WeightFamily(alpha)
-    assert point_spectrum_test(1, alpha, W).status == "holds"
-    assert point_spectrum_test(2, alpha, W).status == "holds"
-    assert point_spectrum_test(5, alpha, W).status == "holds"
+    assert point_spectrum_test(1, W).status == "holds"
+    assert point_spectrum_test(2, W).status == "holds"
+    assert point_spectrum_test(5, W).status == "holds"
 
 
 def test_point_spectrum_slow_alpha_fails():
     alpha = make_alpha("loglog_n")
     W = WeightFamily(alpha)
-    assert point_spectrum_test(1, alpha, W).status == "holds"
-    assert point_spectrum_test(2, alpha, W, horizon=10 ** 4,
+    assert point_spectrum_test(1, W).status == "holds"
+    assert point_spectrum_test(2, W, horizon=10 ** 4,
                                k_max=16).status == "fails"
 
 
 def test_point_spectrum_rejects_bad_m():
     alpha = make_alpha("n")
     with pytest.raises(ValueError):
-        point_spectrum_test(0, alpha, WeightFamily(alpha))
+        point_spectrum_test(0, WeightFamily(alpha))
+
+
+def test_point_spectrum_rejects_empty_step_search():
+    with pytest.raises(ValueError, match="k_max"):
+        point_spectrum_test(2, WeightFamily(make_alpha("n")), k_max=0)
+
+
+def test_point_spectrum_scan_without_growth_is_inconclusive():
+    # flags stripped: at k_max 2 the loglog_n row peaks at 117.9 < 1e3,
+    # which shows no divergence, so the scan may not say fails
+    alpha = make_alpha("loglog_n")
+    alpha.declared_flags["nuclear"] = None
+    v = point_spectrum_test(2, WeightFamily(alpha), horizon=10 ** 4,
+                            k_max=2)
+    assert v.status == "inconclusive"
+    assert v.sup_value == pytest.approx(117.87052240056947, rel=1e-12)
+    assert (v.witness_index, v.declared_override) == (10 ** 4, False)
 
 
 def test_classify_three_regimes():
@@ -128,8 +145,7 @@ def test_classified_regions_nest_per_preset(name):
 
 def test_sample_grid_labels_and_probe():
     alpha = make_alpha("n")
-    W = WeightFamily(alpha)
-    report, grid = sample_grid(alpha, W, (-0.5, 1.5), (-0.5, 0.5), 11,
+    report, grid = sample_grid(alpha, (-0.5, 1.5), (-0.5, 0.5), 11,
                                horizon=2000, probe_subsample=3)
     assert grid.labels.size == 121
     labels = set(grid.labels.ravel().tolist())
@@ -144,15 +160,14 @@ def test_sample_grid_labels_and_probe():
 def test_sample_grid_rejects_bad_resolution():
     alpha = make_alpha("n")
     with pytest.raises(ValueError):
-        sample_grid(alpha, WeightFamily(alpha), (0, 1), (0, 1), 0)
+        sample_grid(alpha, (0, 1), (0, 1), 0)
 
 
 def test_grid_csv_and_svg_deterministic(tmp_path):
     alpha = make_alpha("n")
-    W = WeightFamily(alpha)
     outs = []
     for _ in range(2):
-        _, grid = sample_grid(alpha, W, (-0.5, 1.5), (-0.5, 0.5), 6,
+        _, grid = sample_grid(alpha, (-0.5, 1.5), (-0.5, 0.5), 6,
                               horizon=500, probe_subsample=2)
         buf_csv, buf_svg = io.StringIO(), io.StringIO()
         grid_to_csv(grid, buf_csv)
@@ -180,8 +195,7 @@ def test_grid_labels_match_scalar_path(region, window, monkeypatch):
         spectrum, "classify_spectrum",
         lambda *a, **kw: SpectralReport("n", None, None, region, region,
                                         region, "classified"))
-    _, grid = sample_grid(alpha, WeightFamily(alpha), *window, 30,
-                          horizon=100)
+    _, grid = sample_grid(alpha, *window, 30, horizon=100)
     labels = set()
     for (i, j), label in np.ndenumerate(grid.labels):
         z = complex(grid.re[j], grid.im[i])
@@ -209,11 +223,12 @@ class GridPoint:
     l_found: object
 
 
-def reference_sample_grid(alpha, W, re_range, im_range, resolution,
+def reference_sample_grid(alpha, re_range, im_range, resolution,
                           horizon=10 ** 4, probe_subsample=0):
+    W = WeightFamily(alpha)
     if resolution < 1 or resolution ** 2 > 10 ** 6:
         raise ValueError("resolution out of range")
-    report = classify_spectrum(alpha, W, horizon=horizon, with_probe=False)
+    report = classify_spectrum(alpha, horizon=horizon, with_probe=False)
     res = np.linspace(re_range[0], re_range[1], resolution)
     ims = np.linspace(im_range[0], im_range[1], resolution)
     z = np.empty((resolution, resolution), dtype=complex)   # z[i, j]
@@ -271,8 +286,8 @@ def reference_grid_to_svg(points, resolution, fh):
     fh.write("</svg>\n")
 
 
-_GRID_FAMILIES = {p: WeightFamily(make_alpha(p))
-                  for p in ("n", "loglog_n", "logloglog_n", "n_pow_n")}
+_GRID_ALPHAS = {p: make_alpha(p)
+                for p in ("n", "loglog_n", "logloglog_n", "n_pow_n")}
 _side = st.tuples(st.floats(-1.5, 2.0), st.floats(1e-3, 2.5)).map(
     lambda s: (s[0], s[0] + s[1]))
 
@@ -283,13 +298,13 @@ _side = st.tuples(st.floats(-1.5, 2.0), st.floats(1e-3, 2.5)).map(
 # skipped
 @example("n_pow_n", (-0.9, 1.8), (-1.2, 1.1), 5, 6)
 @example("n", (0.495, 0.505), (0.003, 0.008), 2, 4)
-@given(st.sampled_from(sorted(_GRID_FAMILIES)), _side, _side,
+@given(st.sampled_from(sorted(_GRID_ALPHAS)), _side, _side,
        st.integers(1, 12), st.integers(0, 6))
 @settings(max_examples=25, deadline=None)
 def test_columnar_grid_text_matches_reference(name, re_range, im_range,
                                               res, probe_subsample):
-    W = _GRID_FAMILIES[name]
-    args = (W.alpha, W, re_range, im_range, res, 200, probe_subsample)
+    args = (_GRID_ALPHAS[name], re_range, im_range, res, 200,
+            probe_subsample)
     report, grid = sample_grid(*args)
     ref_report, points = reference_sample_grid(*args)
     assert report == ref_report
