@@ -194,11 +194,13 @@ def gp_nuclearity(weights, k, l, horizon=10 ** 5):
 
     Accepts either weight family flavour; ``scan_verdict`` rules on the
     log partial sums, so the sup is the sum at the horizon and the
-    witness the first index where it is reached.
+    witness the first index where it is reached; ``fails`` needs a log
+    growth above 1e-3 over the last decade, as the sums always grow.
     """
     if l <= k:
         raise ValueError("need l > k")
     horizon = scan_horizon(weights.alpha, horizon)
     ns = np.arange(1, horizon + 1)
     log_terms = weights.log_weights(l, ns) - weights.log_weights(k, ns)
-    return scan_verdict(np.logaddexp.accumulate(log_terms), ns)
+    return scan_verdict(np.logaddexp.accumulate(log_terms), ns,
+                        fail_growth=1e-3)

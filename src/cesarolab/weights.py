@@ -354,20 +354,21 @@ def scan_horizon(alpha, horizon, tail=0):
     return int(horizon)
 
 
-def scan_verdict(log_vals, ns, declared=None, grant_holds=True):
+def scan_verdict(log_vals, ns, declared=None, grant_holds=True,
+                 fail_growth=1e-9):
     """The growth-verdict rule: is sup_n exp(log_vals) bounded?
 
     ``ns`` are the increasing scan indices and the horizon is ns[-1].  A
     declared flag (True/False) decides the status outright.  Otherwise
-    the supremum *grew* when the last decade (indices above
-    max(horizon // 10, ns[0])) beats the earlier scan by more than 1e-9;
     the status is ``fails`` when the log supremum is above
-    DIVERGENCE_LOG_THRESHOLD and grew, ``holds`` when it is at most the
-    threshold and did not grow (only if ``grant_holds``), and
-    ``inconclusive`` otherwise, always for a NaN supremum and for a
-    one-index scan (its last decade is empty, so it shows no growth or
-    lack of it).  The witness is the first index of the supremum, or of
-    the first NaN.
+    DIVERGENCE_LOG_THRESHOLD and the last decade (indices above
+    max(horizon // 10, ns[0])) beats the earlier scan by more than
+    ``fail_growth`` (partial sums, which always rise, pass a wider one),
+    ``holds`` when it is at most the threshold and the last decade beats
+    it by at most 1e-9 (only if ``grant_holds``), and ``inconclusive``
+    otherwise, always for a NaN supremum and for a one-index scan (its
+    last decade is empty).  The witness is the first index of the
+    supremum, or of the first NaN.
     """
     if len(ns) == 0:
         raise ValueError("empty scan: the horizon leaves no index to scan")
@@ -380,12 +381,11 @@ def scan_verdict(log_vals, ns, declared=None, grant_holds=True):
         return GrowthVerdict(status, horizon, sup, int(ns[i]), True)
     cut = int(np.searchsorted(ns, max(horizon // 10, int(ns[0])),
                               side="right"))
-    late = log_vals[cut:]
-    grew = late.size > 0 and late.max() > log_vals[:cut].max() + 1e-9
-    if log_sup > DIVERGENCE_LOG_THRESHOLD and grew:
+    top, base = log_vals[cut:].max(initial=-np.inf), log_vals[:cut].max()
+    if log_sup > DIVERGENCE_LOG_THRESHOLD and top > base + fail_growth:
         status = "fails"
-    elif (grant_holds and late.size > 0
-          and log_sup <= DIVERGENCE_LOG_THRESHOLD and not grew):
+    elif (grant_holds and cut < len(ns)
+          and log_sup <= DIVERGENCE_LOG_THRESHOLD and not top > base + 1e-9):
         status = "holds"
     else:
         status = "inconclusive"

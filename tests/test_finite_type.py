@@ -219,6 +219,11 @@ def test_gp_nuclearity_converged_sum_above_threshold_is_inconclusive():
     assert v.sup_value == pytest.approx(1.0 / math.expm1(9e-4), rel=1e-9)
     # the witness is the first index where the partial sums peak
     assert v.witness_index == 31486
+    # at the default horizon 1e5 the sum is past 1e3 and its last decade
+    # still adds about 1.2e-4 in log: a converging series, not evidence
+    # that it diverges
+    v = gp_nuclearity(WeightFamily(alpha), 1, 2)
+    assert (v.status, v.sup_value > 1e3) == ("inconclusive", True)
 
 
 def test_gp_nuclearity_rejects_bad_steps():

@@ -3,7 +3,8 @@ import pathlib
 
 from cesarolab.cli import main
 
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_digests.py"
+TOOL = (pathlib.Path(__file__).resolve().parents[1] / "tools"
+        / "report_digests.py")
 
 
 def load_tool():

@@ -6,6 +6,9 @@ exit code, the first 16 hex digits of the sha256 of everything it wrote
 (stdout, stderr and each output file, in that order) and its argv.
 Output files go to a temporary directory and appear in the argv as
 ``{out}/NAME``, so the lines do not depend on where the script runs.
+Each command runs inside that directory, which also holds the
+``file:`` alpha tables of ``ALPHA_FILES``; the commands name them by a
+relative path, because the reports quote it.
 
 Run it in two checkouts and diff the outputs: equal lines mean the
 change kept every one of these reports byte-identical.
@@ -18,6 +21,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -26,6 +31,19 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PRESETS = ("n", "log_n", "log_n_plus_1", "sqrt_n", "n_pow_n", "loglog_n",
            "logloglog_n", "appendix_5_3")
 LAMBDAS = ("0.4+0.2i", "1.5-0.7i", "2")
+
+
+def _tiny(n):
+    return 1e-5 * math.log(math.log(n + math.e))
+
+
+# name: (rows, alpha_n).  n^0.75 classifies as inconclusive; the tiny
+# alpha fails both predicates, so classify and grid reach the scanned
+# point-spectrum test, short of the 1e3 threshold at 200 rows and past
+# it at 3000
+ALPHA_FILES = {"pow.csv": (500, lambda n: n ** 0.75),
+               "tiny.csv": (200, _tiny),
+               "tiny_long.csv": (3000, _tiny)}
 
 
 def commands():
@@ -62,17 +80,38 @@ def commands():
         cmds.append(["grid", "--alpha", name, "--res", "30",
                      "--probe-subsample", "6", "--out", f"{out}/grid.csv",
                      "--svg", f"{out}/grid.svg"])
+    for table in ALPHA_FILES:
+        name = f"file:{table}"
+        cmds.append(["classify", "--alpha", name])
+        cmds.append(["classify", "--alpha", name, "--horizon", "100"])
+        cmds.append(["probe", "--alpha", name, f"--lambda={LAMBDAS[0]}"])
+        cmds.append(["ergodic", "--alpha", name, "--N", "50", "--k", "1",
+                     "--output", f"{out}/ergodic.json"])
+        cmds.append(["grid", "--alpha", name, "--res", "12",
+                     "--probe-subsample", "3", "--out", f"{out}/grid.csv"])
     return cmds
+
+
+def write_alpha_files(folder):
+    for table, (rows, fn) in ALPHA_FILES.items():
+        with open(Path(folder) / table, "w") as fh:
+            fh.writelines(f"{n},{fn(n)!r}\n" for n in range(1, rows + 1))
 
 
 def digest(template, main):
     """(exit code, sha256 hex digest) of one argv template run by main."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = [a.replace("{out}", tmp) for a in template]
+        write_alpha_files(tmp)
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            code = main(argv)
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            os.chdir(here)
         h = hashlib.sha256(stdout.getvalue().encode())
         h.update(stderr.getvalue().encode())
         for a in argv:
