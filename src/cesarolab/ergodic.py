@@ -169,9 +169,10 @@ def b_continuity_check(W: WeightFamily, k, horizon=10 ** 4):
     is nuclear.
     """
     l = k + 1
-    ns = np.arange(1, scan_horizon(W.alpha, horizon, tail=1) + 1)
-    lw_l = W.log_weights(l, ns + 1)
-    lw_k = W.log_weights(k, ns + 1)
+    ns = np.arange(1, scan_horizon(W.alpha, horizon, tail=1, step=l) + 1)
+    alpha_ns = W.alpha.values(ns + 1)
+    lw_l = W.step_log_weights(l, alpha_ns)
+    lw_k = W.step_log_weights(k, alpha_ns)
     log_n = np.log(ns.astype(float))
     # prefix log-sum of 1/(m v_k(m+1))
     prefix = np.logaddexp.accumulate(-log_n - lw_k)

@@ -199,7 +199,7 @@ def gp_nuclearity(weights, k, l, horizon=10 ** 5):
     """
     if l <= k:
         raise ValueError("need l > k")
-    horizon = scan_horizon(weights.alpha, horizon)
+    horizon = scan_horizon(weights.alpha, horizon, step=l)
     ns = np.arange(1, horizon + 1)
     log_terms = weights.log_weights(l, ns) - weights.log_weights(k, ns)
     return scan_verdict(np.logaddexp.accumulate(log_terms), ns,

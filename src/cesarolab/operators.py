@@ -306,32 +306,26 @@ def c0_continuity_test(A: TriangularOperator, horizon, col_check):
 # ---------------------------------------------------------------------------
 # step-to-step continuity criteria
 
-def _delta_rows(W, k, l, ns, log_n):
+def _delta_rows(lw_k, lw_l, log_n):
     """Row sums by log-sum-exp, log binom(n-1, m-1) read off the lgamma
     table shared with delta_log_abs (sized to a power of two as there)."""
-    lw_l = W.log_weights(l, ns)
-    lw_k = W.log_weights(k, ns)
+    ns = np.arange(1, len(log_n) + 1)
     lg = _lgamma_table(1 << len(ns).bit_length())
-    log_ratios = np.empty(len(ns))
-    for i, n in enumerate(ns):
-        ms = ns[: n]
-        terms = lw_l[i] - lw_k[: n] + (lg[n] - lg[ms] - lg[n - ms + 1])
-        log_ratios[i] = _logsumexp(terms)
-    return log_ratios
+    return np.array([_logsumexp(lw_l[n - 1] - lw_k[:n]
+                                + (lg[n] - lg[ns[:n]] - lg[n - ns[:n] + 1]))
+                     for n in ns.tolist()])
 
 
-# the log row of each criterion at n = 1..horizon
+# the log row of each criterion at n = 1..h, from log v_k and log v_l at
+# n = 1..h+1 and log n at n = 1..h
 _STEP_ROWS = {
-    "cesaro": lambda W, k, l, ns, log_n: (
-        W.log_weights(l, ns) - log_n
-        + np.logaddexp.accumulate(-W.log_weights(k, ns))),
-    "cesaro_inverse": lambda W, k, l, ns, log_n: (
-        log_n + W.log_weights(l, ns) - W.log_weights(k, ns)),
-    "diff": lambda W, k, l, ns, log_n: (
-        log_n + W.log_weights(l, ns) - W.log_weights(k, ns + 1)),
+    "cesaro": lambda lw_k, lw_l, log_n: (
+        lw_l[:-1] - log_n + np.logaddexp.accumulate(-lw_k[:-1])),
+    "cesaro_inverse": lambda lw_k, lw_l, log_n: (
+        log_n + lw_l[:-1] - lw_k[:-1]),
+    "diff": lambda lw_k, lw_l, log_n: log_n + lw_l[:-1] - lw_k[1:],
     "delta": _delta_rows,
-    "shift": lambda W, k, l, ns, log_n: (
-        W.log_weights(l, ns + 1) - W.log_weights(k, ns)),
+    "shift": lambda lw_k, lw_l, log_n: lw_l[1:] - lw_k[:-1],
 }
 STEP_OPS = tuple(_STEP_ROWS)
 
@@ -349,9 +343,12 @@ def step_continuity_test(op_name, W: WeightFamily, k, l, horizon=10 ** 4):
         raise ValueError(f"unknown operator {op_name!r}; one of {STEP_OPS}")
     if l < k:
         raise ValueError("need l >= k")
-    ns = np.arange(1, scan_horizon(W.alpha, horizon, tail=1) + 1)
-    log_n = np.log(ns.astype(float))
-    return scan_verdict(_STEP_ROWS[op_name](W, k, l, ns, log_n), ns)
+    h = scan_horizon(W.alpha, horizon, tail=1, step=l)
+    alpha_ns = W.alpha.values(np.arange(1, h + 2))  # n = 1..h+1
+    ns = np.arange(1, h + 1)
+    return scan_verdict(_STEP_ROWS[op_name](
+        W.step_log_weights(k, alpha_ns), W.step_log_weights(l, alpha_ns),
+        np.log(ns.astype(float))), ns)
 
 
 def _logsumexp(terms):

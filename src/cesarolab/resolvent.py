@@ -278,12 +278,12 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
     deterministic sample of the disc around lam, the supremum of the
     weighted row sums of the conjugated resolvent strict part.  A step
     counts as bounded when ``scan_verdict`` grants ``holds`` to the rows
-    n >= 2 (row 1 of the strict part is zero) at every sample; a NaN row
-    never does.  alpha is evaluated once; each step only rescales it.
-    The horizon is capped to the indices a finite alpha defines.
+    n >= 2 (row 1 of the strict part is zero) at every sample.  alpha is
+    evaluated once; each step only rescales it.  ``scan_horizon`` caps
+    the horizon at the largest step, k + l_max.
     """
     mus = disc_samples(lam, delta, boundary=samples - 1, interior=0)
-    horizon = scan_horizon(W.alpha, horizon)
+    horizon = scan_horizon(W.alpha, horizon, step=k + l_max)
     ns = np.arange(1, horizon + 1)
     alpha_ns = W.alpha.values(ns)
     lw_k = W.step_log_weights(k, alpha_ns)
@@ -294,26 +294,18 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
     for l in range(k, k + l_max + 1):
         lw_l = W.step_log_weights(l, strict_alpha)
         sup_all = -math.inf
-        bounded = True
         for base in bases:
-            with np.errstate(invalid="ignore"):  # -inf + inf: a NaN row
-                row = lw_l + base
+            row = lw_l + base
             v = scan_verdict(row, strict_ns)
-            sup = float(row[v.witness_index - 2])  # row[0] is n = 2
-            sup_all = max(sup, sup_all)  # max keeps a NaN first argument
+            sup_all = max(float(row[v.witness_index - 2]), sup_all)  # n >= 2
             if v.status != "holds":
-                bounded = False
                 break
-        if bounded:
+        else:
             # every row holds, so sup_all <= log 1e3 and the cap is inert
             l_found, best = l, sup_all
             break
         if best is None or sup_all < best:
             best = sup_all
-        if math.isnan(best):
-            # a NaN row (alpha_n = inf) recurs at every l, and no later
-            # sup replaces a NaN best: the search is decided
-            break
     return {
         "l_found": l_found,
         "sup_row_sum": (math.inf if best is None
@@ -334,7 +326,7 @@ def resolvent_norm_bound_check(lam, W: WeightFamily, k, horizon=10 ** 4,
     a(lam) < 1.  Reports the worst ratio of the truncated row-sum norm
     to 1/(1 - a(mu)) over the samples mu of the disc B(lam, delta), which
     must stay clear of that closed disc as well (ValueError otherwise).
-    The horizon is capped to the indices a finite alpha defines.
+    ``scan_horizon`` caps the horizon at step k.
     """
     if a_fn(lam) >= 1.0:
         raise ValueError(
@@ -348,13 +340,12 @@ def resolvent_norm_bound_check(lam, W: WeightFamily, k, horizon=10 ** 4,
             f"closed disc B({lam}, {delta}) meets the disc |z - 1/2| <= 1/2"
             f" (gap = {gap:.3g})")
     rows = []
-    horizon = scan_horizon(W.alpha, horizon)
+    horizon = scan_horizon(W.alpha, horizon, step=k)
     ns = np.arange(1, horizon + 1)
     lw_k = W.log_weights(k, ns)
     for mu in mus:
         base = _strict_row_base(mu, lw_k)
-        with np.errstate(invalid="ignore"):  # -inf + inf: a NaN row
-            off = np.exp(np.minimum(lw_k + base, 700.0)) / abs(mu) ** 2
+        off = np.exp(np.minimum(lw_k + base, 700.0)) / abs(mu) ** 2
         diag = np.abs(1.0 / (1.0 / ns - mu))
         norm_est = float(np.max(diag + off))
         ratio = norm_est * (1.0 - a_fn(mu))

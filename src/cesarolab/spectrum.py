@@ -97,7 +97,7 @@ def point_spectrum_test(m, W: WeightFamily, horizon=10 ** 4,
         raise ValueError("m must be >= 1")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    horizon = scan_horizon(W.alpha, horizon)
+    horizon = scan_horizon(W.alpha, horizon, step=k_max)
     if m == 1:
         return GrowthVerdict("holds", horizon, 1.0, 1, False)
     ns = np.arange(m, horizon + 1)
@@ -106,19 +106,12 @@ def point_spectrum_test(m, W: WeightFamily, horizon=10 ** 4,
     # membership of the m-th eigenvector (m >= 2) is equivalent to
     # nuclearity, and the row grows too slowly for a finite scan to
     # expose divergence (it sets in beyond n = e^k); a declared
-    # nuclearity flag therefore decides the verdict outright
+    # nuclearity flag therefore decides the verdict outright, at k = 1
     declared = W.alpha.flag("nuclear")
-    if declared is not None:
-        # math.exp, not scan_verdict's np.exp: the two differ in the last
-        # bit at some horizons, and classify reports this sup
-        vals = log_row + W.step_log_weights(1, alpha_ns)
-        i = int(np.argmax(vals))
-        sup = math.exp(min(float(vals[i]), 709.0))
-        status = "holds" if declared else "fails"
-        return GrowthVerdict(status, horizon, sup, int(ns[i]), True)
     for k in range(1, k_max + 1):
-        v = scan_verdict(log_row + W.step_log_weights(k, alpha_ns), ns)
-        if v.status == "holds":
+        v = scan_verdict(log_row + W.step_log_weights(k, alpha_ns), ns,
+                         declared)
+        if v.status == "holds" or v.declared_override:
             break
     return v
 

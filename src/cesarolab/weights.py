@@ -346,12 +346,29 @@ def make_alpha_from_csv(path, name=None):
 # ---------------------------------------------------------------------------
 # predicates
 
-def scan_horizon(alpha, horizon, tail=0):
+def scan_horizon(alpha, horizon, tail=0, step=1):
     """The last index a scan reaches: ``horizon``, capped so that a scan
-    reading alpha up to n + tail stays within a finite sequence."""
+    reading alpha up to n + tail stays within int64 and a finite sequence,
+    and its largest step times alpha_(n + tail) stays a double (bisected,
+    as alpha increases).  ValueError when that cap leaves no index."""
+    horizon = min(int(horizon), np.iinfo(np.int64).max - tail)
     if alpha.max_index is not None:
         horizon = min(horizon, alpha.max_index - tail)
-    return int(horizon)
+
+    def finite(n):
+        with np.errstate(over="ignore"):
+            return np.isfinite(step * alpha.values([n + tail])[0])
+
+    if horizon < 1 or finite(horizon):
+        return horizon
+    lo, hi = 0, horizon  # finite at lo (or lo = 0), overflowed at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+    if lo == 0:
+        raise ValueError(f"empty scan: {step} * alpha_{1 + tail} of "
+                         f"{alpha.name!r} overflows double precision")
+    return lo
 
 
 def scan_verdict(log_vals, ns, declared=None, grant_holds=True,
@@ -442,21 +459,20 @@ def check_lemma22(alpha, gamma, horizon=10 ** 5):
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    horizon = scan_horizon(alpha, horizon)
+    horizon = scan_horizon(alpha, horizon, step=M_MAX)
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     ns = np.arange(1, horizon + 1)
     av = alpha.values(ns)
     glog = gamma * np.log(ns.astype(float))
     for m in range(1, M_MAX + 1):
-        with np.errstate(invalid="ignore"):
-            vals = glog - m * av
-        vals = np.where(np.isnan(vals), -np.inf, vals)
+        vals = glog - m * av
         if vals.max() <= LEMMA22_LOG_BOUND:
-            i = int(np.argmax(vals))
-            sup = float(np.exp(vals[i]))
-            return m, GrowthVerdict("holds", horizon, sup, int(ns[i]), False)
-    i = int(np.argmax(vals))  # vals of M = M_MAX
+            break
+    else:
+        m = None  # vals of M = M_MAX
+    i = int(np.argmax(vals))
     with np.errstate(over="ignore"):
         sup = float(np.exp(vals[i]))
-    return None, GrowthVerdict("fails", horizon, sup, int(ns[i]), False)
+    return m, GrowthVerdict("fails" if m is None else "holds", horizon, sup,
+                            int(ns[i]), False)

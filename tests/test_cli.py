@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,17 +176,28 @@ def test_probe_command(tmp_path):
     assert doc["report"]["l_found"] is not None
 
 
-def test_probe_nan_rows_are_not_bounded(tmp_path, capsys):
-    # n_pow_n overflows alpha_n from n = 144, so the weighted rows there
-    # are -inf + inf = NaN: evidence of nothing, never a bounded verdict
+def test_probe_n_pow_n_stops_at_the_overflow_cap(tmp_path, capsys):
+    # 65 alpha_n (step k + l_max) overflows double from n = 143 for n_pow_n,
+    # so the probe scans n <= 142 and decides there, with a finite sup
     out = tmp_path / "p.json"
     assert run(["probe", "--alpha", "preset:n_pow_n", "--lambda", "2",
                 "--horizon", "1000", "--output", str(out)]) == EXIT_OK
     report = json.loads(out.read_text())["report"]
-    assert report["verdict"] == "unbounded_evidence"
-    assert report["l_found"] is None
-    assert report["sup_row_sum"] == "nan"
+    assert (report["verdict"], report["l_found"]) == ("bounded", 1)
+    assert report["horizon"] == 142
+    assert math.isfinite(report["sup_row_sum"])
     assert capsys.readouterr().err == ""
+
+
+def test_cap_leaving_no_index_exits_1(tmp_path, capsys):
+    # 65 alpha_1 overflows at once: the probe has no index to scan
+    table = tmp_path / "huge.csv"
+    table.write_text("1,1e308\n2,1.5e308\n")
+    assert run(["probe", "--alpha", f"file:{table}", "--lambda", "2"]) \
+        == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: empty scan") and "overflows" in err
+    assert err.count("\n") == 1
 
 
 def test_one_index_scan_grants_nothing(tmp_path):

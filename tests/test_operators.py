@@ -22,8 +22,9 @@ from cesarolab.operators import (N_DOUBLE_BINOM, N_EXACT, STEP_OPS,
 from cesarolab.resolvent import (equicontinuity_probe,
                                  resolvent_norm_bound_check)
 from cesarolab.spectrum import point_spectrum_test
-from cesarolab.weights import (WeightFamily, check_delta_criterion,
-                               check_lemma22, check_loglog, check_nuclear,
+from cesarolab.weights import (PRESET_NAMES, WeightFamily,
+                               check_delta_criterion, check_lemma22,
+                               check_loglog, check_nuclear,
                                check_shift_stable, make_alpha,
                                make_alpha_from_csv, scan_horizon)
 from test_weights import reference_bounded_verdict
@@ -486,6 +487,112 @@ def test_scans_capped_at_a_file_alpha(tmp_path):
     assert ft_continuity_criterion(ftw, 1, 2).horizon == 10
     assert equicontinuity_probe(2.0, 0.05, W, 1)["horizon"] == 10
     assert resolvent_norm_bound_check(2.0, W, 1)["horizon"] == 10
+
+
+_N_POW_N = WeightFamily(make_alpha("n_pow_n"))
+
+
+def test_scan_horizon_caps_where_step_alpha_overflows(tmp_path):
+    # alpha_143 of n_pow_n is a double, 2 alpha_143 is not, and alpha_144
+    # overflows by itself
+    alpha = _N_POW_N.alpha
+    assert scan_horizon(alpha, 10 ** 5) == 143
+    assert scan_horizon(alpha, 10 ** 5, step=65) == 142
+    assert scan_horizon(alpha, 10 ** 5, tail=1, step=4) == 141
+    assert scan_horizon(alpha, 100, step=65) == 100
+    # indices are int64: a larger horizon stops at its last value
+    assert scan_horizon(make_alpha("n"), 10 ** 20) == 2 ** 63 - 1
+    assert scan_horizon(make_alpha("n"), 10 ** 20, tail=1) == 2 ** 63 - 2
+    generator = make_alpha(lambda n: float(n) if n < 50 else math.inf)
+    assert scan_horizon(generator, 10 ** 4) == 49
+    assert scan_horizon(generator, 10 ** 4, tail=1) == 48
+    assert step_continuity_test("shift", WeightFamily(generator), 1,
+                                2).horizon == 48
+    # the last row is a double, twice it is not
+    path = tmp_path / "alpha.csv"
+    path.write_text("1,1.0\n2,2.0\n3,3.0\n4,1e308\n")
+    table = make_alpha_from_csv(str(path))
+    assert scan_horizon(table, 100) == 4
+    assert scan_horizon(table, 100, step=2) == 3
+    assert scan_horizon(table, 100, tail=1) == 3
+    assert scan_horizon(table, 100, tail=1, step=2) == 2
+
+
+def test_scan_horizon_rejects_a_cap_leaving_no_index(tmp_path):
+    path = tmp_path / "alpha.csv"
+    path.write_text("1,1e308\n2,1.5e308\n")
+    table = make_alpha_from_csv(str(path))
+    assert scan_horizon(table, 10) == 2
+    with pytest.raises(ValueError, match="empty scan: 65 \\* alpha_1"):
+        scan_horizon(table, 10, step=65)
+    with pytest.raises(ValueError, match="empty scan"):
+        equicontinuity_probe(2.0, 0.05, WeightFamily(table), 1)
+
+
+@pytest.mark.parametrize("k, l", [(1, 2), (1, 3), (2, 3), (2, 4)])
+def test_n_pow_n_step_criteria_decide_as_the_paper(k, l):
+    # n_pow_n is nuclear and not shift stable: every map of the table but
+    # differentiation is continuous c0(v_k) -> c0(v_l)
+    for op in STEP_OPS:
+        v = step_continuity_test(op, _N_POW_N, k, l)
+        assert (v.status, v.horizon) == (
+            "fails" if op == "diff" else "holds", 141)
+    v = step_continuity_test("delta", _N_POW_N, k, l, horizon=1000)
+    assert v.status == "holds"
+
+
+def test_every_scan_on_n_pow_n_stops_before_overflow():
+    # each scan stops where its largest step times alpha leaves double
+    # range, so none meets -inf - (-inf) (the suite fails on the warning)
+    W = _N_POW_N
+    assert b_continuity_check(W, 1).horizon == 141
+    assert gp_nuclearity(W, 1, 2).status == "holds"
+    assert gp_nuclearity(W, 1, 2).horizon == 142
+    m, v = check_lemma22(W.alpha, 1.0)
+    assert (m, v.status, v.horizon) == (1, "holds", 142)
+    v = point_spectrum_test(2, W)
+    assert (v.status, v.horizon) == ("holds", 142)
+    probe = equicontinuity_probe(0.4 + 0.2j, 0.05, W, 1, samples=4)
+    assert (probe["verdict"], probe["horizon"]) == ("bounded", 142)
+    bound = resolvent_norm_bound_check(2.0, W, 2)
+    assert bound["bounded"] and bound["horizon"] == 142
+
+
+# the rows of the step criteria before they read one alpha array, kept
+# verbatim as the reference (log v from W.log_weights per index array)
+_OLD_STEP_ROWS = {
+    "cesaro": lambda W, k, l, ns, log_n: (
+        W.log_weights(l, ns) - log_n
+        + np.logaddexp.accumulate(-W.log_weights(k, ns))),
+    "cesaro_inverse": lambda W, k, l, ns, log_n: (
+        log_n + W.log_weights(l, ns) - W.log_weights(k, ns)),
+    "diff": lambda W, k, l, ns, log_n: (
+        log_n + W.log_weights(l, ns) - W.log_weights(k, ns + 1)),
+    "shift": lambda W, k, l, ns, log_n: (
+        W.log_weights(l, ns + 1) - W.log_weights(k, ns)),
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_one_alpha_array_matches_log_weights(name):
+    W = WeightFamily(make_alpha(name))
+    h = 10 ** 5
+    ns = np.arange(1, h + 1)
+    alpha_ns = W.alpha.values(np.arange(1, h + 2))
+    for k in range(1, 5):
+        lw = W.step_log_weights(k, alpha_ns)
+        assert lw[:-1].tobytes() == W.log_weights(k, ns).tobytes()
+        assert lw[1:].tobytes() == W.log_weights(k, ns + 1).tobytes()
+    h = scan_horizon(W.alpha, 10 ** 4, tail=1, step=4)
+    ns = np.arange(1, h + 1)
+    log_n = np.log(ns.astype(float))
+    alpha_ns = W.alpha.values(np.arange(1, h + 2))
+    for k, l in ((1, 2), (2, 4)):
+        lw_k = W.step_log_weights(k, alpha_ns)
+        lw_l = W.step_log_weights(l, alpha_ns)
+        for op, old in _OLD_STEP_ROWS.items():
+            new = operators._STEP_ROWS[op](lw_k, lw_l, log_n)
+            assert new.tobytes() == old(W, k, l, ns, log_n).tobytes()
 
 
 @given(st.integers(min_value=2, max_value=40))

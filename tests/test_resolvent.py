@@ -360,9 +360,9 @@ def test_probe_unbounded_for_slow_alpha():
     assert res["l_found"] is None
 
 
-def test_probe_stops_at_nan_rows(monkeypatch):
-    # alpha_n overflows from n = 144 for n_pow_n, so the rows there are
-    # NaN at every step l: the first step decides the search
+def test_probe_n_pow_n_bounded_at_the_overflow_cap(monkeypatch):
+    # the probe scans n_pow_n up to n = 142, where 65 alpha_n is still a
+    # double: step l = 1 holds at every sample and ends the search
     calls = []
 
     def counting(*args, **kwargs):
@@ -372,9 +372,24 @@ def test_probe_stops_at_nan_rows(monkeypatch):
     monkeypatch.setattr(rsv, "scan_verdict", counting)
     W = WeightFamily(make_alpha("n_pow_n"))
     res = equicontinuity_probe(2.0, 0.05, W, k=1, horizon=1000)
-    assert len(calls) == 1
-    assert (res["verdict"], res["l_found"]) == ("unbounded_evidence", None)
-    assert math.isnan(res["sup_row_sum"])
+    assert len(calls) == res["samples"] == 8
+    assert (res["verdict"], res["l_found"]) == ("bounded", 1)
+    assert res["horizon"] == 142
+    assert math.isfinite(res["sup_row_sum"])
+
+
+def test_probe_n_pow_n_bounded_off_sigma0():
+    # a nuclear dual has spectrum Sigma: every point of a 9 x 7 grid
+    # farther than 0.1 from Sigma0 is bounded, at the overflow cap 142
+    W = WeightFamily(make_alpha("n_pow_n"))
+    grid = [complex(x, y) for y in np.linspace(-0.8, 0.8, 7)
+            for x in np.linspace(-0.6, 1.6, 9)]
+    lams = [lam for lam in grid if dist_sigma0(lam) > 0.1]
+    assert len(lams) == 59
+    for lam in lams:
+        res = equicontinuity_probe(lam, 0.05, W, 1, samples=4)
+        assert (res["verdict"], res["l_found"], res["horizon"]) == (
+            "bounded", 1, 142)
 
 
 def test_probe_rejects_disc_touching_sigma0():
@@ -412,14 +427,15 @@ def test_norm_bound_default_radius_keeps_every_sample(lam):
     assert all(a_fn(row["mu"]) < 1.0 for row in res["samples"])
 
 
-def test_norm_bound_not_bounded_from_nan_estimates():
-    # n_pow_n overflows alpha_n, so every row sum is NaN; a NaN ratio
-    # must make the disc unbounded, not leave worst_ratio at 0
+def test_norm_bound_n_pow_n_finite_at_the_overflow_cap():
+    # alpha_n of n_pow_n overflows double from n = 144, so the norm bound
+    # at k = 1 scans n <= 143, where every estimate is finite
     W = WeightFamily(make_alpha("n_pow_n"))
     res = resolvent_norm_bound_check(2.0, W, 1, horizon=500)
-    assert all(math.isnan(row["norm_estimate"]) for row in res["samples"])
-    assert math.isnan(res["worst_ratio"])
-    assert res["bounded"] is False
+    assert res["horizon"] == 143
+    assert all(math.isfinite(row["norm_estimate"]) for row in res["samples"])
+    assert math.isfinite(res["worst_ratio"])
+    assert res["bounded"] is True
 
 
 def test_norm_bound_rejects_disc_interior():

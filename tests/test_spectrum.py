@@ -292,8 +292,8 @@ _side = st.tuples(st.floats(-1.5, 2.0), st.floats(1e-3, 2.5)).map(
     lambda s: (s[0], s[0] + s[1]))
 
 
-# n_pow_n: its probes have NaN sups, written as empty cells; the second
-# example puts every point at 1e-3 < d <= 0.01 from 1/2, where the grid
+# n_pow_n: its probes stop where 65 alpha_n overflows (n = 142) and
+# decide there, with finite sups; the second example puts every point at 1e-3 < d <= 0.01 from 1/2, where the grid
 # keeps the point but its probe disc touches Sigma0, so the probe is
 # skipped
 @example("n_pow_n", (-0.9, 1.8), (-1.2, 1.1), 5, 6)

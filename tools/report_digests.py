@@ -76,7 +76,7 @@ def commands():
     for weights in ("finite:log_np1", "finite:example53"):
         cmds.append(["finite", "--weights", weights])
         cmds.append(["finite", "--weights", weights, "--k", "1", "--l", "2"])
-    for name in ("n", "loglog_n"):
+    for name in ("n", "loglog_n", "n_pow_n"):
         cmds.append(["grid", "--alpha", name, "--res", "30",
                      "--probe-subsample", "6", "--out", f"{out}/grid.csv",
                      "--svg", f"{out}/grid.svg"])
