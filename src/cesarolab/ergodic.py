@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .operators import (_cesaro_step, _log_weight_row, _max_deviation,
-                        _weighted_sup_rows, cesaro_matrix_exact)
+                        _scale_to_ints, _weighted_sup_rows,
+                        cesaro_matrix_exact)
 from .weights import WeightFamily, scan_horizon, scan_verdict
 
 __all__ = [
@@ -77,20 +78,23 @@ def power_bounded_check(W: WeightFamily, k, trials=20, m_max=200, N=50,
                         seed=0):
     """Random-vector evidence that iterates contract the k-norm."""
     rng = np.random.default_rng(seed)
-    lw = _log_weight_row(W, k, N)
+    # every trial's start vector first, real part then imaginary part,
+    # then C^m of all of them at once: row m * trials + t is C^m x_t
+    block = np.empty((m_max + 1, trials, N), dtype=complex)
+    for x in block[0]:
+        x[:] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    for m in range(1, m_max + 1):
+        block[m] = _cesaro_step(block[m - 1])
+    rows = block.reshape((m_max + 1) * trials, N)
+    q = np.reshape(_weighted_sup_rows(rows, _log_weight_row(W, k, N)),
+                   (m_max + 1, trials))
     worst = 0.0
     failures = 0
-    for _ in range(trials):
-        # row m of the block is C^m x
-        block = np.empty((m_max + 1, N), dtype=complex)
-        block[0] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        for m in range(1, m_max + 1):
-            block[m] = _cesaro_step(block[m - 1])
-        q0, *qs = _weighted_sup_rows(block, lw)
-        for q in qs:
-            ratio = q / q0 if q0 > 0 else 0.0
+    for q0, *qs in q.T.tolist():
+        for qm in qs:
+            ratio = qm / q0 if q0 > 0 else 0.0
             worst = max(worst, ratio)
-            if q > q0 * (1.0 + POWER_SLACK):
+            if qm > q0 * (1.0 + POWER_SLACK):
                 failures += 1
     return {"trials": trials, "m_max": m_max, "N": N, "k": k,
             "worst_ratio": worst, "failures": failures,
@@ -156,8 +160,10 @@ def range_inverse_matrices(N):
         raise ValueError("N must be >= 1")
     A = (np.eye(N + 1, dtype=object) - cesaro_matrix_exact(N + 1))[1:, 1:]
     B = _b_matrix_exact(N)
-    eye = np.eye(N, dtype=object)
-    residual = max(_max_deviation(A @ B, eye), _max_deviation(B @ A, eye))
+    L, (LA, LB) = _scale_to_ints(A, B)
+    eye = np.eye(N, dtype=object) * L ** 2
+    residual = Fraction(max(_max_deviation(LA @ LB, eye),
+                            _max_deviation(LB @ LA, eye)), L ** 2)
     return A, B, residual
 
 

@@ -12,7 +12,7 @@ nuclear, and diverges for the staircase sequence of blocks
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,18 +49,21 @@ class FiniteTypeWeights:
 def _scan_indices(alpha, horizon):
     """Indices scanned by the finite-type criteria.
 
-    Dense up to 1e6; beyond that a log-spaced grid plus (for a staircase
-    sequence) the exact block boundaries, where the divergence lower
-    bound lives.  The criterion needs prefix sums, so the dense part
+    Dense up to 1e6; beyond that a log-spaced grid ending at the horizon
+    plus (for a staircase sequence) the exact block boundaries, where the
+    divergence lower bound lives.  The criterion needs prefix sums, so the dense part
     always covers the full prefix of the largest dense index.
     """
     horizon = scan_horizon(alpha, horizon)
     dense_top = min(horizon, 10 ** 6)
     extras = []
     if horizon > dense_top:
-        grid = np.unique(np.round(np.logspace(
-            math.log10(dense_top), math.log10(horizon), 40)).astype(np.int64))
+        # the top point is the horizon itself: its float may round away
+        # from it, and from 2^63 - 1 up to 2^63, past int64
+        grid = np.round(np.logspace(
+            math.log10(dense_top), math.log10(horizon), 40)[:-1])
         extras.extend(int(g) for g in grid if g > dense_top)
+        extras.append(horizon)
     j = alpha.block_bounds
     if j is not None:
         k = 2
@@ -106,8 +109,20 @@ class _Scan:
         return np.concatenate([prefix, np.logaddexp(prefix[-1], tail)])
 
     def verdict(self, log_prefix, l):
-        """Verdict on (v_l(n)/n) sum_{m<=n} 1/v_k(m), k fixed by the prefix."""
-        return scan_verdict(self.av / l - self.log_n + log_prefix, self.ns)
+        """Verdict on (v_l(n)/n) sum_{m<=n} 1/v_k(m), k fixed by the prefix.
+
+        Past dense_top the prefix is a majorant, an upper bound: it may
+        support ``holds`` but not ``fails``, so a ``fails`` that the dense
+        indices alone do not give is ``inconclusive``.
+        """
+        rows = self.av / l - self.log_n + log_prefix
+        v = scan_verdict(rows, self.ns)
+        dense = slice(self.dense_top)
+        if (v.status == "fails" and self.log_tail_len is not None
+                and scan_verdict(rows[dense], self.ns[dense]).status
+                != "fails"):
+            v = replace(v, status="inconclusive")
+        return v
 
 
 def ft_continuity_criterion(ftw: FiniteTypeWeights, k, l, horizon=10 ** 6):

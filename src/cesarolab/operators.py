@@ -6,7 +6,8 @@ similarity to diag(1/n), the involution), and double precision with
 log-domain weight conjugation for everything scanned to large horizons.
 An exact section is a NumPy object array of Python ints and Fractions,
 so ``A @ B`` multiplies exactly, and every exact identity is measured by
-the one rule ``_max_deviation``, max |X - Y|.
+the one rule ``_max_deviation``, max |X - Y|; a matrix identity with
+Fraction factors is first scaled to Python ints by ``_scale_to_ints``.
 The coordinatewise applications commute with truncation exactly, so a
 finite section is a faithful witness; differentiation, the one
 super-diagonal map, gives a truncated output one coordinate shorter.
@@ -44,9 +45,11 @@ __all__ = [
     "step_continuity_test",
 ]
 
-N_EXACT = 64          # exact big-integer tier for identity checks
+N_EXACT = 128         # exact big-integer tier for identity checks
 N_DOUBLE_BINOM = 1020  # binom(n-1, k) overflows double beyond this
 COLUMN_DECAY_TOL = 1e-6
+SUP_GUARD = 1e-9  # log margin within which a term may be a row's largest
+LOG_DBL_MIN = math.log(np.finfo(float).tiny)  # exp is subnormal below
 
 
 @dataclass
@@ -68,7 +71,9 @@ class TriangularOperator:
 # coordinatewise applications (dtype-agnostic: Fractions, floats, complex)
 
 def _cesaro_step(v):
-    return np.cumsum(v) / np.arange(1, len(v) + 1)
+    """One averaging step along the last axis, so a 2-D array steps each
+    row; a cumsum is the same sequential sum along either."""
+    return np.cumsum(v, axis=-1) / np.arange(1, np.shape(v)[-1] + 1)
 
 
 def cesaro_apply(x):
@@ -166,6 +171,19 @@ def _max_deviation(X, Y):
     return max(map(abs, diff.flat), default=0)
 
 
+def _scale_to_ints(*mats):
+    """(L, [L * M as Python ints for each M]) with L the lcm of the
+    denominators present in the exact (int or Fraction) arrays, so an
+    identity between them is checked on integers and its deviation is
+    the integer one over L (over L**2 for a product of two scaled
+    factors)."""
+    arrays = [np.asarray(M, dtype=object) for M in mats]
+    L = math.lcm(*{v.denominator for M in arrays for v in M.flat})
+    return L, [np.array([v.numerator * (L // v.denominator)
+                         for v in M.flat], dtype=object).reshape(M.shape)
+               for M in arrays]
+
+
 def verify_factorizations(N):
     """Exact checks of the two factorizations of the averaging matrix.
 
@@ -179,7 +197,8 @@ def verify_factorizations(N):
     if not 1 <= N <= N_EXACT:
         raise ValueError(f"exact tier needs 1 <= N <= {N_EXACT}, got {N}")
     delta = delta_matrix_exact(N)
-    inv_n = np.array([Fraction(1, n) for n in range(1, N + 1)], dtype=object)
+    L, (inv_n, ces) = _scale_to_ints(
+        [Fraction(1, n) for n in range(1, N + 1)], cesaro_matrix_exact(N))
     rng = np.random.default_rng(0)
     ys = [[Fraction(int(a), int(b)) for a, b in
            zip(rng.integers(-99, 100, N), rng.integers(1, 50, N))]
@@ -188,9 +207,9 @@ def verify_factorizations(N):
         "N": N,
         "involution_squared_deviation": _max_deviation(
             delta @ delta, np.eye(N, dtype=object)),
-        # delta * inv_n scales column m by 1/m: delta . diag(1/n)
-        "similarity_deviation": _max_deviation(
-            delta * inv_n @ delta, cesaro_matrix_exact(N)),
+        # delta * inv_n scales column m by L/m: L delta . diag(1/n)
+        "similarity_deviation": Fraction(
+            _max_deviation(delta * inv_n @ delta, ces), L),
         "shift_diff_factorization_deviation": _max_deviation(
             [_factored_inverse_apply(y) for y in ys],
             [cesaro_inverse_apply(y)[: N - 1] for y in ys]),
@@ -226,17 +245,31 @@ def _weighted_sup_rows(block, lw):
     not), log and exp are ``math``'s (NumPy's SIMD versions round
     differently).  Zero entries are skipped and NaN terms ignored, so an
     empty or all-zero row gives 0.0.
+
+    Only the terms that can be a row's largest are evaluated that way:
+    NumPy's log ranks every term, and a term whose rank lies more than
+    SUP_GUARD below its row's top cannot win, as the two logs differ by
+    a few ulp and exp keeps normal results within one.  A row whose top
+    is below log DBL_MIN, where exp is subnormal and coarse, and an
+    object (Fraction) block have every nonzero term evaluated.
     """
     b = np.asarray(block)
     a = np.hypot(b.real, b.imag) if b.dtype.kind == "c" else np.abs(b)
-    nz = a != 0
-    count = int(np.count_nonzero(nz))
-    logs = np.fromiter(map(math.log, a[nz].tolist()), float, count)
+    keep = a != 0
+    if b.dtype != object:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rank = lw + np.log(a)
+        top = np.fmax.reduce(rank, axis=1, initial=-np.inf)[:, None]
+        keep &= (rank >= top - SUP_GUARD) | (top < LOG_DBL_MIN)
+    rows, cols = np.nonzero(keep)
+    logs = np.fromiter(map(math.log, a[rows, cols].tolist()), float,
+                       len(rows))
     with np.errstate(invalid="ignore"):  # -inf + inf is NaN, as in Python
-        terms = (lw[np.nonzero(nz)[1]] + logs).tolist()
-    full = np.zeros(a.shape)
-    full[nz] = np.fromiter(map(math.exp, terms), float, count)
-    return np.fmax.reduce(full, axis=1, initial=0.0).tolist()
+        terms = (lw[cols] + logs).tolist()
+    sup = np.zeros(a.shape[0])
+    np.fmax.at(sup, rows, np.fromiter(map(math.exp, terms), float,
+                                      len(rows)))
+    return sup.tolist()
 
 
 def weighted_norm(x, W: WeightFamily, k):

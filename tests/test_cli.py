@@ -62,6 +62,15 @@ def test_verify_suites_pass(tmp_path, suite):
     assert all("/" in c["check"] for c in doc["report"]["checks"])
 
 
+def test_verify_factorizations_at_the_top_of_the_exact_tier(tmp_path):
+    out = tmp_path / "v.json"
+    assert run(["verify", "--suite", "factorizations", "--N", "128",
+                "--output", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["N"] == 128
+    assert [c["deviation"] for c in doc["report"]["checks"]] == [0.0] * 3
+
+
 def test_eigen_check_sees_one_perturbed_entry(tmp_path, monkeypatch):
     # column 1 of the involution plus e_N averages to (N+1)/N at row N
     # against 2 there, so only m = 1 deviates, by exactly (N-1)/N

@@ -63,6 +63,16 @@ def reference_power_bounded(W, k, trials, m_max, N, seed, slack=1e-10):
     return worst, failures
 
 
+@pytest.mark.parametrize("seed", [0, 7, 401])
+def test_power_bounded_at_the_verify_sizes_equals_reference(seed):
+    # the sizes of verify --suite ergodic: every trial's iterates go to
+    # the kernel in one block of 2010 rows
+    W = WeightFamily(make_alpha("n"))
+    res = power_bounded_check(W, k=1, trials=10, m_max=200, N=50, seed=seed)
+    assert (res["worst_ratio"], res["failures"]) == reference_power_bounded(
+        W, 1, 10, 200, 50, seed)
+
+
 def reference_iterates(x, W, k, N, tol, m_cap):
     v = np.asarray(x, dtype=complex)[:N]
     limit = np.full(N, v[0], dtype=complex)
@@ -173,6 +183,23 @@ def test_range_inverse_sees_one_perturbed_entry(monkeypatch):
 
     monkeypatch.setattr(ergodic, "_b_matrix_exact", perturbed)
     assert range_inverse_matrices(6)[2] == F(1, 4)
+
+
+def test_range_inverse_sees_a_denominator_outside_the_closed_form(
+        monkeypatch):
+    # 1001 = 7 * 11 * 13 divides no lcm(1..N+1) at N = 6, so a scale
+    # taken from the closed form would truncate the perturbation
+    exact = ergodic._b_matrix_exact
+
+    def perturbed(N):
+        B = exact(N)
+        B[N - 1, 0] += F(1, 1001)
+        return B
+
+    monkeypatch.setattr(ergodic, "_b_matrix_exact", perturbed)
+    # A B - I gains column N of A times 1/1001 in row N, a_66 = 6/7;
+    # B A - I gains row 1 of A over 1001 in row N, a_11 = 1/2
+    assert range_inverse_matrices(6)[2] == F(6, 7 * 1001)
 
 
 def test_range_inverse_rejects_bad_n():

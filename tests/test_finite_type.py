@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cesarolab.finite_type import (L_MAX, FiniteTypeWeights, example53_alpha,
-                                   example53_j, example53_lower_bound,
-                                   ft_cesaro_acts, ft_continuity_criterion,
-                                   gp_nuclearity)
+from cesarolab.finite_type import (L_MAX, FiniteTypeWeights, _scan_indices,
+                                   example53_alpha, example53_j,
+                                   example53_lower_bound, ft_cesaro_acts,
+                                   ft_continuity_criterion, gp_nuclearity)
 from cesarolab.weights import AlphaSequence, WeightFamily, make_alpha
 
 
@@ -119,6 +120,36 @@ def test_staircase_is_data_not_a_name():
         assert not info["verdict"].declared_override
     assert [example53_alpha().block_bounds(k) for k in range(1, 5)] == [
         example53_j(k) for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("horizon, top", [
+    (10 ** 7, 10 ** 7), (2 ** 53 + 1, 2 ** 53 + 1), (10 ** 20, 2 ** 63 - 1)])
+def test_scan_indices_end_at_the_horizon(horizon, top):
+    # 2^53 + 1 is no float, and the horizon 1e20 clamps to 2^63 - 1,
+    # whose float rounds up to 2^63, past int64: the top index is the
+    # horizon itself, and no float reaches an int64 cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dense_top, extras = _scan_indices(make_alpha("log_n_plus_1"),
+                                          horizon)
+    assert (dense_top, extras[-1], len(extras)) == (10 ** 6, top, 39)
+    assert extras == sorted(set(extras))
+
+
+def test_tail_majorant_never_grants_fails():
+    # past 1e6 the prefix is bounded by a majorant that grows with the
+    # tail length; the criterion is bounded for log(n + 1) and l > k, so
+    # the scan must not read the majorant's growth as divergence
+    ftw = log_np1_weights()
+    v = ft_continuity_criterion(ftw, 1, 2, horizon=10 ** 20)
+    assert v.status == "inconclusive"
+    assert v.horizon == 2 ** 63 - 1
+    assert ft_continuity_criterion(ftw, 1, 2, horizon=10 ** 6).status == \
+        "holds"
+    # divergence the dense indices show is still reported past them
+    ftw_n = FiniteTypeWeights(make_alpha("n"))
+    assert ft_continuity_criterion(ftw_n, 1, 2, horizon=10 ** 20).status \
+        == "fails"
 
 
 def test_staircase_j_values():

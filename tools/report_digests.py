@@ -57,7 +57,7 @@ def commands():
     for N, m in ((1, 1), (30, 10), (50, 10), (64, 20)):
         cmds.append(["verify", "--suite", "eigen", "--N", str(N),
                      "--m", str(m)])
-    for N in (1, 2, 17, 18, 19, 40):
+    for N in (1, 2, 17, 18, 19, 40, 64, 128):
         cmds.append(["verify", "--suite", "factorizations", "--N", str(N)])
     for seed in range(12):
         cmds.append(["verify", "--suite", "ergodic", "--seed", str(seed)])
