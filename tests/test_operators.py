@@ -124,6 +124,11 @@ def test_factorizations_exact_zero_deviation():
     assert res["shift_diff_factorization_deviation"] == 0
 
 
+def test_factorizations_reject_large_n():
+    with pytest.raises(ValueError, match="exact tier"):
+        verify_factorizations(1000)
+
+
 @pytest.mark.parametrize("N", [0, -2, N_EXACT + 1])
 def test_factorizations_reject_n_outside_the_exact_tier(N):
     # N = 0 and -2 used to reach the matrix product and raise IndexError;
