@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import hashlib
 import json
 import math
@@ -27,8 +28,8 @@ from .ergodic import (iterates_limit_check, power_bounded_check,
 from .finite_type import (FiniteTypeWeights, example53_alpha,
                           example53_j, example53_lower_bound,
                           ft_cesaro_acts, ft_continuity_criterion)
-from .operators import (_max_deviation, cesaro_apply, delta_matrix_exact,
-                        verify_factorizations)
+from .operators import (_exact_tier, _max_deviation, _scale_to_ints,
+                        delta_matrix_exact, verify_factorizations)
 from .spectrum import classify_spectrum, grid_to_csv, grid_to_svg, sample_grid
 from .weights import (PRESET_NAMES, WeightFamily, make_alpha,
                       make_alpha_from_csv)
@@ -201,33 +202,34 @@ def cmd_classify(args):
     return EXIT_OK if report.status == "classified" else EXIT_INCONCLUSIVE
 
 
+def _exact_check(name, dev):
+    """The record of an exact identity: it passes when its deviation is 0."""
+    return {"check": name, "passed": dev == 0, "deviation": float(dev)}
+
+
 def _checks_factorizations(args):
     res = verify_factorizations(args.N)
-    return [
-        {"check": "Eq2.2/involution_squared",
-         "passed": res["involution_squared_deviation"] == 0,
-         "deviation": float(res["involution_squared_deviation"])},
-        {"check": "Eq2.2/similarity",
-         "passed": res["similarity_deviation"] == 0,
-         "deviation": float(res["similarity_deviation"])},
-        {"check": "Eq2.3/shift_diff_factorization",
-         "passed": res["shift_diff_factorization_deviation"] == 0,
-         "deviation": float(res["shift_diff_factorization_deviation"])},
-    ]
+    return [_exact_check(name, res[key]) for name, key in (
+        ("Eq2.2/involution_squared", "involution_squared_deviation"),
+        ("Eq2.2/similarity", "similarity_deviation"),
+        ("Eq2.3/shift_diff_factorization",
+         "shift_diff_factorization_deviation"))]
 
 
 def _checks_eigen(args):
+    _exact_tier(args.N)
     if args.m > args.N:
         raise ValueError(f"--m {args.m} exceeds the {args.N} columns of "
                          f"the truncation --N")
-    delta = delta_matrix_exact(args.N)
-    checks = []
-    for m in range(1, args.m + 1):
-        col = np.array([Fraction(v) for v in delta[:, m - 1]], dtype=object)
-        dev = _max_deviation(cesaro_apply(col), col / m)
-        checks.append({"check": f"Sec2/eigenvector_m={m}",
-                       "passed": dev == 0, "deviation": float(dev)})
-    return checks
+    # C delta e_m = delta e_m / m, scaled by L = lcm(1..N):
+    # (L/n) S_nm = (L/m) delta_nm with S the running sums of column m
+    delta = delta_matrix_exact(args.N)[:, :args.m]
+    L, (inv,) = _scale_to_ints([Fraction(1, n) for n in range(1, args.N + 1)])
+    lhs = np.cumsum(delta, axis=0) * inv[:, None]
+    rhs = delta * inv[:args.m]
+    return [_exact_check(f"Sec2/eigenvector_m={m}", Fraction(
+        _max_deviation(lhs[:, m - 1], rhs[:, m - 1]), L))
+        for m in range(1, args.m + 1)]
 
 
 def _random_lambda(rng):
@@ -434,6 +436,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser():
     p = _Parser(
         prog="cesarolab",

@@ -85,11 +85,8 @@ def cesaro_apply(x):
 def cesaro_inverse_apply(y):
     """(n y_n - (n-1) y_{n-1}) with the y_0 := 0 convention."""
     vals = list(y)
-    out, prev = [], 0
-    for n, v in enumerate(vals, start=1):
-        out.append(n * v - (n - 1) * prev)
-        prev = v
-    return out
+    return [n * v - (n - 1) * prev
+            for n, (v, prev) in enumerate(zip(vals, shift_apply(vals)), 1)]
 
 
 def diff_apply(x):
@@ -105,24 +102,17 @@ def shift_apply(x):
 
 
 def delta_apply(x):
-    """Signed-binomial involution applied to a truncated vector.
+    """Signed-binomial involution applied to a truncated vector: the
+    product of the exact section delta_matrix_exact with x as objects.
 
-    Exact big-integer binomials; log-domain magnitudes are available
-    separately via delta_log_abs for large indices.
+    Log-domain magnitudes are available separately via delta_log_abs
+    for large indices.
     """
-    vals = list(x)
-    N = len(vals)
-    if N > N_DOUBLE_BINOM:
+    vals = np.array(list(x), dtype=object)
+    if len(vals) > N_DOUBLE_BINOM:
         raise OverflowError(
             f"dense delta application limited to N <= {N_DOUBLE_BINOM}")
-    out = []
-    for n in range(1, N + 1):
-        acc = 0
-        for m in range(1, n + 1):
-            c = math.comb(n - 1, m - 1)
-            acc = acc + (c if (m % 2) else -c) * vals[m - 1]
-        out.append(acc)
-    return out
+    return list(delta_matrix_exact(len(vals)) @ vals)
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,7 +152,7 @@ def delta_matrix_exact(N):
     """Involution section: (-1)^(m-1) binom(n-1, m-1) as Python ints."""
     return np.array([[(-1) ** (m - 1) * math.comb(n - 1, m - 1) if m <= n
                       else 0 for m in range(1, N + 1)]
-                     for n in range(1, N + 1)], dtype=object)
+                     for n in range(1, N + 1)], dtype=object).reshape(N, N)
 
 
 def _max_deviation(X, Y):
@@ -184,6 +174,12 @@ def _scale_to_ints(*mats):
                for M in arrays]
 
 
+def _exact_tier(N):
+    """Reject a truncation N outside the exact tier 1 <= N <= N_EXACT."""
+    if not 1 <= N <= N_EXACT:
+        raise ValueError(f"exact tier needs 1 <= N <= {N_EXACT}, got {N}")
+
+
 def verify_factorizations(N):
     """Exact checks of the two factorizations of the averaging matrix.
 
@@ -194,8 +190,7 @@ def verify_factorizations(N):
         shift, checked coordinatewise on the first N-1 coordinates of
         ten random rational vectors (a fixed seed).
     """
-    if not 1 <= N <= N_EXACT:
-        raise ValueError(f"exact tier needs 1 <= N <= {N_EXACT}, got {N}")
+    _exact_tier(N)
     delta = delta_matrix_exact(N)
     L, (inv_n, ces) = _scale_to_ints(
         [Fraction(1, n) for n in range(1, N + 1)], cesaro_matrix_exact(N))

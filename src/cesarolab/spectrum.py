@@ -90,8 +90,8 @@ def point_spectrum_test(m, W: WeightFamily, horizon=10 ** 4,
 
     The m-th eigenvector row grows like n^{m-1}; membership means some
     step k tames it: sup_n |row_n| v_k(n) finite.  m = 1 is the constant
-    vector and always holds.  A scan returns the first ``holds`` over
-    k = 1..k_max, else the verdict at k_max, the row with the least sup.
+    vector and always holds.  Without a declared flag it is one scan at
+    k_max, the row with the least sup, which never grants ``holds``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -105,15 +105,12 @@ def point_spectrum_test(m, W: WeightFamily, horizon=10 ** 4,
     alpha_ns = W.alpha.values(ns)
     # membership of the m-th eigenvector (m >= 2) is equivalent to
     # nuclearity, and the row grows too slowly for a finite scan to
-    # expose divergence (it sets in beyond n = e^k); a declared
-    # nuclearity flag therefore decides the verdict outright, at k = 1
+    # expose divergence (it sets in beyond n = e^k), so a bounded scan is
+    # no evidence; a declared nuclearity flag decides outright, at k = 1
     declared = W.alpha.flag("nuclear")
-    for k in range(1, k_max + 1):
-        v = scan_verdict(log_row + W.step_log_weights(k, alpha_ns), ns,
-                         declared)
-        if v.status == "holds" or v.declared_override:
-            break
-    return v
+    k = k_max if declared is None else 1
+    return scan_verdict(log_row + W.step_log_weights(k, alpha_ns), ns,
+                        declared, grant_holds=False)
 
 
 def _trit(verdict: GrowthVerdict):

@@ -2,13 +2,18 @@ import contextlib
 import io
 import json
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cesarolab import cli
 from cesarolab.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, RunConfig,
                            main)
+from cesarolab.operators import (N_EXACT, _max_deviation, cesaro_apply,
+                                 delta_matrix_exact)
 
 
 def run(argv):
@@ -90,6 +95,52 @@ def test_eigen_check_sees_one_perturbed_entry(tmp_path, monkeypatch):
     assert [c["passed"] for c in checks] == [False, True, True]
 
 
+def _retired_eigen_deviations(delta, m_max):
+    """The Fraction column loop the eigen suite used to run, kept as the
+    reference: C applied to column m against column m over m."""
+    devs = []
+    for m in range(1, m_max + 1):
+        col = np.array([Fraction(v) for v in delta[:, m - 1]], dtype=object)
+        devs.append(_max_deviation(cesaro_apply(col), col / m))
+    return devs
+
+
+@st.composite
+def _eigen_cases(draw):
+    N = draw(st.integers(1, 40))
+    m = draw(st.integers(1, N))
+    delta = delta_matrix_exact(N)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, N - 1)), draw(st.integers(0, m - 1))
+        delta[i, j] += draw(st.one_of(
+            st.integers(-10 ** 6, 10 ** 6).filter(bool),
+            st.fractions(max_denominator=1000).filter(bool)))
+    return N, m, delta
+
+
+@given(_eigen_cases())
+@settings(max_examples=100, deadline=None)
+def test_eigen_suite_matches_the_retired_fraction_loop(case):
+    N, m, delta = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "delta_matrix_exact", lambda n: delta.copy())
+        mp.setattr(cli, "_exact_check", lambda name, dev: dev)
+        devs = cli._checks_eigen(SimpleNamespace(N=N, m=m))
+    assert devs == _retired_eigen_deviations(delta, m)
+    assert all(isinstance(d, Fraction) for d in devs)
+
+
+def test_parser_is_built_once(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    # one parser, a fresh namespace per call: --N 0 stands for the suite
+    # default again after an explicit --N
+    for N, want in (("5", 5), ("0", 50)):
+        out = tmp_path / f"eigen{N}.json"
+        assert run(["verify", "--suite", "eigen", "--N", N, "--m", "2",
+                    "--output", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["N"] == want
+
+
 def test_verify_sandwich_and_finite(tmp_path):
     out = tmp_path / "v.json"
     assert run(["verify", "--suite", "sandwich", "--samples", "25",
@@ -125,6 +176,8 @@ def test_verify_sandwich_and_finite(tmp_path):
     ["grid", "--alpha", "preset:n", "--res", "2", "--re=1:inf"],
     ["grid", "--alpha", "preset:n", "--res", "2", "--im=1"],
     ["grid", "--alpha", "preset:n", "--res", "2", "--im=a:b"],
+    # the eigen suite builds an N x N big-integer section: N_EXACT caps it
+    ["verify", "--suite", "eigen", "--N", str(N_EXACT + 1)],
 ])
 def test_invalid_count_or_lambda_rejected(tmp_path, capsys, argv):
     out = tmp_path / "r.json"

@@ -88,6 +88,46 @@ def test_delta_is_involution():
     assert delta_apply(delta_apply(x)) == x
 
 
+# the hand loops that delta_apply and cesaro_inverse_apply replaced, kept
+# as references
+
+def _retired_delta_loop(vals):
+    out = []
+    for n in range(1, len(vals) + 1):
+        acc = 0
+        for m in range(1, n + 1):
+            c = math.comb(n - 1, m - 1)
+            acc = acc + (c if (m % 2) else -c) * vals[m - 1]
+        out.append(acc)
+    return out
+
+
+def _retired_inverse_loop(vals):
+    out, prev = [], 0
+    for n, v in enumerate(vals, start=1):
+        out.append(n * v - (n - 1) * prev)
+        prev = v
+    return out
+
+
+_INTS = st.integers(-10 ** 20, 10 ** 20)
+
+
+@given(st.one_of(st.lists(_INTS, max_size=30),
+                 st.lists(st.fractions(), max_size=30),
+                 st.lists(st.one_of(_INTS, st.fractions()), max_size=30)))
+@settings(max_examples=300, deadline=None)
+def test_exact_applications_match_retired_loops(x):
+    # the involution is the product with its exact section: the same
+    # values, and the same Python types for an int or a Fraction vector
+    # (a mixed one may turn an int into an equal Fraction)
+    for got, want in ((delta_apply(x), _retired_delta_loop(x)),
+                      (cesaro_inverse_apply(x), _retired_inverse_loop(x))):
+        assert got == want
+        if len(set(map(type, x))) == 1:
+            assert [type(v) for v in got] == [type(v) for v in want]
+
+
 def test_delta_log_abs_matches_binomial():
     assert delta_log_abs(10, 4) == pytest.approx(math.log(math.comb(9, 3)))
     assert delta_log_abs(3, 5) == -math.inf

@@ -96,6 +96,19 @@ def test_point_spectrum_scan_without_growth_is_inconclusive():
     assert (v.witness_index, v.declared_override) == (10 ** 4, False)
 
 
+def test_point_spectrum_scan_never_grants_holds():
+    # flags stripped: loglog_n is not nuclear, yet from k = 6 on its row
+    # peaks early and stays under 1e3 up to 1e4 (a search over k used to
+    # return holds there, sup 0.0204 at n = 24); one scan at the default
+    # k_max is no evidence either way
+    alpha = make_alpha("loglog_n")
+    alpha.declared_flags["nuclear"] = None
+    v = point_spectrum_test(2, WeightFamily(alpha))
+    assert (v.status, v.horizon, v.declared_override) == (
+        "inconclusive", 10 ** 4, False)
+    assert v.sup_value < 1.0
+
+
 def test_classify_three_regimes():
     r = classify_spectrum(make_alpha("n"), with_probe=False)
     assert (r.sigma_pt, r.sigma, r.sigma_star) == ("Sigma", "Sigma", "Sigma0")

@@ -54,7 +54,8 @@ def commands():
                              (10, 1, 5), (60, 2, 4), (100, 4, 3)):
         cmds.append(["verify", "--suite", "resolvent", "--N", str(N),
                      "--seed", str(seed), "--samples", str(samples)])
-    for N, m in ((1, 1), (30, 10), (50, 10), (64, 20)):
+    for N, m in ((1, 1), (30, 10), (50, 10), (64, 20), (128, 20),
+                 (128, 128)):
         cmds.append(["verify", "--suite", "eigen", "--N", str(N),
                      "--m", str(m)])
     for N in (1, 2, 17, 18, 19, 40, 64, 128):
