@@ -129,63 +129,36 @@ def _resolve_finite(spec):
     return FiniteTypeWeights(alpha)
 
 
-def _int_at_least(s, lo, what):
-    try:
-        n = int(s)
-        if n >= lo:
-            return n
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a {what} integer, got {s!r}")
+def _arg_type(parse, ok, what):
+    """An argparse type: ``parse`` the string and keep the value if ``ok``;
+    otherwise the error reads ``must be <what>, got '<s>'``."""
+    def convert(s):
+        try:
+            v = parse(s)
+            if ok(v):
+                return v
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {s!r}")
+    return convert
 
 
-def _positive_int(s):
-    """argparse type: an integer >= 1 (a count, a horizon or a step)."""
-    return _int_at_least(s, 1, "positive")
-
-
-def _nonnegative_int(s):
-    """argparse type: an integer >= 0, where 0 has a meaning of its own:
-    probe --l-max 0 tries l = k only, verify --N 0 is the suite default,
-    finite --k 0 or --l 0 runs the acts search, and grid
-    --probe-subsample 0 probes nothing."""
-    return _int_at_least(s, 0, "non-negative")
-
-
-def _positive_float(s):
-    """argparse type: a finite float > 0 (a disc radius or a tolerance)."""
-    try:
-        v = float(s)
-        if math.isfinite(v) and v > 0:
-            return v
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"must be a positive finite number, got {s!r}")
-
-
-def _finite_complex(s):
-    """argparse type: a finite complex number, 'i' or 'j' as the unit."""
-    try:
-        z = complex(s.replace("i", "j"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse complex number {s!r}") from None
-    if not cmath.isfinite(z):
-        raise argparse.ArgumentTypeError(f"must be finite, got {s!r}")
-    return z
-
-
-def _parse_range(s):
-    """argparse type: LO:HI, two finite floats (a side of the grid)."""
-    try:
-        lo, hi = map(float, s.split(":"))
-        if math.isfinite(lo) and math.isfinite(hi):
-            return lo, hi
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"must be LO:HI with two finite numbers, got {s!r}")
+# a count, a horizon or a step
+_positive_int = _arg_type(int, lambda n: n >= 1, "a positive integer")
+# 0 has a meaning of its own: probe --l-max 0 tries l = k only, verify
+# --N 0 is the suite default, finite --k 0 or --l 0 runs the acts search,
+# and grid --probe-subsample 0 probes nothing (verify --seed 0 is a seed)
+_nonnegative_int = _arg_type(int, lambda n: n >= 0, "a non-negative integer")
+# a disc radius or a tolerance
+_positive_float = _arg_type(float, lambda v: math.isfinite(v) and v > 0,
+                            "a positive finite number")
+# 'i' or 'j' as the imaginary unit
+_finite_complex = _arg_type(lambda s: complex(s.replace("i", "j")),
+                            cmath.isfinite, "a finite complex number")
+# LO:HI, a side of the grid
+_parse_range = _arg_type(lambda s: tuple(map(float, s.split(":"))),
+                         lambda r: len(r) == 2 and all(map(math.isfinite, r)),
+                         "LO:HI with two finite numbers")
 
 
 # ---------------------------------------------------------------------------
@@ -242,24 +215,14 @@ def _random_lambda(rng):
 
 def _checks_sandwich(args):
     rng = np.random.default_rng(args.seed)
-    N_list = (10, 100, 1000, 10000)
-    slack = 1.001  # 0.1 percent floating slack
-    worst_lo = math.inf
-    worst_hi = math.inf
-    bad = 0
-    for _ in range(args.samples):
-        lam = _random_lambda(rng)
-        for lo, hi in rsv._log_slacks(lam, rsv.u_fn(lam), rsv.v_fn(lam),
-                                      N_list):
-            lo += math.log(slack)
-            hi += math.log(slack)
-            worst_lo = min(worst_lo, lo)
-            worst_hi = min(worst_hi, hi)
-            if lo < 0 or hi < 0:
-                bad += 1
+    lams = [_random_lambda(rng) for _ in range(args.samples)]
+    # 0.1 percent floating slack
+    worst_lo, worst_hi, failures = rsv._sandwich_sweep(
+        lams, [(rsv.u_fn(lam), rsv.v_fn(lam)) for lam in lams],
+        (10, 100, 1000, 10000), math.log(1.001))
     return [{"check": "Lemma2.7/sandwich",
-             "passed": bad == 0,
-             "samples": args.samples, "violations": bad,
+             "passed": not failures,
+             "samples": args.samples, "violations": len(failures),
              "worst_log_slack_lower": worst_lo,
              "worst_log_slack_upper": worst_hi}]
 
@@ -277,6 +240,7 @@ def _checks_resolvent(args):
 
 
 def _checks_ergodic(args):
+    _exact_tier(args.N)  # the range inverse is exact
     checks = []
     W = WeightFamily(make_alpha("n"))
     pb = power_bounded_check(W, k=1, trials=10, m_max=200, N=50,
@@ -284,13 +248,13 @@ def _checks_ergodic(args):
     checks.append({"check": "Prop4.1/power_bounded",
                    "passed": pb["passed"],
                    "worst_ratio": pb["worst_ratio"]})
-    e1 = [1.0] + [0.0] * 9
-    trace = iterates_limit_check(e1, W, k=1, N=10, tol=1e-6)
+    e1 = [1.0] + [0.0] * (args.N - 1)
+    trace = iterates_limit_check(e1, W, k=1, N=args.N, tol=1e-6)
     checks.append({"check": "Thm4.2/iterates_limit",
                    "passed": trace.status == "converged",
                    "iterations": len(trace.m_values),
                    "final_distance": trace.distances[-1]})
-    A, B, residual = range_inverse_matrices(10)
+    A, B, residual = range_inverse_matrices(args.N)
     ok = (residual == 0 and B[0][0] == Fraction(2)
           and B[1][1] == Fraction(3, 2))
     checks.append({"check": "Prop4.3/range_inverse",
@@ -320,7 +284,8 @@ def _checks_finite(args):
     return checks
 
 
-# suite -> (checks, the truncation N that --N 0 stands for)
+# suite -> (checks, the truncation N that --N 0 stands for; 0 for a suite
+# that reads no --N)
 _SUITES = {
     "factorizations": (_checks_factorizations, 16),
     "eigen": (_checks_eigen, 50),
@@ -333,8 +298,9 @@ _SUITES = {
 
 def cmd_verify(args):
     checks_of, default_N = _SUITES[args.suite]
-    if args.N == 0:
-        args.N = default_N
+    if args.N and not default_N:
+        raise ValueError(f"suite {args.suite!r} reads no --N, got {args.N}")
+    args.N = args.N or default_N
     config = RunConfig("verify", horizon=args.horizon, N=args.N,
                        seed=args.seed,
                        options={"suite": args.suite, "m": args.m,
@@ -458,7 +424,7 @@ def build_parser():
     v.add_argument("--m", type=_positive_int, default=10)
     v.add_argument("--samples", type=_positive_int, default=50)
     v.add_argument("--horizon", type=_positive_int, default=10 ** 5)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_nonnegative_int, default=0)
     v.add_argument("--output", default=None)
     v.set_defaults(func=cmd_verify)
 
@@ -487,7 +453,7 @@ def build_parser():
     e = sub.add_parser("ergodic", help="iterate-convergence trace")
     e.add_argument("--alpha", required=True)
     e.add_argument("--k", type=_positive_int, default=1)
-    e.add_argument("--N", type=int, default=10)
+    e.add_argument("--N", type=_positive_int, default=10)
     e.add_argument("--tol", type=_positive_float, default=1e-8)
     e.add_argument("--m-cap", type=_positive_int, default=10 ** 4)
     e.add_argument("--trace", default=None)

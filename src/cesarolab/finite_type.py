@@ -43,7 +43,11 @@ class FiniteTypeWeights:
         return self.alpha.value(n) / k
 
     def log_weights(self, k, ns):
-        return self.alpha.values(ns) / k
+        return self.step_log_weights(k, self.alpha.values(ns))
+
+    def step_log_weights(self, k, alpha_ns):
+        """log v_k(n) = alpha_n / k from alpha.values(ns)."""
+        return alpha_ns / k
 
 
 def _scan_indices(alpha, horizon):
@@ -77,16 +81,17 @@ def _scan_indices(alpha, horizon):
 class _Scan:
     """alpha_n and log n at the scan indices, evaluated once per scan.
 
-    Every (k, l) the criterion is tried at reads these arrays; the prefix
-    sums depend on k alone, so a search over l reuses them as well.
+    Every (k, l) the criterion is tried at reads these arrays through the
+    family's ``step_log_weights``; the prefix sums depend on k alone, so
+    a search over l reuses them as well.
     """
 
-    def __init__(self, alpha, horizon):
-        dense_top, extras = _scan_indices(alpha, horizon)
+    def __init__(self, ftw, horizon):
+        dense_top, extras = _scan_indices(ftw.alpha, horizon)
         if dense_top < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         ns = np.arange(1, dense_top + 1)
-        av = alpha.values(ns)
+        av = ftw.alpha.values(ns)
         log_n = np.log(ns.astype(float))
         self.dense_top = dense_top
         self.log_tail_len = None
@@ -94,18 +99,20 @@ class _Scan:
             ex = np.array(extras, dtype=np.int64)
             self.log_tail_len = np.log(ex.astype(float) - dense_top)
             ns = np.concatenate([ns, ex])
-            av = np.concatenate([av, alpha.values(ex)])
+            av = np.concatenate([av, ftw.alpha.values(ex)])
             log_n = np.concatenate([log_n, np.log(ex.astype(float))])
-        self.ns, self.av, self.log_n = ns, av, log_n
+        self.W, self.ns, self.av, self.log_n = ftw, ns, av, log_n
 
     def log_prefix(self, k):
-        """log sum_{m<=n} e^(-alpha_m / k) at every scan index."""
-        prefix = np.logaddexp.accumulate(-self.av[: self.dense_top] / k)
+        """log sum_{m<=n} 1/v_k(m) at every scan index."""
+        # the weight rows stay temporaries: at 1e6 indices each is 8 MB
+        lw = self.W.step_log_weights
+        prefix = np.logaddexp.accumulate(-lw(k, self.av[: self.dense_top]))
         if self.log_tail_len is None:
             return prefix
-        # tail terms beyond dense_top are <= e^(-alpha_{dense_top}/k) each;
-        # bound the prefix by the dense part plus the tail majorant
-        tail = self.log_tail_len - self.av[self.dense_top - 1] / k
+        # tail terms beyond dense_top are <= 1/v_k(dense_top) each; bound
+        # the prefix by the dense part plus the tail majorant
+        tail = self.log_tail_len - lw(k, self.av[self.dense_top - 1])
         return np.concatenate([prefix, np.logaddexp(prefix[-1], tail)])
 
     def verdict(self, log_prefix, l):
@@ -115,7 +122,7 @@ class _Scan:
         support ``holds`` but not ``fails``, so a ``fails`` that the dense
         indices alone do not give is ``inconclusive``.
         """
-        rows = self.av / l - self.log_n + log_prefix
+        rows = self.W.step_log_weights(l, self.av) - self.log_n + log_prefix
         v = scan_verdict(rows, self.ns)
         dense = slice(self.dense_top)
         if (v.status == "fails" and self.log_tail_len is not None
@@ -131,7 +138,7 @@ def ft_continuity_criterion(ftw: FiniteTypeWeights, k, l, horizon=10 ** 6):
         raise ValueError(f"need k >= 1, got {k}")
     if l <= k:
         raise ValueError("need l > k")
-    scan = _Scan(ftw.alpha, horizon)
+    scan = _Scan(ftw, horizon)
     return scan.verdict(scan.log_prefix(k), l)
 
 
@@ -156,7 +163,7 @@ def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX):
                 int(j(min(10 * l, 6))), True) if l_max else None}
         return {"verdict": "does_not_act", "per_step": per_k,
                 "horizon": horizon}
-    scan = _Scan(ftw.alpha, horizon)
+    scan = _Scan(ftw, horizon)
     acts = True
     conclusive = True
     for k in range(1, K_PROBE + 1):
@@ -216,6 +223,8 @@ def gp_nuclearity(weights, k, l, horizon=10 ** 5):
         raise ValueError("need l > k")
     horizon = scan_horizon(weights.alpha, horizon, step=l)
     ns = np.arange(1, horizon + 1)
-    log_terms = weights.log_weights(l, ns) - weights.log_weights(k, ns)
+    alpha_ns = weights.alpha.values(ns)
+    log_terms = (weights.step_log_weights(l, alpha_ns)
+                 - weights.step_log_weights(k, alpha_ns))
     return scan_verdict(np.logaddexp.accumulate(log_terms), ns,
                         fail_growth=1e-3)

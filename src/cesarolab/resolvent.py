@@ -15,7 +15,8 @@ measured with it.
 Every disc B(lam, delta) comes from ``disc_samples``, which rejects a
 radius <= 0, a negative sample count and a closed disc touching Sigma0.
 ``_log_slacks`` is the one measure of the Lemma 2.7 sandwich; a lower
-constant 0 is read as the bound 0.
+constant 0 is read as the bound 0.  ``_sandwich_sweep`` runs it over a
+set of points, for ``sandwich_check`` and ``verify --suite sandwich``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import WeightFamily, scan_horizon, scan_verdict
+from .weights import LOG_DBL_MAX, WeightFamily, scan_horizon, scan_verdict
 
 __all__ = [
     "ResolventDecomposition",
@@ -80,7 +81,7 @@ def v_fn(lam):
     double range (|lam| < 0.0383), where the upper bound is trivial."""
     r = abs(lam)
     arg = 1.0 / r + 1.0 / r ** 2
-    return math.exp(arg) if arg <= 709.782712893384 else math.inf
+    return math.exp(arg) if arg <= LOG_DBL_MAX else math.inf
 
 
 def u_fn(lam):
@@ -163,6 +164,25 @@ def _log_slacks(mu, lo, hi, N_list):
             for N, p in zip(N_list, log_prods.tolist())]
 
 
+def _sandwich_sweep(points, constants, N_list, log_margin=0.0):
+    """(worst lower, worst upper log slack, violations) of the Lemma 2.7
+    sandwich at each point mu with its constants (lo, hi) and each N of
+    the increasing N_list, every slack widened by ``log_margin``."""
+    worst_lo = worst_hi = math.inf
+    failures = []
+    for mu, (lo, hi) in zip(points, constants):
+        for N, (slack_lo, slack_hi) in zip(
+                N_list, _log_slacks(mu, lo, hi, N_list)):
+            slack_lo += log_margin
+            slack_hi += log_margin
+            worst_lo = min(worst_lo, slack_lo)
+            worst_hi = min(worst_hi, slack_hi)
+            if slack_lo < 0 or slack_hi < 0:
+                failures.append({"mu": mu, "N": N,
+                                 "slack_lo": slack_lo, "slack_hi": slack_hi})
+    return worst_lo, worst_hi, failures
+
+
 def sandwich_check(lam, delta, N_list, samples=16):
     """Assert d_delta/N^a <= prod |1 - 1/(n mu)| <= D_delta/N^a on a grid.
 
@@ -173,17 +193,8 @@ def sandwich_check(lam, delta, N_list, samples=16):
     pts = disc_samples(lam, delta, boundary=samples,
                        interior=max(samples // 2, 1))
     N_list = sorted(int(N) for N in N_list)
-    worst_lo = math.inf
-    worst_hi = math.inf
-    failures = []
-    for mu in pts:
-        for N, (slack_lo, slack_hi) in zip(
-                N_list, _log_slacks(mu, d_delta, D_delta, N_list)):
-            worst_lo = min(worst_lo, slack_lo)
-            worst_hi = min(worst_hi, slack_hi)
-            if slack_lo < 0 or slack_hi < 0:
-                failures.append({"mu": mu, "N": N,
-                                 "slack_lo": slack_lo, "slack_hi": slack_hi})
+    worst_lo, worst_hi, failures = _sandwich_sweep(
+        pts, [(d_delta, D_delta)] * len(pts), N_list)
     return {
         "lambda": lam,
         "delta": delta,
@@ -237,11 +248,8 @@ def resolvent_entries(mu):
     for 1 <= m < n and a zero first row.
     """
     mu = complex(mu)
-    if mu == 0:
-        raise ValueError("mu = 0 lies in Sigma0")
-    inv = 1.0 / mu
-    if abs(inv - round(inv.real)) < 1e-15 and round(inv.real) >= 1:
-        raise ValueError(f"mu = {mu} lies in Sigma0 (mu = 1/n)")
+    if dist_sigma0(mu) == 0:
+        raise ValueError(f"mu = {mu} lies in Sigma0")
     return ResolventDecomposition(mu)
 
 
@@ -301,15 +309,15 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
             if v.status != "holds":
                 break
         else:
-            # every row holds, so sup_all <= log 1e3 and the cap is inert
+            # every row holds, so sup_all <= log 1e3
             l_found, best = l, sup_all
             break
         if best is None or sup_all < best:
             best = sup_all
     return {
         "l_found": l_found,
-        "sup_row_sum": (math.inf if best is None
-                        else math.exp(min(best, 709.0))),
+        "sup_row_sum": (math.inf if best is None or best > LOG_DBL_MAX
+                        else math.exp(best)),
         "lambda": lam,
         "delta": delta,
         "horizon": horizon,

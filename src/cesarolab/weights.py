@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LOG_THRESHOLD = math.log(1e3)
+LOG_DBL_MAX = math.log(np.finfo(float).max)  # exp overflows above
 M_MAX = 64
 LEMMA22_LOG_BOUND = math.log(1e12)
 
@@ -50,7 +51,7 @@ FLAG_NAMES = ("nuclear", "shift_stable", "delta_continuous", "loglog_finite")
 
 
 class MonotonicityError(ValueError):
-    """Raised when an evaluated alpha value breaks strict increase."""
+    """Raised when an evaluated alpha value falls below its predecessor."""
 
 
 @dataclass
@@ -67,18 +68,18 @@ class GrowthVerdict:
 
 
 class AlphaSequence:
-    """A positive, strictly increasing sequence n -> alpha_n (n >= 1).
+    """A positive, increasing sequence n -> alpha_n (n >= 1).
 
     ``value`` gives one alpha_n, memoized, inf where it overflows double
     precision; ``log_values`` gives log alpha_n over an index array, from
     ``vec_log_fn`` when there is one, so it stays finite for sequences
-    like n^n.  Strict monotonicity of the values is checked against
-    already-evaluated neighbours and any decrease is a hard error.
-    Equality of adjacent *floats* is tolerated only when the underlying
-    increment falls below double resolution (relevant for the appendix
-    staircase sequence deep inside a block).  ``block_bounds`` (k ->
-    j(k), exact ints) is set for a staircase sequence that is constant on
-    the blocks [j(k), j(k+1)).
+    like n^n.  The sequences of the paper increase strictly, but the
+    guards check only that no evaluated value falls below an evaluated
+    neighbour (a decrease is a hard error): adjacent floats may be equal,
+    as they are where the increment falls below double resolution, e.g.
+    deep inside a block of the appendix staircase.  ``block_bounds``
+    (k -> j(k), exact ints) is set for a staircase sequence that is
+    constant on the blocks [j(k), j(k+1)).
     """
 
     def __init__(self, name, value_fn, *, vec_log_fn=None,
@@ -99,13 +100,17 @@ class AlphaSequence:
     def flag(self, name):
         return self.declared_flags[name]
 
-    def value(self, n):
-        n = int(n)
-        if n < 1:
-            raise ValueError(f"index must be >= 1, got {n}")
-        if self.max_index is not None and n > self.max_index:
+    def _check_indices(self, lo, hi):
+        """Reject indices from lo to hi outside 1..max_index."""
+        if lo < 1:
+            raise ValueError(f"alpha indices must be >= 1, got {lo}")
+        if self.max_index is not None and hi > self.max_index:
             raise IndexError(
                 f"alpha {self.name!r} only defined up to n={self.max_index}")
+
+    def value(self, n):
+        n = int(n)
+        self._check_indices(n, n)
         cached = self._memo.get(n)
         if cached is not None:
             return cached
@@ -117,7 +122,7 @@ class AlphaSequence:
         if (below is not None and v < below) or (
                 above is not None and above < v):
             raise MonotonicityError(
-                f"alpha {self.name!r} not strictly increasing at n={n}")
+                f"alpha {self.name!r} decreases at n={n}")
         self._memo[n] = v
         return v
 
@@ -130,11 +135,8 @@ class AlphaSequence:
         keeps horizon-1e6 scans cheap.
         """
         ns = np.asarray(ns, dtype=np.int64)
-        if ns.size and ns.min() < 1:
-            raise ValueError("indices must be >= 1")
-        if self.max_index is not None and ns.size and ns.max() > self.max_index:
-            raise IndexError(
-                f"alpha {self.name!r} only defined up to n={self.max_index}")
+        if ns.size:
+            self._check_indices(int(ns.min()), int(ns.max()))
         if self._vec_log_fn is not None:
             out = np.asarray(self._vec_log_fn(ns), dtype=float)
         else:
@@ -142,7 +144,7 @@ class AlphaSequence:
                            dtype=float)
         if ns.size > 1 and np.all(np.diff(ns) == 1) and np.any(np.diff(out) < 0):
             raise MonotonicityError(
-                f"alpha {self.name!r} not strictly increasing in batch")
+                f"alpha {self.name!r} decreases in batch")
         return out
 
     def values(self, ns):
@@ -324,23 +326,34 @@ def make_alpha(preset_or_generator, name=None, declared_flags=None):
 def make_alpha_from_csv(path, name=None):
     """Custom alpha from a CSV of (n, alpha_n) pairs, no extrapolation.
 
-    The horizon of every predicate is capped at the largest index in the
-    file.
+    The table is checked once, here: by line for a short row or a
+    repeated index, then the indices 1..top, then every value in order
+    through the runtime guard of ``value``.  The horizon of every
+    predicate is capped at the largest index in the file.
     """
     table = {}
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        rows = csv.reader(fh)
+        for row in rows:
             if not row or row[0].strip().startswith("#"):
                 continue
-            n, val = int(row[0]), float(row[1])
-            table[n] = val
+            where = f"{path}, line {rows.line_num}"
+            if len(row) < 2:
+                raise ValueError(f"{where}: need n,alpha_n")
+            n = int(row[0])
+            if n in table:
+                raise ValueError(f"{where}: index {n} repeated")
+            table[n] = float(row[1])
     if not table:
         raise ValueError(f"no data rows in {path}")
     top = max(table)
     if set(table) != set(range(1, top + 1)):
         raise ValueError(f"{path}: indices must be exactly 1..{top}")
-    return AlphaSequence(name or f"file:{path}",
-                         value_fn=lambda n: table[n], max_index=top)
+    alpha = AlphaSequence(name or f"file:{path}",
+                          value_fn=lambda n: table[n], max_index=top)
+    for n in range(1, top + 1):
+        alpha.value(n)
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +405,8 @@ def scan_verdict(log_vals, ns, declared=None, grant_holds=True,
     horizon = int(ns[-1])
     i = int(np.argmax(log_vals))
     log_sup = log_vals[i]
-    sup = float(np.exp(min(log_sup, 709.0)))
+    # a supremum past double range is inf (and a NaN one stays NaN)
+    sup = math.inf if log_sup > LOG_DBL_MAX else float(np.exp(log_sup))
     if declared is not None:
         status = "holds" if declared else "fails"
         return GrowthVerdict(status, horizon, sup, int(ns[i]), True)
@@ -409,46 +423,43 @@ def scan_verdict(log_vals, ns, declared=None, grant_holds=True,
     return GrowthVerdict(status, horizon, sup, int(ns[i]), False)
 
 
-def _ratio_scan(alpha, horizon, first, log_f, flag):
-    """Boundedness evidence for sup_n f(n)/alpha_n, n = first..horizon,
-    with log f of the float indices from ``log_f``."""
-    horizon = scan_horizon(alpha, horizon)
+def _ratio_scan(alpha, horizon, first, log_ratio, flag, tail=0):
+    """Boundedness evidence for a ratio over n = first..horizon, its log
+    from ``log_ratio`` of the float indices and log alpha_n over
+    n = first..horizon + tail."""
+    horizon = scan_horizon(alpha, horizon, tail=tail)
     least = max(first, 2)
     if horizon < least:
         raise ValueError(f"horizon must be >= {least}")
     ns = np.arange(first, horizon + 1)
-    la = alpha.log_values(ns)
-    ratios = log_f(ns.astype(float)) - la
-    return scan_verdict(ratios, ns, alpha.flag(flag), grant_holds=False)
+    la = alpha.log_values(np.arange(first, horizon + tail + 1))
+    return scan_verdict(log_ratio(ns.astype(float), la), ns,
+                        alpha.flag(flag), grant_holds=False)
 
 
 def check_nuclear(alpha, horizon=10 ** 5):
     """Boundedness evidence for sup_n log(n)/alpha_n."""
-    return _ratio_scan(alpha, horizon, 2, lambda x: np.log(np.log(x)),
-                       "nuclear")
+    return _ratio_scan(alpha, horizon, 2,
+                       lambda x, la: np.log(np.log(x)) - la, "nuclear")
 
 
 def check_shift_stable(alpha, horizon=10 ** 5):
     """Boundedness evidence for sup_n alpha_{n+1}/alpha_n."""
-    horizon = scan_horizon(alpha, horizon, tail=1)
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
-    ns = np.arange(1, horizon + 1)
-    la = alpha.log_values(np.arange(1, horizon + 2))
-    ratios = la[1:] - la[:-1]
-    return scan_verdict(ratios, ns, alpha.flag("shift_stable"),
-                        grant_holds=False)
+    return _ratio_scan(alpha, horizon, 1, lambda x, la: la[1:] - la[:-1],
+                       "shift_stable", tail=1)
 
 
 def check_delta_criterion(alpha, horizon=10 ** 5):
     """Boundedness evidence for sup_n n/alpha_n."""
-    return _ratio_scan(alpha, horizon, 1, np.log, "delta_continuous")
+    return _ratio_scan(alpha, horizon, 1, lambda x, la: np.log(x) - la,
+                       "delta_continuous")
 
 
 def check_loglog(alpha, horizon=10 ** 5):
     """Boundedness evidence for sup_n log(log(n))/alpha_n."""
     return _ratio_scan(alpha, horizon, 3,
-                       lambda x: np.log(np.log(np.log(x))), "loglog_finite")
+                       lambda x, la: np.log(np.log(np.log(x))) - la,
+                       "loglog_finite")
 
 
 def check_lemma22(alpha, gamma, horizon=10 ** 5):

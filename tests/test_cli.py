@@ -178,6 +178,14 @@ def test_verify_sandwich_and_finite(tmp_path):
     ["grid", "--alpha", "preset:n", "--res", "2", "--im=a:b"],
     # the eigen suite builds an N x N big-integer section: N_EXACT caps it
     ["verify", "--suite", "eigen", "--N", str(N_EXACT + 1)],
+    # a suite reads --N or refuses it; the ergodic range inverse is exact
+    ["verify", "--suite", "sandwich", "--N", "3"],
+    ["verify", "--suite", "finite", "--N", "7"],
+    ["verify", "--suite", "ergodic", "--N", str(N_EXACT + 1)],
+    ["verify", "--suite", "ergodic", "--N", "1"],
+    # unparseable values
+    ["probe", "--alpha", "preset:n", "--lambda=abc"],
+    ["grid", "--alpha", "preset:n", "--res", "2", "--re=1:2:3"],
 ])
 def test_invalid_count_or_lambda_rejected(tmp_path, capsys, argv):
     out = tmp_path / "r.json"
@@ -185,6 +193,70 @@ def test_invalid_count_or_lambda_rejected(tmp_path, capsys, argv):
     assert run(argv + [flag, str(out)]) == EXIT_FAIL
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["probe", "--alpha", "n", "--lambda=abc"],
+     "argument --lambda: must be a finite complex number, got 'abc'"),
+    (["probe", "--alpha", "n", "--lambda=nan+1j"],
+     "argument --lambda: must be a finite complex number, got 'nan+1j'"),
+    (["probe", "--alpha", "n", "--lambda=2", "--delta", "0"],
+     "argument --delta: must be a positive finite number, got '0'"),
+    (["grid", "--alpha", "n", "--res", "2", "--out", "g.csv", "--re=1:2:3"],
+     "argument --re: must be LO:HI with two finite numbers, got '1:2:3'"),
+    (["classify", "--alpha", "n", "--horizon", "1.5"],
+     "argument --horizon: must be a positive integer, got '1.5'"),
+    (["verify", "--suite", "eigen", "--N", "-1"],
+     "argument --N: must be a non-negative integer, got '-1'"),
+    (["verify", "--suite", "sandwich", "--seed", "-1"],
+     "argument --seed: must be a non-negative integer, got '-1'"),
+    (["ergodic", "--alpha", "n", "--N", "abc"],
+     "argument --N: must be a positive integer, got 'abc'"),
+])
+def test_argument_errors_read_must_be_what_got_value(capsys, argv, message):
+    assert run(argv) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.rstrip().endswith(message)
+
+
+def test_verify_ergodic_reads_n(monkeypatch, tmp_path):
+    seen = []
+    for name in ("iterates_limit_check", "range_inverse_matrices"):
+        def spy(*args, _f=getattr(cli, name), **kw):
+            seen.append(kw.get("N", args[-1]))
+            return _f(*args, **kw)
+        monkeypatch.setattr(cli, name, spy)
+    out = tmp_path / "v.json"
+    assert run(["verify", "--suite", "ergodic", "--N", "64",
+                "--output", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["N"] == 64 and doc["report"]["passed"]
+    assert seen == [64, 64]
+
+
+# file tables the loader must refuse: a row of one field, a repeated
+# index, and a decrease from n = 1 to n = 2 (scans start at n = 2)
+BAD_TABLES = {"short_row.csv": "1,1\n2\n3,3\n",
+              "repeated.csv": "1,1\n2,2\n2,3\n",
+              "drop.csv": "1,1\n2,0.5\n3,3\n"}
+
+
+@pytest.mark.parametrize("table", sorted(BAD_TABLES))
+@pytest.mark.parametrize("argv", [
+    ["classify", "--horizon", "3"],
+    ["ergodic", "--N", "3"],
+    ["probe", "--lambda", "2", "--horizon", "3"],
+])
+def test_bad_alpha_table_rejected(tmp_path, capsys, table, argv):
+    path = tmp_path / table
+    path.write_text(BAD_TABLES[table])
+    out = tmp_path / "r.json"
+    assert run(argv + ["--alpha", f"file:{path}",
+                       "--output", str(out)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -381,10 +453,11 @@ _LAMBDA = st.one_of(
 
 
 def _command_options(alpha_file):
+    bad_tables = [f"file:{alpha_file.parent / t}" for t in sorted(BAD_TABLES)]
     alpha = st.sampled_from(["n", "preset:sqrt_n", "loglog_n", "logloglog_n",
                              "n_pow_n", "appendix_5_3", "log_n",
                              "log_n_plus_1", "preset:bogus", "file:",
-                             f"file:{alpha_file}", ""])
+                             f"file:{alpha_file}", ""] + bad_tables)
     horizon = ("--horizon", _count(1, 200))
     # (required flags, optional flags) per command
     return {
@@ -435,6 +508,8 @@ def cli_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
     (d / "alpha.csv").write_text("".join(f"{n},{n * 2.0}\n"
                                          for n in range(1, 11)))
+    for table, text in BAD_TABLES.items():
+        (d / table).write_text(text)
     return d
 
 

@@ -9,6 +9,7 @@ from cesarolab.finite_type import (L_MAX, FiniteTypeWeights, _scan_indices,
                                    example53_alpha, example53_j,
                                    example53_lower_bound, ft_cesaro_acts,
                                    ft_continuity_criterion, gp_nuclearity)
+from cesarolab.operators import step_continuity_test
 from cesarolab.weights import AlphaSequence, WeightFamily, make_alpha
 
 
@@ -45,6 +46,16 @@ def test_criterion_majorant_slow_growth():
     # and the module computes the same quantity
     v = ft_continuity_criterion(log_np1_weights(), 1, 2, horizon=10 ** 5)
     assert v.sup_value == pytest.approx(float(vals.max()), rel=1e-9)
+
+
+@pytest.mark.parametrize("preset", ["log_n_plus_1", "n", "sqrt_n"])
+@pytest.mark.parametrize("k, l", [(1, 2), (1, 5), (3, 4)])
+@pytest.mark.parametrize("horizon", [500, 10 ** 6])
+def test_criterion_is_the_cesaro_row_on_finite_type_weights(preset, k, l,
+                                                            horizon):
+    ftw = FiniteTypeWeights(make_alpha(preset))
+    assert ft_continuity_criterion(ftw, k, l, horizon) == \
+        step_continuity_test("cesaro", ftw, k, l, horizon)
 
 
 def test_criterion_rejects_bad_steps():

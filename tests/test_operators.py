@@ -570,6 +570,16 @@ def test_delta_criterion_matches_elementwise_reference(preset, k, l):
     assert v.sup_value == pytest.approx(ref.sup_value, rel=1e-12)
 
 
+@pytest.mark.parametrize("preset", ["n", "sqrt_n", "log_n"])
+def test_delta_sup_past_double_range_is_inf(preset):
+    # binom(n-1, m-1) sums to 2^(n-1): the log supremum passes log
+    # DBL_MAX, and the supremum is inf, not e^709
+    v = step_continuity_test("delta", WeightFamily(make_alpha(preset)), 1, 1,
+                             horizon=3000)
+    assert v.status == "fails"
+    assert v.sup_value == math.inf
+
+
 def test_step_continuity_divergent_case():
     # for alpha_n = log n the inverse criterion sup n v_l(n)/v_k(n)
     # = sup n^{1 - (l - k)} diverges only when l = k; n^0 stays flat

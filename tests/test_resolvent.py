@@ -321,6 +321,32 @@ def test_resolvent_rejects_sigma0():
         resolvent_entries(1.0 / 5.0)
 
 
+def test_resolvent_rejects_every_float_reciprocal():
+    # the membership test is dist_sigma0's; a rounding rule of its own
+    # missed float(1/n) from n = 49 on, and 1/49 then divided by zero
+    accepted = []
+    for n in range(1, 10 ** 5 + 1):
+        try:
+            resolvent_entries(1.0 / n)
+        except ValueError:
+            continue
+        accepted.append(n)
+    assert accepted == []
+    for n in (2, 49, 93, 103, 99991):
+        mu = math.nextafter(1.0 / n, 1.0)
+        assert resolvent_entries(mu).mu == mu
+
+
+def test_probe_sup_past_double_range_is_inf():
+    # a(mu) = 250: the row sums grow like n^249 and pass e^709.78 before
+    # n = 1e4; the supremum is reported as inf, not a finite cap
+    W = WeightFamily(make_alpha("log_n"))
+    res = equicontinuity_probe(0.002 + 0.002j, 0.0005, W, 1, horizon=10 ** 4,
+                               samples=2, l_max=0)
+    assert res["verdict"] == "unbounded_evidence"
+    assert res["sup_row_sum"] == math.inf
+
+
 @pytest.mark.parametrize("mu", [2.0, -1.0, 0.4 + 0.2j, -0.3 + 0.7j, 3.0j])
 def test_reconstruction_residual(mu):
     dec = resolvent_entries(mu)

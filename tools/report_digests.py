@@ -62,7 +62,10 @@ def commands():
         cmds.append(["verify", "--suite", "factorizations", "--N", str(N)])
     for seed in range(12):
         cmds.append(["verify", "--suite", "ergodic", "--seed", str(seed)])
+    cmds.append(["verify", "--suite", "ergodic", "--N", "64"])
     cmds.append(["verify", "--suite", "sandwich"])
+    cmds.append(["verify", "--suite", "sandwich", "--samples", "200",
+                 "--seed", "5"])
     cmds.append(["verify", "--suite", "finite"])
     for name in PRESETS:
         cmds.append(["classify", "--alpha", name])
@@ -77,6 +80,12 @@ def commands():
     for weights in ("finite:log_np1", "finite:example53"):
         cmds.append(["finite", "--weights", weights])
         cmds.append(["finite", "--weights", weights, "--k", "1", "--l", "2"])
+    # past the dense 1e6: the log-spaced tail and its majorant, and the
+    # staircase's block bounds
+    for weights, horizon in (("finite:log_np1", 10 ** 20),
+                             ("finite:example53", 10 ** 7)):
+        cmds.append(["finite", "--weights", weights, "--k", "1", "--l", "2",
+                     "--horizon", str(horizon)])
     for name in ("n", "loglog_n", "n_pow_n"):
         cmds.append(["grid", "--alpha", name, "--res", "30",
                      "--probe-subsample", "6", "--out", f"{out}/grid.csv",
