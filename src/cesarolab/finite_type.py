@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .weights import (AlphaSequence, GrowthVerdict, make_alpha, scan_horizon,
-                      scan_verdict)
+from .weights import (LOG_DBL_MAX, AlphaSequence, GrowthVerdict, make_alpha,
+                      scan_horizon, scan_verdict)
 
 __all__ = [
     "FiniteTypeWeights",
@@ -208,7 +208,7 @@ def example53_lower_bound(k, l):
         raise ValueError("k, l must be >= 1")
     log_val = (1.0 / l) * math.log(k) + (k / l - 1.0) * math.log(k) \
         - math.log(4.0)
-    return math.exp(log_val) if log_val < 709.0 else math.inf
+    return math.exp(log_val) if log_val <= LOG_DBL_MAX else math.inf
 
 
 def gp_nuclearity(weights, k, l, horizon=10 ** 5):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .weights import WeightFamily, scan_horizon, scan_verdict
 
@@ -50,6 +51,9 @@ N_DOUBLE_BINOM = 1020  # binom(n-1, k) overflows double beyond this
 COLUMN_DECAY_TOL = 1e-6
 SUP_GUARD = 1e-9  # log margin within which a term may be a row's largest
 LOG_DBL_MIN = math.log(np.finfo(float).tiny)  # exp is subnormal below
+_DELTA_MARGIN = 40.0  # log margin below a row's largest delta term
+_DELTA_BLOCK = 64  # rows of the delta criterion evaluated together
+_DELTA_CELLS = 1 << 18  # cap on a block's rows x window terms
 
 
 @dataclass
@@ -335,13 +339,69 @@ def c0_continuity_test(A: TriangularOperator, horizon, col_check):
 # step-to-step continuity criteria
 
 def _delta_rows(lw_k, lw_l, log_n):
-    """Row sums by log-sum-exp, log binom(n-1, m-1) read off the lgamma
-    table shared with delta_log_abs (sized to a power of two as there)."""
-    ns = np.arange(1, len(log_n) + 1)
-    lg = _lgamma_table(1 << len(ns).bit_length())
-    return np.array([_logsumexp(lw_l[n - 1] - lw_k[:n]
-                                + (lg[n] - lg[ns[:n]] - lg[n - ns[:n] + 1]))
-                     for n in ns.tolist()])
+    """Row sums by log-sum-exp over a certified window of each row.
+
+    Row n is the log-sum of t_m = log binom(n-1, m-1) + k alpha_m
+    - l alpha_n over m <= n, log binom read off the lgamma table shared
+    with delta_log_abs.  L = max(t_mode, t_n) is a lower bound on the
+    row's largest term.  Up to the binomial's mode both parts of t_m are
+    non-decreasing in m, so every term left of the first m with
+    t_m >= L - margin is below L - margin; right of the mode
+    log binom(n-1, m-1) + k alpha_n bounds each term and decreases in m,
+    which gives the right stop.  Only monotonicity of alpha is assumed.
+    With margin _DELTA_MARGIN + log n the dropped terms sum below
+    2 e^-_DELTA_MARGIN of the row.  Both stops are bisected for all rows
+    at once, and blocks of rows are summed over the union of their
+    windows, at most max(_DELTA_CELLS, one row's window) terms at a time.
+    """
+    h = len(log_n)
+    ns = np.arange(1, h + 1)
+    lg = _lgamma_table(1 << (h + 1).bit_length())  # m up to n + 1
+
+    def terms(n, m, lw_m, lg_rest):
+        """t_m of row n, lg_rest = lg[n - m + 1]: inf above the diagonal,
+        where lg[0] makes the binomial's log -inf."""
+        t = lw_l[n - 1] - lw_m
+        t += (lg[n] - lg[m]) - lg_rest
+        return t
+
+    def first(lo, hi, passes):
+        """Smallest m in (lo, hi] passing, per row; hi passes, lo fails."""
+        while np.any(open_ := hi - lo > 1):
+            mid = (lo + hi + 1) // 2  # hi itself once a row has converged
+            ok = passes(mid)
+            lo, hi = (np.where(open_ & ~ok, mid, lo),
+                      np.where(open_ & ok, mid, hi))
+        return hi
+
+    mode = (ns - 1) // 2 + 1
+    floor = (np.maximum(terms(ns, mode, lw_k[mode - 1], lg[ns - mode + 1]),
+                        terms(ns, ns, lw_k[ns - 1], lg[1]))
+             - (_DELTA_MARGIN + log_n))
+    left = first(np.zeros_like(mode), mode + 1, lambda m: terms(
+        ns, m, lw_k[m - 1], lg[ns - m + 1]) >= floor)
+    right = first(mode, ns + 1, lambda m: terms(
+        ns, m, lw_k[ns - 1], lg[ns - m + 1]) < floor)
+
+    out = np.empty(h)
+    i = 0
+    while i < h:
+        j = min(i + _DELTA_BLOCK, h)
+        width = int(right[i:j].max() - left[i:j].min())
+        j = min(j, i + max(1, _DELTA_CELLS // width))
+        n = ns[i:j]
+        m = np.arange(left[i:j].min(), right[i:j].max())
+        # lg[n - m + 1] is constant along diagonals: a strided view of
+        # its values from the block's lowest diagonal to its highest
+        diag = lg[np.maximum(np.arange(n[0] - m[-1], n[-1] - m[0] + 1)
+                             + 1, 0)]
+        t = terms(n[:, None], m, lw_k[m - 1],
+                  sliding_window_view(diag, len(m))[:, ::-1])
+        top = t.max(axis=1)
+        t -= top[:, None]
+        out[i:j] = top + np.log(np.sum(np.exp(t, out=t), axis=1))
+        i = j
+    return out
 
 
 # the log row of each criterion at n = 1..h, from log v_k and log v_l at
@@ -378,9 +438,3 @@ def step_continuity_test(op_name, W: WeightFamily, k, l, horizon=10 ** 4):
         W.step_log_weights(k, alpha_ns), W.step_log_weights(l, alpha_ns),
         np.log(ns.astype(float))), ns)
 
-
-def _logsumexp(terms):
-    m = np.max(terms)
-    if m == -math.inf:
-        return -math.inf
-    return float(m + math.log(np.sum(np.exp(terms - m))))

@@ -287,23 +287,28 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
     weighted row sums of the conjugated resolvent strict part.  A step
     counts as bounded when ``scan_verdict`` grants ``holds`` to the rows
     n >= 2 (row 1 of the strict part is zero) at every sample.  alpha is
-    evaluated once; each step only rescales it.  ``scan_horizon`` caps
-    the horizon at the largest step, k + l_max.
+    evaluated once; each step only rescales it.  A sample's row base is
+    built when a step first reaches that sample, since a step stops at
+    its first sample that does not hold.  ``scan_horizon`` caps the
+    horizon at the largest step, k + l_max.
     """
     mus = disc_samples(lam, delta, boundary=samples - 1, interior=0)
     horizon = scan_horizon(W.alpha, horizon, step=k + l_max)
     ns = np.arange(1, horizon + 1)
     alpha_ns = W.alpha.values(ns)
     lw_k = W.step_log_weights(k, alpha_ns)
-    bases = [_strict_row_base(mu, lw_k)[1:] for mu in mus]
+    bases = [None] * len(mus)
     strict_ns, strict_alpha = ns[1:], alpha_ns[1:]
+    row = np.empty(len(strict_ns))
 
     l_found = best = None  # best: the smallest log sup over the steps
     for l in range(k, k + l_max + 1):
         lw_l = W.step_log_weights(l, strict_alpha)
         sup_all = -math.inf
-        for base in bases:
-            row = lw_l + base
+        for i, mu in enumerate(mus):
+            if bases[i] is None:
+                bases[i] = _strict_row_base(mu, lw_k)[1:]
+            np.add(lw_l, bases[i], out=row)
             v = scan_verdict(row, strict_ns)
             sup_all = max(float(row[v.witness_index - 2]), sup_all)  # n >= 2
             if v.status != "holds":
@@ -353,7 +358,8 @@ def resolvent_norm_bound_check(lam, W: WeightFamily, k, horizon=10 ** 4,
     lw_k = W.log_weights(k, ns)
     for mu in mus:
         base = _strict_row_base(mu, lw_k)
-        off = np.exp(np.minimum(lw_k + base, 700.0)) / abs(mu) ** 2
+        with np.errstate(over="ignore"):  # past double range: inf, unbounded
+            off = np.exp(lw_k + base) / abs(mu) ** 2
         diag = np.abs(1.0 / (1.0 / ns - mu))
         norm_est = float(np.max(diag + off))
         ratio = norm_est * (1.0 - a_fn(mu))

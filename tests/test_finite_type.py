@@ -177,6 +177,12 @@ def test_lower_bound_values():
         example53_lower_bound(0, 1)
 
 
+def test_lower_bound_overflows_only_past_double_range():
+    # log of the bound at (565, 5) is 709.6, under log DBL_MAX = 709.78
+    assert example53_lower_bound(565, 5) == 1.505829683993771e+308
+    assert example53_lower_bound(566, 5) == math.inf
+
+
 def test_lower_bound_diverges_in_k():
     # for every fixed l <= 8 the bound exceeds any threshold eventually,
     # and the first crossing index grows with the threshold

@@ -22,11 +22,12 @@ from cesarolab.operators import (N_DOUBLE_BINOM, N_EXACT, STEP_OPS,
 from cesarolab.resolvent import (equicontinuity_probe,
                                  resolvent_norm_bound_check)
 from cesarolab.spectrum import point_spectrum_test
-from cesarolab.weights import (PRESET_NAMES, WeightFamily,
+from cesarolab.weights import (PRESET_NAMES, AlphaSequence, WeightFamily,
                                check_delta_criterion, check_lemma22,
                                check_loglog, check_nuclear,
                                check_shift_stable, make_alpha,
-                               make_alpha_from_csv, scan_horizon)
+                               make_alpha_from_csv, scan_horizon,
+                               scan_verdict)
 from test_weights import reference_bounded_verdict
 
 F = Fraction
@@ -568,6 +569,69 @@ def test_delta_criterion_matches_elementwise_reference(preset, k, l):
         W, k, l, ns, lambda n, m: math.log(math.comb(n - 1, m - 1))), ns, 60)
     assert (v.status, v.witness_index) == (ref.status, ref.witness_index)
     assert v.sup_value == pytest.approx(ref.sup_value, rel=1e-12)
+
+
+def _retired_delta_rows(lw_k, lw_l, log_n):
+    """The per-row loop that the windowed delta rows replaced: every
+    term of every row, summed by log-sum-exp."""
+    ns = np.arange(1, len(log_n) + 1)
+    lg = operators._lgamma_table(1 << len(ns).bit_length())
+    out = []
+    for n in ns.tolist():
+        terms = lw_l[n - 1] - lw_k[:n] + (lg[n] - lg[ns[:n]]
+                                          - lg[n - ns[:n] + 1])
+        top = np.max(terms)
+        out.append(float(top + math.log(np.sum(np.exp(terms - top)))))
+    return np.array(out)
+
+
+def _delta_scan(alpha, k, l, horizon):
+    """The delta criterion's inputs, as step_continuity_test builds them."""
+    W = WeightFamily(alpha)
+    h = scan_horizon(alpha, horizon, tail=1, step=l)
+    alpha_ns = alpha.values(np.arange(1, h + 2))
+    ns = np.arange(1, h + 1)
+    return (W.step_log_weights(k, alpha_ns), W.step_log_weights(l, alpha_ns),
+            np.log(ns.astype(float))), ns
+
+
+def _assert_rows_close(got, want):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+@pytest.mark.parametrize("k,l", [(1, 2), (1, 3), (2, 3), (2, 4)])
+def test_delta_window_matches_retired_loop(preset, k, l):
+    args, ns = _delta_scan(make_alpha(preset), k, l, 10 ** 3)
+    got, want = operators._delta_rows(*args), _retired_delta_rows(*args)
+    _assert_rows_close(got, want)
+    v, ref = scan_verdict(got, ns), scan_verdict(want, ns)
+    assert (v.status, v.witness_index) == (ref.status, ref.witness_index)
+    assert v == step_continuity_test("delta", WeightFamily(make_alpha(
+        preset)), k, l, horizon=10 ** 3)
+
+
+# increments of a non-decreasing table: plateaus, slow rises and jumps
+_increments = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.05),
+                                 st.floats(1.0, 8.0)), min_size=1,
+                       max_size=299)
+
+
+@given(_increments, st.integers(0, 298), st.floats(20.0, 200.0),
+       st.sampled_from([(1, 1), (1, 2), (2, 3), (1, 4)]))
+@settings(max_examples=60, deadline=None)
+def test_delta_window_on_stepped_tables(steps, at, jump, kl):
+    # a jump right of a row's mode moves the row's largest term away
+    # from the mode, where only the right bound k alpha_n still holds
+    incs = np.array(steps)
+    incs[at % len(incs)] += jump
+    table = np.concatenate([[0.5], 0.5 + np.cumsum(incs)])
+    alpha = AlphaSequence("stepped", lambda n: table[n - 1],
+                          max_index=len(table))
+    args, ns = _delta_scan(alpha, *kl, len(table))
+    _assert_rows_close(operators._delta_rows(*args),
+                       _retired_delta_rows(*args))
 
 
 @pytest.mark.parametrize("preset", ["n", "sqrt_n", "log_n"])

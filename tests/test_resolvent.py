@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from cesarolab import resolvent as rsv
 from cesarolab.operators import TriangularOperator
-from cesarolab.resolvent import (_log_slacks, a_fn, disc_samples, dist_sigma0,
+from cesarolab.resolvent import (_log_slacks, _strict_row_base, a_fn,
+                                 disc_samples, dist_sigma0,
                                  equicontinuity_probe, product_log,
                                  product_log_prefix, resolvent_entries,
                                  resolvent_norm_bound_check, sandwich_bounds,
                                  sandwich_check, u_fn, v_fn)
-from cesarolab.weights import WeightFamily, make_alpha, scan_verdict
+from cesarolab.weights import (LOG_DBL_MAX, WeightFamily, make_alpha,
+                               scan_horizon, scan_verdict)
 
 
 def test_a_fn_values():
@@ -418,6 +420,74 @@ def test_probe_n_pow_n_bounded_off_sigma0():
             "bounded", 1, 142)
 
 
+def _eager_probe(lam, delta, W, k, horizon=10 ** 5, samples=8,
+                 l_max=rsv.PROBE_L_MAX):
+    """The probe as it was before its row bases were built on demand:
+    every sample's base first, a fresh row per step and sample."""
+    mus = disc_samples(lam, delta, boundary=samples - 1, interior=0)
+    horizon = scan_horizon(W.alpha, horizon, step=k + l_max)
+    ns = np.arange(1, horizon + 1)
+    alpha_ns = W.alpha.values(ns)
+    lw_k = W.step_log_weights(k, alpha_ns)
+    bases = [rsv._strict_row_base(mu, lw_k)[1:] for mu in mus]
+    strict_ns, strict_alpha = ns[1:], alpha_ns[1:]
+    l_found = best = None
+    for l in range(k, k + l_max + 1):
+        lw_l = W.step_log_weights(l, strict_alpha)
+        sup_all = -math.inf
+        for base in bases:
+            row = lw_l + base
+            v = scan_verdict(row, strict_ns)
+            sup_all = max(float(row[v.witness_index - 2]), sup_all)
+            if v.status != "holds":
+                break
+        else:
+            l_found, best = l, sup_all
+            break
+        if best is None or sup_all < best:
+            best = sup_all
+    return {
+        "l_found": l_found,
+        "sup_row_sum": (math.inf if best is None or best > LOG_DBL_MAX
+                        else math.exp(best)),
+        "lambda": lam,
+        "delta": delta,
+        "horizon": horizon,
+        "samples": len(mus),
+        "verdict": "unbounded_evidence" if l_found is None else "bounded",
+    }
+
+
+# three points inside the closed disc |z - 1/2| <= 1/2 and three outside
+_PROBE_LAMBDAS = [0.4 + 0.2j, 0.3 + 0.35j, 0.75 + 0.3j, -0.5, 1.5 - 0.7j,
+                  2.0]
+
+
+@pytest.mark.parametrize("alpha", ["n", "loglog_n", "sqrt_n", "logloglog_n"])
+def test_probe_equals_eager_reference(alpha):
+    W = WeightFamily(make_alpha(alpha))
+    for lam in _PROBE_LAMBDAS:
+        assert repr(equicontinuity_probe(lam, 0.05, W, 1, horizon=10 ** 4)) \
+            == repr(_eager_probe(lam, 0.05, W, 1, horizon=10 ** 4))
+
+
+@pytest.mark.parametrize("alpha,lam,built", [("logloglog_n", -0.5, 1),
+                                             ("n", 0.4 + 0.2j, 8)])
+def test_probe_builds_only_the_bases_it_reads(monkeypatch, alpha, lam, built):
+    # every step of logloglog_n fails at the first sample, so one base
+    # is read; n's step 1 holds at all eight samples
+    calls = []
+
+    def counting(mu, lw_k):
+        calls.append(mu)
+        return _strict_row_base(mu, lw_k)
+
+    monkeypatch.setattr(rsv, "_strict_row_base", counting)
+    res = equicontinuity_probe(lam, 0.05, WeightFamily(make_alpha(alpha)), 1)
+    assert res["samples"] == 8
+    assert len(calls) == built
+
+
 def test_probe_rejects_disc_touching_sigma0():
     W = WeightFamily(make_alpha("n"))
     with pytest.raises(ValueError):
@@ -462,6 +532,17 @@ def test_norm_bound_n_pow_n_finite_at_the_overflow_cap():
     assert all(math.isfinite(row["norm_estimate"]) for row in res["samples"])
     assert math.isfinite(res["worst_ratio"])
     assert res["bounded"] is True
+
+
+def test_norm_bound_past_double_range_is_unbounded(monkeypatch):
+    # an off-diagonal log above LOG_DBL_MAX is an inf estimate, not a
+    # clipped finite one; no preset reaches this
+    monkeypatch.setattr(rsv, "_strict_row_base",
+                        lambda mu, lw_k: LOG_DBL_MAX + 1.0 - lw_k)
+    res = resolvent_norm_bound_check(2.0, _W_N, 1, horizon=100)
+    assert all(row["norm_estimate"] == math.inf for row in res["samples"])
+    assert res["worst_ratio"] == math.inf
+    assert res["bounded"] is False
 
 
 def test_norm_bound_rejects_disc_interior():

@@ -14,6 +14,16 @@ Run it in two checkouts and diff the outputs: equal lines mean the
 change kept every one of these reports byte-identical.
 
     python tools/report_digests.py > digests.txt
+
+``tests/report_digests.txt`` holds this output below a line naming the
+Python and NumPy versions it was made with, and a tier-1 test compares
+every line with it.  A change that moves a report on purpose records
+the file again in the same diff:
+
+    python -c "import platform, numpy; print('# python', \\
+        platform.python_version(), 'numpy', numpy.__version__)" \\
+        > tests/report_digests.txt
+    python tools/report_digests.py >> tests/report_digests.txt
 """
 
 from __future__ import annotations
@@ -130,12 +140,18 @@ def digest(template, main):
     return code, h.hexdigest()
 
 
+def report_lines(main):
+    """One line per command: exit code, digest prefix and argv."""
+    for template in commands():
+        code, hexdigest = digest(template, main)
+        yield f"{code} {hexdigest[:16]} {' '.join(template)}"
+
+
 def _main():
     sys.path.insert(0, str(SRC))
     from cesarolab.cli import main
-    for template in commands():
-        code, hexdigest = digest(template, main)
-        print(code, hexdigest[:16], " ".join(template), flush=True)
+    for line in report_lines(main):
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
