@@ -17,7 +17,7 @@ import numpy as np
 from .operators import (_cesaro_step, _log_weight_row, _max_deviation,
                         _scale_to_ints, _weighted_sup_rows,
                         cesaro_matrix_exact)
-from .weights import WeightFamily, scan_horizon, scan_verdict
+from .weights import WeightFamily, log_cumsum_exp, scan_horizon, scan_verdict
 
 __all__ = [
     "IterationTrace",
@@ -181,7 +181,7 @@ def b_continuity_check(W: WeightFamily, k, horizon=10 ** 4):
     lw_k = W.step_log_weights(k, alpha_ns)
     log_n = np.log(ns.astype(float))
     # prefix log-sum of 1/(m v_k(m+1))
-    prefix = np.logaddexp.accumulate(-log_n - lw_k)
+    prefix = log_cumsum_exp(-log_n - lw_k)
     diag_term = np.log1p(1.0 / ns) + lw_l - lw_k
     rows = np.array(diag_term)
     rows[1:] = np.logaddexp(diag_term[1:], lw_l[1:] + prefix[:-1])

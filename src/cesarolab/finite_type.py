@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .weights import (LOG_DBL_MAX, AlphaSequence, GrowthVerdict, make_alpha,
-                      scan_horizon, scan_verdict)
+from .weights import (LOG_DBL_MAX, AlphaSequence, GrowthVerdict,
+                      log_cumsum_exp, make_alpha, scan_horizon, scan_verdict)
 
 __all__ = [
     "FiniteTypeWeights",
@@ -104,10 +104,14 @@ class _Scan:
         self.W, self.ns, self.av, self.log_n = ftw, ns, av, log_n
 
     def log_prefix(self, k):
-        """log sum_{m<=n} 1/v_k(m) at every scan index."""
+        """log sum_{m<=n} 1/v_k(m) at every scan index.
+
+        The dense indices are one prefix log-sum-exp, ``log_cumsum_exp``,
+        of -log v_k; the indices past them get the tail majorant.
+        """
         # the weight rows stay temporaries: at 1e6 indices each is 8 MB
         lw = self.W.step_log_weights
-        prefix = np.logaddexp.accumulate(-lw(k, self.av[: self.dense_top]))
+        prefix = log_cumsum_exp(-lw(k, self.av[: self.dense_top]))
         if self.log_tail_len is None:
             return prefix
         # tail terms beyond dense_top are <= 1/v_k(dense_top) each; bound
@@ -226,5 +230,5 @@ def gp_nuclearity(weights, k, l, horizon=10 ** 5):
     alpha_ns = weights.alpha.values(ns)
     log_terms = (weights.step_log_weights(l, alpha_ns)
                  - weights.step_log_weights(k, alpha_ns))
-    return scan_verdict(np.logaddexp.accumulate(log_terms), ns,
+    return scan_verdict(log_cumsum_exp(log_terms), ns,
                         fail_growth=1e-3)

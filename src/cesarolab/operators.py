@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .weights import WeightFamily, scan_horizon, scan_verdict
+from .weights import WeightFamily, log_cumsum_exp, scan_horizon, scan_verdict
 
 __all__ = [
     "TriangularOperator",
@@ -408,7 +408,7 @@ def _delta_rows(lw_k, lw_l, log_n):
 # n = 1..h+1 and log n at n = 1..h
 _STEP_ROWS = {
     "cesaro": lambda lw_k, lw_l, log_n: (
-        lw_l[:-1] - log_n + np.logaddexp.accumulate(-lw_k[:-1])),
+        lw_l[:-1] - log_n + log_cumsum_exp(-lw_k[:-1])),
     "cesaro_inverse": lambda lw_k, lw_l, log_n: (
         log_n + lw_l[:-1] - lw_k[:-1]),
     "diff": lambda lw_k, lw_l, log_n: log_n + lw_l[:-1] - lw_k[1:],

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import LOG_DBL_MAX, WeightFamily, scan_horizon, scan_verdict
+from .weights import (LOG_DBL_MAX, WeightFamily, log_cumsum_exp, scan_horizon,
+                      scan_verdict)
 
 __all__ = [
     "ResolventDecomposition",
@@ -256,14 +257,17 @@ def resolvent_entries(mu):
 # ---------------------------------------------------------------------------
 # norm bound and equicontinuity probe
 
-def _strict_row_base(mu, lw_k):
-    """log of (1/n) sum_{m<n} e^{P(m-1)} / v_k(m), factored per row.
+def _strict_row_base(mu, lw_k, log_n):
+    """log of (1/n) sum_{m<n} e^{P(m-1)} / v_k(m) for rows n = 2..horizon.
 
     With P the cumulative log-magnitude of the resolvent product, the
     weighted row sum of |e~^{k,l}_{nm}| equals
     exp(log v_l(n) + base(n)) where base is independent of l; this makes
-    the search over steps l a cheap vector sweep.  ``lw_k`` holds
-    log v_k(n) for n = 1..horizon.
+    the search over steps l a cheap vector sweep.  Row 1 of the strict
+    part is zero and has no base.  ``lw_k`` holds log v_k(n) for
+    n = 1..horizon and ``log_n`` holds log n for n = 2..horizon, so a
+    caller with several mu computes it once.  The sums over m are one
+    prefix log-sum-exp, ``log_cumsum_exp``.
     """
     horizon = len(lw_k)
     P = product_log_prefix(mu, horizon)          # P[i] = sum_{k<=i+1}
@@ -271,11 +275,7 @@ def _strict_row_base(mu, lw_k):
     terms = np.empty(horizon)
     terms[0] = -lw_k[0]
     terms[1:] = P[:-1] - lw_k[1:]
-    logQ = np.logaddexp.accumulate(terms)
-    base = np.full(horizon, -np.inf)
-    log_n = np.log(np.arange(1, horizon + 1, dtype=float))
-    base[1:] = -log_n[1:] - P[1:] + logQ[:-1]
-    return base
+    return -log_n - P[1:] + log_cumsum_exp(terms)[:-1]
 
 
 def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
@@ -299,6 +299,7 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
     lw_k = W.step_log_weights(k, alpha_ns)
     bases = [None] * len(mus)
     strict_ns, strict_alpha = ns[1:], alpha_ns[1:]
+    log_n = np.log(strict_ns.astype(float))
     row = np.empty(len(strict_ns))
 
     l_found = best = None  # best: the smallest log sup over the steps
@@ -307,7 +308,7 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
         sup_all = -math.inf
         for i, mu in enumerate(mus):
             if bases[i] is None:
-                bases[i] = _strict_row_base(mu, lw_k)[1:]
+                bases[i] = _strict_row_base(mu, lw_k, log_n)
             np.add(lw_l, bases[i], out=row)
             v = scan_verdict(row, strict_ns)
             sup_all = max(float(row[v.witness_index - 2]), sup_all)  # n >= 2
@@ -356,10 +357,12 @@ def resolvent_norm_bound_check(lam, W: WeightFamily, k, horizon=10 ** 4,
     horizon = scan_horizon(W.alpha, horizon, step=k)
     ns = np.arange(1, horizon + 1)
     lw_k = W.log_weights(k, ns)
+    log_n = np.log(ns[1:].astype(float))
+    off = np.zeros(horizon)  # row 1 of the strict part is zero
     for mu in mus:
-        base = _strict_row_base(mu, lw_k)
+        base = _strict_row_base(mu, lw_k, log_n)
         with np.errstate(over="ignore"):  # past double range: inf, unbounded
-            off = np.exp(lw_k + base) / abs(mu) ** 2
+            off[1:] = np.exp(lw_k[1:] + base) / abs(mu) ** 2
         diag = np.abs(1.0 / (1.0 / ns - mu))
         norm_est = float(np.max(diag + off))
         ratio = norm_est * (1.0 - a_fn(mu))

@@ -15,7 +15,8 @@ that did not grow over a non-empty last decade.  Everything else, a NaN
 supremum or a one-index scan included, is ``inconclusive`` with the
 scan evidence attached.  The ``check_*`` predicates here never grant
 ``holds`` from a scan.  Presets defined from a first index on get
-their head from one ramp rule, ``_ramped``.
+their head from one ramp rule, ``_ramped``.  Every prefix log-sum-exp
+of the package, a scan's log partial sums, is ``log_cumsum_exp``.
 """
 
 from __future__ import annotations
@@ -40,12 +41,18 @@ __all__ = [
     "check_delta_criterion",
     "check_loglog",
     "scan_verdict",
+    "log_cumsum_exp",
 ]
 
 DIVERGENCE_LOG_THRESHOLD = math.log(1e3)
 LOG_DBL_MAX = math.log(np.finfo(float).max)  # exp overflows above
 M_MAX = 64
 LEMMA22_LOG_BOUND = math.log(1e12)
+LCE_BLOCK = 256
+LCE_CHUNK = 1 << 16  # a multiple of LCE_BLOCK
+# a block whose shifted sums start below this has lost bits to
+# subnormals, or a term to underflow
+LCE_TINY = np.finfo(float).tiny * 2.0 ** 52
 
 FLAG_NAMES = ("nuclear", "shift_stable", "delta_continuous", "loglog_finite")
 
@@ -252,8 +259,7 @@ def _appendix53_vec(ns):
          for k in range(1, k_top + 1)], dtype=float)
     lb = log_beta[blocks - 1]
     gamma = 3.0 - 1.0 / (ns.astype(float) + 1.0)
-    alpha = lb + np.log1p(gamma * np.exp(-np.minimum(lb, 700.0))
-                          * (lb < 700.0))
+    alpha = lb + np.log1p(gamma * np.exp(-lb))
     return np.log(alpha)
 
 
@@ -354,6 +360,74 @@ def make_alpha_from_csv(path, name=None):
     for n in range(1, top + 1):
         alpha.value(n)
     return alpha
+
+
+# ---------------------------------------------------------------------------
+# prefix log-sum-exp
+
+def log_cumsum_exp(t):
+    """log(cumsum(exp(t))) over a 1-D array, with the semantics of
+    np.logaddexp.accumulate: -inf terms add nothing, from a +inf term on
+    the sums are +inf and from a NaN on NaN, and every sum is at least
+    its own term and every earlier sum.
+
+    The terms pass through one reused buffer in chunks of LCE_CHUNK, cut
+    into blocks of LCE_BLOCK.  A block is shifted by its maximum c and
+    summed in place, S_j = sum_{i<=j} e^(t_i - c); joined to the log C
+    of all terms before it, its sums are m + log(e^(c-m) S_j + e^(C-m)),
+    m = max(c, C).  The carries C accumulate the block totals
+    c + log S_last alone, from the last sum before the blocks.  A block
+    whose shift or carry is not finite, or whose S starts below
+    LCE_TINY (an in-block range near 670 or more), is summed term by
+    term from the last sum before it instead.  The error is a few ulps
+    of the largest |c| or |C| involved; where rounding puts a joined sum
+    under its own term or an earlier sum, it is raised to it.
+    """
+    t = np.asarray(t, dtype=float)
+    n = len(t)
+    out = np.empty(n)
+    work = np.empty(-(-min(n, LCE_CHUNK) // LCE_BLOCK) * LCE_BLOCK)
+    for lo in range(0, n, LCE_CHUNK):
+        x = t[lo:lo + LCE_CHUNK]
+        nb = -(-len(x) // LCE_BLOCK)
+        flat = work[:nb * LCE_BLOCK]
+        flat[:len(x)] = x
+        flat[len(x):] = -math.inf
+        w = flat.reshape(nb, LCE_BLOCK)
+        with np.errstate(invalid="ignore"):  # shifts by a non-finite c
+            c = w.max(axis=1)
+            np.exp(np.subtract(w, c[:, None], out=w), out=w)
+            np.cumsum(w, axis=1, out=w)
+            total = c + np.log(w[:, -1])
+        exact = ~(np.isfinite(c) & (w[:, 0] >= LCE_TINY))
+        cuts = [0, *(np.flatnonzero(exact[1:] != exact[:-1]) + 1), nb]
+        for b0, b1 in zip(cuts, cuts[1:]):
+            i0, i1 = lo + b0 * LCE_BLOCK, min(lo + b1 * LCE_BLOCK, n)
+            carry = out[i0 - 1] if i0 else -math.inf
+            if exact[b0] or not carry < math.inf:  # or a +inf, NaN carry
+                seq = np.concatenate(([carry], t[i0:i1]))
+                np.logaddexp.accumulate(seq, out=seq)
+                out[i0:i1] = seq[1:]
+                continue
+            C = np.logaddexp.accumulate(
+                np.concatenate(([carry], total[b0:b1 - 1])))
+            m = np.maximum(c[b0:b1], C)
+            v = w[b0:b1]
+            v *= np.exp(c[b0:b1] - m)[:, None]
+            v += np.exp(C - m)[:, None]
+            np.log(v, out=v)
+            v += m[:, None]
+            # each block at least the last sum of every block before it
+            floor = np.maximum.accumulate(np.concatenate(
+                ([carry], v[:-1, -1])))
+            low = np.flatnonzero(v[:, 0] < floor)
+            v[low] = np.maximum(v[low], floor[low, None])
+            o = out[i0:i1]
+            o[:] = v.reshape(-1)[:i1 - i0]
+            if np.any(o < t[i0:i1]):  # a dominant term, rounded down
+                np.maximum(o, t[i0:i1], out=o)
+                np.maximum.accumulate(o, out=o)
+    return out
 
 
 # ---------------------------------------------------------------------------

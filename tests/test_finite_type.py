@@ -227,21 +227,22 @@ def test_gp_nuclearity_finite_type_divergent():
     assert v.status == "fails"
 
 
-# (status, sup) per alpha, weight family and (k, l) at horizon 1e4, as
-# recorded when FiniteTypeWeights took a branch of its own
+# (status, sup) per alpha, weight family and (k, l) at horizon 1e4; the
+# statuses as recorded when FiniteTypeWeights took a branch of its own,
+# the sums in the last bits of the blocked log_cumsum_exp
 _GP_RECORDED = {
     ("n_squared", WeightFamily, (1, 2)): ("holds", 0.38631860241332605),
     ("n_squared", WeightFamily, (2, 5)): ("holds", 0.0497932125820968),
-    ("n_squared", FiniteTypeWeights, (1, 2)): ("holds", 0.7533141440214528),
+    ("n_squared", FiniteTypeWeights, (1, 2)): ("holds", 0.7533141440214529),
     ("n_squared", FiniteTypeWeights, (2, 5)): ("holds", 1.1180215937964328),
     ("log_n_plus_1", WeightFamily, (1, 2)): ("inconclusive",
-                                             8.787706026045287),
+                                             8.787706026045381),
     ("log_n_plus_1", WeightFamily, (2, 5)): ("inconclusive",
-                                             0.20205689816109476),
+                                             0.20205689816109396),
     ("log_n_plus_1", FiniteTypeWeights, (1, 2)): ("inconclusive",
-                                                  197.5546449495615),
+                                                  197.5546449495617),
     ("log_n_plus_1", FiniteTypeWeights, (2, 5)): ("inconclusive",
-                                                  899.5577172656726),
+                                                  899.557717265635),
 }
 
 
@@ -265,8 +266,9 @@ def test_gp_nuclearity_converged_sum_above_threshold_is_inconclusive():
     v = gp_nuclearity(WeightFamily(alpha), 1, 2, horizon=10 ** 6)
     assert v.status == "inconclusive"
     assert v.sup_value == pytest.approx(1.0 / math.expm1(9e-4), rel=1e-9)
-    # the witness is the first index where the partial sums peak
-    assert v.witness_index == 31486
+    # the witness is the first index where the partial sums peak: where
+    # the float sums stop rising, so it moves with their rounding
+    assert v.witness_index == 37633
     # at the default horizon 1e5 the sum is past 1e3 and its last decade
     # still adds about 1.2e-4 in log: a converging series, not evidence
     # that it diverges

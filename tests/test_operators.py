@@ -25,9 +25,9 @@ from cesarolab.spectrum import point_spectrum_test
 from cesarolab.weights import (PRESET_NAMES, AlphaSequence, WeightFamily,
                                check_delta_criterion, check_lemma22,
                                check_loglog, check_nuclear,
-                               check_shift_stable, make_alpha,
-                               make_alpha_from_csv, scan_horizon,
-                               scan_verdict)
+                               check_shift_stable, log_cumsum_exp,
+                               make_alpha, make_alpha_from_csv,
+                               scan_horizon, scan_verdict)
 from test_weights import reference_bounded_verdict
 
 F = Fraction
@@ -764,11 +764,12 @@ def test_every_scan_on_n_pow_n_stops_before_overflow():
 
 
 # the rows of the step criteria before they read one alpha array, kept
-# verbatim as the reference (log v from W.log_weights per index array)
+# as the reference (log v from W.log_weights per index array); its
+# prefix log-sum-exp is the package's one kernel, as in the rows tested
 _OLD_STEP_ROWS = {
     "cesaro": lambda W, k, l, ns, log_n: (
         W.log_weights(l, ns) - log_n
-        + np.logaddexp.accumulate(-W.log_weights(k, ns))),
+        + log_cumsum_exp(-W.log_weights(k, ns))),
     "cesaro_inverse": lambda W, k, l, ns, log_n: (
         log_n + W.log_weights(l, ns) - W.log_weights(k, ns)),
     "diff": lambda W, k, l, ns, log_n: (

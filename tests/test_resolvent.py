@@ -429,8 +429,9 @@ def _eager_probe(lam, delta, W, k, horizon=10 ** 5, samples=8,
     ns = np.arange(1, horizon + 1)
     alpha_ns = W.alpha.values(ns)
     lw_k = W.step_log_weights(k, alpha_ns)
-    bases = [rsv._strict_row_base(mu, lw_k)[1:] for mu in mus]
     strict_ns, strict_alpha = ns[1:], alpha_ns[1:]
+    log_n = np.log(strict_ns.astype(float))
+    bases = [rsv._strict_row_base(mu, lw_k, log_n) for mu in mus]
     l_found = best = None
     for l in range(k, k + l_max + 1):
         lw_l = W.step_log_weights(l, strict_alpha)
@@ -478,9 +479,9 @@ def test_probe_builds_only_the_bases_it_reads(monkeypatch, alpha, lam, built):
     # is read; n's step 1 holds at all eight samples
     calls = []
 
-    def counting(mu, lw_k):
+    def counting(mu, lw_k, log_n):
         calls.append(mu)
-        return _strict_row_base(mu, lw_k)
+        return _strict_row_base(mu, lw_k, log_n)
 
     monkeypatch.setattr(rsv, "_strict_row_base", counting)
     res = equicontinuity_probe(lam, 0.05, WeightFamily(make_alpha(alpha)), 1)
@@ -538,7 +539,7 @@ def test_norm_bound_past_double_range_is_unbounded(monkeypatch):
     # an off-diagonal log above LOG_DBL_MAX is an inf estimate, not a
     # clipped finite one; no preset reaches this
     monkeypatch.setattr(rsv, "_strict_row_base",
-                        lambda mu, lw_k: LOG_DBL_MAX + 1.0 - lw_k)
+                        lambda mu, lw_k, log_n: LOG_DBL_MAX + 1.0 - lw_k[1:])
     res = resolvent_norm_bound_check(2.0, _W_N, 1, horizon=100)
     assert all(row["norm_estimate"] == math.inf for row in res["samples"])
     assert res["worst_ratio"] == math.inf

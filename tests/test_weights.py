@@ -1,14 +1,20 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cesarolab.weights import (AlphaSequence, GrowthVerdict, MonotonicityError,
-                               PRESET_NAMES, WeightFamily, check_delta_criterion,
+from cesarolab import weights
+from cesarolab.finite_type import FiniteTypeWeights
+from cesarolab.resolvent import product_log_prefix
+from cesarolab.weights import (LCE_BLOCK, LCE_CHUNK, AlphaSequence,
+                               GrowthVerdict, MonotonicityError, PRESET_NAMES,
+                               WeightFamily, check_delta_criterion,
                                check_lemma22, check_loglog, check_nuclear,
-                               check_shift_stable, make_alpha,
+                               check_shift_stable, log_cumsum_exp, make_alpha,
                                make_alpha_from_csv, scan_verdict)
 
 
@@ -514,3 +520,150 @@ def test_ramped_presets_bit_equal_to_reference(name, offsets, large):
     assert np.array_equal(_bits(alpha.log_values(ns)), _bits(vec(ns)))
     assert np.array_equal(_bits([alpha.value(int(n)) for n in ns]),
                           _bits([val(int(n)) for n in ns]))
+
+
+# ---------------------------------------------------------------------------
+# the prefix log-sum-exp kernel
+
+# the sequential loop that log_cumsum_exp replaced at every call site,
+# kept as the reference for its semantics
+_retired_prefix = np.logaddexp.accumulate
+
+
+def _assert_same_sums(got, want, t):
+    """Equal non-finite entries; finite ones within 1e-13 of the larger
+    of |want|, the largest finite |t| and 1: a block shifted by its
+    maximum costs a few ulps of that maximum, and near a zero sum both
+    are accurate only in absolute terms."""
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+    fin = np.isfinite(want)
+    np.testing.assert_array_equal(got[~fin], want[~fin])
+    big = np.abs(t[np.isfinite(t)]).max(initial=1.0)
+    assert np.all(np.abs(got[fin] - want[fin])
+                  <= 1e-13 * np.maximum(np.abs(want[fin]), big))
+
+
+_RNG_TERMS = np.random.default_rng(7).normal(scale=3.0, size=900)
+
+
+@pytest.mark.parametrize("t", [
+    np.empty(0),
+    np.array([2.5]),
+    np.full(LCE_BLOCK + 3, -np.inf),
+    np.concatenate([np.full(LCE_BLOCK + 5, -np.inf), _RNG_TERMS]),
+    np.concatenate([_RNG_TERMS[:400], [np.inf], _RNG_TERMS[400:]]),
+    np.concatenate([_RNG_TERMS, [np.inf, -np.inf, 1.0]]),
+], ids=["empty", "one", "all_neg_inf", "leading_neg_inf", "pos_inf",
+        "pos_inf_last"])
+def test_log_cumsum_exp_special_inputs(t):
+    _assert_same_sums(log_cumsum_exp(t), _retired_prefix(t), t)
+
+
+@pytest.mark.parametrize("at", [0, 300, LCE_BLOCK * 3 - 1])
+def test_log_cumsum_exp_nan_from_its_index_on(at):
+    t = np.concatenate([_RNG_TERMS[:at], [np.nan], _RNG_TERMS[at:]])
+    # the sequential loop warns on a NaN, and so does the kernel
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        want = _retired_prefix(t)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        got = log_cumsum_exp(t)
+    assert np.isnan(want[at:]).all() and np.isnan(got[at:]).all()
+    _assert_same_sums(got[:at], want[:at], t[:at])
+
+
+@pytest.mark.parametrize("n", [LCE_BLOCK - 1, LCE_BLOCK, LCE_BLOCK + 1,
+                               LCE_CHUNK - 1, LCE_CHUNK, LCE_CHUNK + 1])
+def test_log_cumsum_exp_block_and_chunk_edges(n):
+    t = np.random.default_rng(n).normal(scale=4.0, size=n) + np.log1p(
+        np.arange(n))
+    got = log_cumsum_exp(t)
+    _assert_same_sums(got, _retired_prefix(t), t)
+    assert np.all(got[1:] >= got[:-1]) and np.all(got >= t)
+
+
+def test_log_cumsum_exp_wide_blocks_take_the_exact_path():
+    # alpha_n = n log n at step 1 spans far more than 700 in one block,
+    # where the shifted sums underflow: the exact loop sums them, bit for
+    # bit, and a block of ordinary range after them is joined on
+    t = np.arange(1, 3 * LCE_BLOCK + 1) * np.log(np.arange(
+        1.0, 3 * LCE_BLOCK + 1))
+    assert np.ptp(t[:LCE_BLOCK]) > 700
+    assert log_cumsum_exp(t).tobytes() == _retired_prefix(t).tobytes()
+    tail = np.concatenate([t, t[-1] + _RNG_TERMS[:LCE_BLOCK]])
+    got = log_cumsum_exp(tail)
+    assert got[:t.size].tobytes() == _retired_prefix(t).tobytes()
+    _assert_same_sums(got, _retired_prefix(tail), tail)
+
+
+def _package_terms(n):
+    """Four prefix log-sum-exp inputs as the package builds them."""
+    ns = np.arange(1, n + 1)
+    ftw = FiniteTypeWeights(make_alpha("log_n_plus_1"))
+    yield "finite_type", -ftw.log_weights(1, ns)
+    lw = WeightFamily(make_alpha("loglog_n")).log_weights(1, ns)
+    P = product_log_prefix(0.4 + 0.2j, n)
+    yield "strict_row", np.concatenate([[-lw[0]], P[:-1] - lw[1:]])
+    W = WeightFamily(make_alpha("n"))
+    yield "gp_nuclearity", W.log_weights(2, ns) - W.log_weights(1, ns)
+    W = WeightFamily(make_alpha("sqrt_n"))
+    yield "b_continuity", -np.log(ns.astype(float)) - W.log_weights(1, ns + 1)
+
+
+def test_log_cumsum_exp_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for name, t in _package_terms(2 * 10 ** 4):
+        with mpmath.workdps(40):
+            total, want = mpmath.mpf(0), []
+            for x in t.tolist():
+                total += mpmath.exp(x)
+                want.append(float(mpmath.log(total)))
+        want = np.array(want)
+        rel = np.max(np.abs(log_cumsum_exp(t) - want) / np.abs(want))
+        assert rel <= 1e-14, name
+
+
+@st.composite
+def _term_arrays(draw):
+    """Raw, sorted or summed terms (ramps and walks), some -inf."""
+    terms = np.array(draw(st.lists(
+        st.one_of(st.floats(-1e3, 1e3), st.floats(-5.0, 5.0),
+                  st.just(-math.inf)),
+        max_size=3 * LCE_BLOCK)))
+    shape = draw(st.sampled_from(["raw", "sorted", "summed"]))
+    if shape == "sorted":
+        return np.sort(terms)
+    if shape == "summed":
+        return np.cumsum(np.nan_to_num(terms, neginf=0.0))
+    return terms
+
+
+# a walk whose sums are flat across a block end, where a joined block
+# would start an ulp under the block before it
+_FLAT_WALK = np.cumsum(np.random.default_rng(3).normal(scale=10.0,
+                                                       size=4 * LCE_BLOCK))
+
+
+@example(_FLAT_WALK)
+@given(_term_arrays())
+@settings(max_examples=300, deadline=None)
+def test_log_cumsum_exp_properties(t):
+    got = log_cumsum_exp(t)
+    assert np.all(got[1:] >= got[:-1]) and np.all(got >= t)
+    _assert_same_sums(got, _retired_prefix(t), t)
+
+
+def test_prefix_log_sum_exp_is_written_once():
+    # every prefix log-sum-exp of the package goes through log_cumsum_exp
+    src = Path(weights.__file__).parent
+    kernel = next(node for node in ast.walk(ast.parse(
+        Path(weights.__file__).read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "log_cumsum_exp")
+    outside = [
+        f"{path.name}:{i}"
+        for path in sorted(src.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "logaddexp.accumulate" in line
+        and not (path.name == "weights.py"
+                 and kernel.lineno <= i <= kernel.end_lineno)]
+    assert not outside
