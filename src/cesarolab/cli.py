@@ -13,6 +13,7 @@ import argparse
 import cmath
 import functools
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from . import resolvent as rsv
-from .ergodic import (iterates_limit_check, power_bounded_check,
-                      range_inverse_matrices)
+from .ergodic import (ITERATE_TOL, M_CAP, iterates_limit_check,
+                      power_bounded_check, range_inverse_matrices)
 from .finite_type import (FiniteTypeWeights, example53_alpha,
                           example53_j, example53_lower_bound,
                           ft_cesaro_acts, ft_continuity_criterion)
@@ -146,7 +147,7 @@ def _arg_type(parse, ok, what):
 # a count, a horizon or a step
 _positive_int = _arg_type(int, lambda n: n >= 1, "a positive integer")
 # 0 has a meaning of its own: probe --l-max 0 tries l = k only, verify
-# --N 0 is the suite default, finite --k 0 or --l 0 runs the acts search,
+# --N 0 is the suite default, finite --k 0 --l 0 runs the acts search,
 # and grid --probe-subsample 0 probes nothing (verify --seed 0 is a seed)
 _nonnegative_int = _arg_type(int, lambda n: n >= 0, "a non-negative integer")
 # a disc radius or a tolerance
@@ -180,8 +181,8 @@ def _exact_check(name, dev):
     return {"check": name, "passed": dev == 0, "deviation": float(dev)}
 
 
-def _checks_factorizations(args):
-    res = verify_factorizations(args.N)
+def _checks_factorizations(*, N=16):
+    res = verify_factorizations(N)
     return [_exact_check(name, res[key]) for name, key in (
         ("Eq2.2/involution_squared", "involution_squared_deviation"),
         ("Eq2.2/similarity", "similarity_deviation"),
@@ -189,20 +190,20 @@ def _checks_factorizations(args):
          "shift_diff_factorization_deviation"))]
 
 
-def _checks_eigen(args):
-    _exact_tier(args.N)
-    if args.m > args.N:
-        raise ValueError(f"--m {args.m} exceeds the {args.N} columns of "
-                         f"the truncation --N")
+def _checks_eigen(*, N=50, m=10):
+    _exact_tier(N)
+    if m > N:
+        raise ValueError(f"--m {m} exceeds the {N} columns of the "
+                         f"truncation --N")
     # C delta e_m = delta e_m / m, scaled by L = lcm(1..N):
     # (L/n) S_nm = (L/m) delta_nm with S the running sums of column m
-    delta = delta_matrix_exact(args.N)[:, :args.m]
-    L, (inv,) = _scale_to_ints([Fraction(1, n) for n in range(1, args.N + 1)])
+    delta = delta_matrix_exact(N)[:, :m]
+    L, (inv,) = _scale_to_ints([Fraction(1, n) for n in range(1, N + 1)])
     lhs = np.cumsum(delta, axis=0) * inv[:, None]
-    rhs = delta * inv[:args.m]
-    return [_exact_check(f"Sec2/eigenvector_m={m}", Fraction(
-        _max_deviation(lhs[:, m - 1], rhs[:, m - 1]), L))
-        for m in range(1, args.m + 1)]
+    rhs = delta * inv[:m]
+    return [_exact_check(f"Sec2/eigenvector_m={i}", Fraction(
+        _max_deviation(lhs[:, i - 1], rhs[:, i - 1]), L))
+        for i in range(1, m + 1)]
 
 
 def _random_lambda(rng):
@@ -213,48 +214,47 @@ def _random_lambda(rng):
             return lam
 
 
-def _checks_sandwich(args):
-    rng = np.random.default_rng(args.seed)
-    lams = [_random_lambda(rng) for _ in range(args.samples)]
+def _checks_sandwich(*, samples=50, seed=0):
+    rng = np.random.default_rng(seed)
+    lams = [_random_lambda(rng) for _ in range(samples)]
     # 0.1 percent floating slack
     worst_lo, worst_hi, failures = rsv._sandwich_sweep(
         lams, [(rsv.u_fn(lam), rsv.v_fn(lam)) for lam in lams],
         (10, 100, 1000, 10000), math.log(1.001))
     return [{"check": "Lemma2.7/sandwich",
              "passed": not failures,
-             "samples": args.samples, "violations": len(failures),
+             "samples": samples, "violations": len(failures),
              "worst_log_slack_lower": worst_lo,
              "worst_log_slack_upper": worst_hi}]
 
 
-def _checks_resolvent(args):
-    rng = np.random.default_rng(args.seed)
+def _checks_resolvent(*, N=20, samples=50, seed=0):
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(args.samples):
+    for _ in range(samples):
         mu = _random_lambda(rng)
         dec = rsv.resolvent_entries(mu)
-        worst = max(worst, dec.reconstruction_residual(args.N))
+        worst = max(worst, dec.reconstruction_residual(N))
     return [{"check": "Sec2/resolvent_reconstruction",
              "passed": worst < 1e-9, "max_residual": worst,
-             "samples": args.samples}]
+             "samples": samples}]
 
 
-def _checks_ergodic(args):
-    _exact_tier(args.N)  # the range inverse is exact
+def _checks_ergodic(*, N=10, seed=0):
+    _exact_tier(N)  # the range inverse is exact
     checks = []
     W = WeightFamily(make_alpha("n"))
-    pb = power_bounded_check(W, k=1, trials=10, m_max=200, N=50,
-                             seed=args.seed)
+    pb = power_bounded_check(W, k=1, trials=10, m_max=200, N=50, seed=seed)
     checks.append({"check": "Prop4.1/power_bounded",
                    "passed": pb["passed"],
                    "worst_ratio": pb["worst_ratio"]})
-    e1 = [1.0] + [0.0] * (args.N - 1)
-    trace = iterates_limit_check(e1, W, k=1, N=args.N, tol=1e-6)
+    e1 = [1.0] + [0.0] * (N - 1)
+    trace = iterates_limit_check(e1, W, k=1, N=N, tol=1e-6)
     checks.append({"check": "Thm4.2/iterates_limit",
                    "passed": trace.status == "converged",
                    "iterations": len(trace.m_values),
                    "final_distance": trace.distances[-1]})
-    A, B, residual = range_inverse_matrices(args.N)
+    A, B, residual = range_inverse_matrices(N)
     ok = (residual == 0 and B[0][0] == Fraction(2)
           and B[1][1] == Fraction(3, 2))
     checks.append({"check": "Prop4.3/range_inverse",
@@ -263,10 +263,10 @@ def _checks_ergodic(args):
     return checks
 
 
-def _checks_finite(args):
+def _checks_finite(*, horizon=10 ** 5):
     checks = []
     ftw = _resolve_finite("finite:log_np1")
-    v = ft_continuity_criterion(ftw, 1, 2, horizon=min(args.horizon, 10 ** 6))
+    v = ft_continuity_criterion(ftw, 1, 2, horizon=horizon)
     checks.append({"check": "Ex5.2/criterion_bounded",
                    "passed": v.status == "holds", "sup": v.sup_value})
     ftw_n = FiniteTypeWeights(make_alpha("n"))
@@ -284,28 +284,38 @@ def _checks_finite(args):
     return checks
 
 
-# suite -> (checks, the truncation N that --N 0 stands for; 0 for a suite
-# that reads no --N)
+# a suite reads the options its checks name, with their defaults
 _SUITES = {
-    "factorizations": (_checks_factorizations, 16),
-    "eigen": (_checks_eigen, 50),
-    "sandwich": (_checks_sandwich, 0),
-    "resolvent": (_checks_resolvent, 20),
-    "ergodic": (_checks_ergodic, 10),
-    "finite": (_checks_finite, 0),
+    "factorizations": _checks_factorizations,
+    "eigen": _checks_eigen,
+    "sandwich": _checks_sandwich,
+    "resolvent": _checks_resolvent,
+    "ergodic": _checks_ergodic,
+    "finite": _checks_finite,
 }
+# the verify options (None when not given), and what the header records
+# for one the suite does not read
+_UNREAD = {"N": 0, "m": 10, "samples": 50, "seed": 0, "horizon": 10 ** 5}
 
 
 def cmd_verify(args):
-    checks_of, default_N = _SUITES[args.suite]
-    if args.N and not default_N:
-        raise ValueError(f"suite {args.suite!r} reads no --N, got {args.N}")
-    args.N = args.N or default_N
-    config = RunConfig("verify", horizon=args.horizon, N=args.N,
-                       seed=args.seed,
-                       options={"suite": args.suite, "m": args.m,
-                                "samples": args.samples})
-    checks = checks_of(args)
+    checks_of = _SUITES[args.suite]
+    kw = {opt: p.default
+          for opt, p in inspect.signature(checks_of).parameters.items()}
+    for opt in _UNREAD:
+        value = getattr(args, opt)
+        if value is None or (opt == "N" and value == 0):  # the suite's N
+            continue
+        if opt not in kw:
+            raise ValueError(
+                f"suite {args.suite!r} reads no --{opt}, got {value}")
+        kw[opt] = value
+    rec = {**_UNREAD, **kw}
+    config = RunConfig("verify", horizon=rec["horizon"], N=rec["N"],
+                       seed=rec["seed"],
+                       options={"suite": args.suite, "m": rec["m"],
+                                "samples": rec["samples"]})
+    checks = checks_of(**kw)
     report = {"suite": args.suite, "checks": checks,
               "passed": all(c["passed"] for c in checks)}
     _emit_json(report, config, args.output)
@@ -376,20 +386,22 @@ def cmd_finite(args):
                        horizon=args.horizon,
                        options={"k": args.k, "l": args.l})
     ftw = _resolve_finite(args.weights)
-    if args.k and args.l:
+    if bool(args.k) != bool(args.l):
+        raise ValueError(f"--k and --l go together (both 0: the acts "
+                         f"search), got --k {args.k} --l {args.l}")
+    if args.k:
         v = ft_continuity_criterion(ftw, args.k, args.l,
                                     horizon=args.horizon)
         report = {"kind": "criterion", "k": args.k, "l": args.l,
                   "verdict": v}
-        code = EXIT_OK if v.status != "inconclusive" else EXIT_INCONCLUSIVE
+        status = v.status
     else:
         res = ft_cesaro_acts(ftw, horizon=args.horizon)
         report = {"kind": "acts", "verdict": res["verdict"],
                   "per_step": res["per_step"]}
-        code = (EXIT_OK if res["verdict"] != "inconclusive"
-                else EXIT_INCONCLUSIVE)
+        status = res["verdict"]
     _emit_json(report, config, args.output)
-    return code
+    return EXIT_INCONCLUSIVE if status == "inconclusive" else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +432,11 @@ def build_parser():
 
     v = sub.add_parser("verify", help="run a named invariant suite")
     v.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    v.add_argument("--N", type=_nonnegative_int, default=0)
-    v.add_argument("--m", type=_positive_int, default=10)
-    v.add_argument("--samples", type=_positive_int, default=50)
-    v.add_argument("--horizon", type=_positive_int, default=10 ** 5)
-    v.add_argument("--seed", type=_nonnegative_int, default=0)
+    v.add_argument("--N", type=_nonnegative_int)
+    v.add_argument("--m", type=_positive_int)
+    v.add_argument("--samples", type=_positive_int)
+    v.add_argument("--horizon", type=_positive_int)
+    v.add_argument("--seed", type=_nonnegative_int)
     v.add_argument("--output", default=None)
     v.set_defaults(func=cmd_verify)
 
@@ -446,7 +458,7 @@ def build_parser():
     pr.add_argument("--k", type=_positive_int, default=1)
     pr.add_argument("--horizon", type=_positive_int, default=10 ** 5)
     pr.add_argument("--samples", type=_positive_int, default=8)
-    pr.add_argument("--l-max", type=_nonnegative_int, default=64)
+    pr.add_argument("--l-max", type=_nonnegative_int, default=rsv.PROBE_L_MAX)
     pr.add_argument("--output", default=None)
     pr.set_defaults(func=cmd_probe)
 
@@ -454,8 +466,8 @@ def build_parser():
     e.add_argument("--alpha", required=True)
     e.add_argument("--k", type=_positive_int, default=1)
     e.add_argument("--N", type=_positive_int, default=10)
-    e.add_argument("--tol", type=_positive_float, default=1e-8)
-    e.add_argument("--m-cap", type=_positive_int, default=10 ** 4)
+    e.add_argument("--tol", type=_positive_float, default=ITERATE_TOL)
+    e.add_argument("--m-cap", type=_positive_int, default=M_CAP)
     e.add_argument("--trace", default=None)
     e.add_argument("--output", default=None)
     e.set_defaults(func=cmd_ergodic)

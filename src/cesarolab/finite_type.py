@@ -88,8 +88,6 @@ class _Scan:
 
     def __init__(self, ftw, horizon):
         dense_top, extras = _scan_indices(ftw.alpha, horizon)
-        if dense_top < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
         ns = np.arange(1, dense_top + 1)
         av = ftw.alpha.values(ns)
         log_n = np.log(ns.astype(float))

@@ -13,7 +13,7 @@ cap on n.  Grid margins and the lower sandwich constant u(lam) are
 measured with it.
 
 Every disc B(lam, delta) comes from ``disc_samples``, which rejects a
-radius <= 0, a negative sample count and a closed disc touching Sigma0.
+radius <= 0, a negative count and a disc failing ``_disc_clears_sigma0``.
 ``_log_slacks`` is the one measure of the Lemma 2.7 sandwich; a lower
 constant 0 is read as the bound 0.  ``_sandwich_sweep`` runs it over a
 set of points, for ``sandwich_check`` and ``verify --suite sandwich``.
@@ -98,7 +98,7 @@ def u_fn(lam):
         return 0.0
     big_d = 3.0 * (1.0 + r) ** 2 / (r ** 1.5 * d ** 2.5)
     arg = -1.0 / r - 2.0 * big_d
-    return math.exp(arg) if arg > -745.0 else 0.0
+    return math.exp(arg)  # 0.0 where it underflows
 
 
 def product_log(mu, N):
@@ -117,6 +117,11 @@ def product_log_prefix(mu, N):
     return np.cumsum(logs)
 
 
+def _disc_clears_sigma0(lam, delta):
+    """Whether the closed disc B(lam, delta) misses Sigma0."""
+    return dist_sigma0(lam) > delta
+
+
 def disc_samples(lam, delta, boundary=64, interior=32):
     """Deterministic sample grid of the closed disc around lam.
 
@@ -130,11 +135,10 @@ def disc_samples(lam, delta, boundary=64, interior=32):
     if boundary < 0 or interior < 0:
         raise ValueError(f"disc sample counts must be >= 0, got "
                          f"boundary={boundary}, interior={interior}")
-    d_lam = dist_sigma0(lam)
-    if d_lam <= delta:
+    if not _disc_clears_sigma0(lam, delta):
         raise ValueError(
             f"closed disc B({lam}, {delta}) touches Sigma0 "
-            f"(dist = {d_lam:.3g})")
+            f"(dist = {dist_sigma0(lam):.3g})")
     lam = complex(lam)
     pts = [lam]
     for i in range(boundary):

@@ -183,7 +183,8 @@ def sample_grid(alpha: AlphaSequence, re_range, im_range, resolution,
 
     Points within GRID_MARGIN of {0} u {1/n} are excluded; the remaining
     points are labeled by the symbolic sigma descriptor, and a
-    deterministic subsample of them is probed (disc radius GRID_PROBE_DELTA).
+    deterministic subsample of them is probed (disc radius GRID_PROBE_DELTA)
+    where the disc clears Sigma0.  A probe that cannot run raises.
     """
     if resolution < 1 or resolution ** 2 > 10 ** 6:
         raise ValueError("resolution out of range")
@@ -204,12 +205,11 @@ def sample_grid(alpha: AlphaSequence, re_range, im_range, resolution,
         W = WeightFamily(alpha)
         step = max(usable_idx.size // probe_subsample, 1)
         for idx in usable_idx[::step][:probe_subsample].tolist():
-            try:
+            lam = complex(z.flat[idx])
+            if rsv._disc_clears_sigma0(lam, GRID_PROBE_DELTA):
                 probes[idx] = rsv.equicontinuity_probe(
-                    complex(z.flat[idx]), GRID_PROBE_DELTA, W, k=1,
-                    horizon=horizon, samples=4)
-            except ValueError:
-                pass
+                    lam, GRID_PROBE_DELTA, W, k=1, horizon=horizon,
+                    samples=4)
     return report, Grid(res, ims, labels, probes)
 
 

@@ -502,9 +502,6 @@ def _ratio_scan(alpha, horizon, first, log_ratio, flag, tail=0):
     from ``log_ratio`` of the float indices and log alpha_n over
     n = first..horizon + tail."""
     horizon = scan_horizon(alpha, horizon, tail=tail)
-    least = max(first, 2)
-    if horizon < least:
-        raise ValueError(f"horizon must be >= {least}")
     ns = np.arange(first, horizon + 1)
     la = alpha.log_values(np.arange(first, horizon + tail + 1))
     return scan_verdict(log_ratio(ns.astype(float), la), ns,

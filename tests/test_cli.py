@@ -3,7 +3,6 @@ import io
 import json
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -125,7 +124,7 @@ def test_eigen_suite_matches_the_retired_fraction_loop(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "delta_matrix_exact", lambda n: delta.copy())
         mp.setattr(cli, "_exact_check", lambda name, dev: dev)
-        devs = cli._checks_eigen(SimpleNamespace(N=N, m=m))
+        devs = cli._checks_eigen(N=N, m=m)
     assert devs == _retired_eigen_deviations(delta, m)
     assert all(isinstance(d, Fraction) for d in devs)
 
@@ -219,6 +218,80 @@ def test_argument_errors_read_must_be_what_got_value(capsys, argv, message):
     assert run(argv) == EXIT_FAIL
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.rstrip().endswith(message)
+
+
+# the options each suite reads; it refuses the rest
+SUITE_READS = {"factorizations": {"N"}, "eigen": {"N", "m"},
+               "sandwich": {"samples", "seed"},
+               "resolvent": {"N", "samples", "seed"},
+               "ergodic": {"N", "seed"}, "finite": {"horizon"}}
+# a nonzero value of each option, and where the report header records it
+OPTION_VALUES = {"N": 12, "m": 3, "samples": 3, "seed": 2, "horizon": 5000}
+RECORDED_AT = {"N": ("N",), "m": ("config", "options", "m"),
+               "samples": ("config", "options", "samples"),
+               "seed": ("config", "seed"), "horizon": ("horizon",)}
+
+
+@pytest.mark.parametrize("option", sorted(OPTION_VALUES))
+@pytest.mark.parametrize("suite", sorted(SUITE_READS))
+def test_verify_option_is_read_or_refused(tmp_path, capsys, suite, option):
+    out = tmp_path / "v.json"
+    value = OPTION_VALUES[option]
+    code = run(["verify", "--suite", suite, f"--{option}", str(value),
+                "--output", str(out)])
+    err = capsys.readouterr().err
+    if option in SUITE_READS[suite]:
+        assert code in (EXIT_OK, EXIT_FAIL) and err == ""
+        doc = json.loads(out.read_text())
+        for key in RECORDED_AT[option]:
+            doc = doc[key]
+        assert doc == value
+    else:
+        assert code == EXIT_FAIL
+        assert err == (f"error: suite {suite!r} reads no --{option}, "
+                       f"got {value}\n")
+        assert not out.exists()
+
+
+def test_verify_finite_scans_the_horizon_it_records(monkeypatch, tmp_path):
+    scanned = []
+
+    def spy(*args, _f=cli.ft_continuity_criterion, **kw):
+        v = _f(*args, **kw)
+        scanned.append(v.horizon)
+        return v
+    monkeypatch.setattr(cli, "ft_continuity_criterion", spy)
+    out = tmp_path / "v.json"
+    assert run(["verify", "--suite", "finite", "--horizon", "2000000",
+                "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["horizon"] == 2000000
+    # Ex5.2 at the recorded horizon, then Prop5.1 at its own 1e4
+    assert scanned[0] == 2000000 and set(scanned[1:]) == {10 ** 4}
+
+
+@pytest.mark.parametrize("steps", [["--k", "3"], ["--l", "2"],
+                                   ["--k", "0", "--l", "2"],
+                                   ["--k", "1", "--l", "0"]])
+def test_finite_k_and_l_go_together(tmp_path, capsys, steps):
+    out = tmp_path / "f.json"
+    assert run(["finite", "--weights", "finite:log_np1", *steps,
+                "--output", str(out)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--k and --l go together" in err
+    assert not out.exists()
+
+
+def test_grid_probe_that_cannot_run_exits_1(tmp_path, capsys):
+    # 65 alpha_1 overflows: the probes have no index to scan, as in probe
+    table = tmp_path / "huge.csv"
+    table.write_text("1,1e308\n2,1.5e308\n3,1.7e308\n")
+    out = tmp_path / "g.csv"
+    assert run(["grid", "--alpha", f"file:{table}", "--res", "6",
+                "--probe-subsample", "3", "--out", str(out)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: empty scan: 65 * alpha_1")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_verify_ergodic_reads_n(monkeypatch, tmp_path):
@@ -463,11 +536,13 @@ def _command_options(alpha_file):
     return {
         "classify": ([("--alpha", alpha), horizon],
                      [("--no-probe", None)]),
+        # a suite refuses an option it does not read, so each is optional
         "verify": ([("--suite", st.sampled_from(
             ["factorizations", "eigen", "sandwich", "resolvent", "ergodic",
-             "finite", "nonsense"])), horizon],
+             "finite", "nonsense"]))],
             [("--N", _count(0, 20)), ("--m", _count(1, 25)),
-             ("--samples", _count(1, 8)), ("--seed", _count(0, 5))]),
+             ("--samples", _count(1, 8)), ("--seed", _count(0, 5)),
+             horizon]),
         "grid": ([("--alpha", alpha), ("--res", _count(1, 5)), horizon],
                  [("--re", _RANGE), ("--im", _RANGE),
                   ("--probe-subsample", _count(0, 5)), ("--svg", "g.svg")]),

@@ -67,6 +67,11 @@ def test_criterion_rejects_bad_steps():
             ft_continuity_criterion(log_np1_weights(), k, 2)
 
 
+def test_criterion_of_no_index_is_the_one_empty_scan_error():
+    with pytest.raises(ValueError, match="^empty scan: the horizon"):
+        ft_continuity_criterion(log_np1_weights(), 1, 2, horizon=0)
+
+
 def test_criterion_diverges_fast_growth():
     ftw = FiniteTypeWeights(make_alpha("n"))
     for l in (2, 8, 64):

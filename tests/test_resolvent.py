@@ -56,7 +56,7 @@ def test_u_fn_uses_true_distance_near_zero():
     r, d = abs(lam), 1e-6
     big_d = 3.0 * (1.0 + r) ** 2 / (r ** 1.5 * d ** 2.5)
     arg = -1.0 / r - 2.0 * big_d
-    assert u_fn(lam) == (math.exp(arg) if arg > -745.0 else 0.0)
+    assert u_fn(lam) == math.exp(arg) == 0.0
 
 
 _RECIPROCALS = 1.0 / np.arange(1, 10 ** 6 + 1)

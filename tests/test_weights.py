@@ -427,6 +427,19 @@ def test_scan_verdict_empty_scan_rejected():
         scan_verdict(np.array([]), np.arange(2, 2))
 
 
+@pytest.mark.parametrize("check, one, none", [
+    (check_shift_stable, 1, 0), (check_delta_criterion, 1, 0),
+    (check_nuclear, 2, 1), (check_loglog, 3, 2)])
+def test_ratio_scan_of_one_index_is_inconclusive(check, one, none):
+    # one scanned index leaves the last decade empty; no index is the one
+    # empty-scan error of scan_verdict
+    alpha = make_alpha(lambda n: n ** 2.0)
+    v = check(alpha, horizon=one)
+    assert (v.status, v.horizon) == ("inconclusive", one)
+    with pytest.raises(ValueError, match="^empty scan: the horizon"):
+        check(alpha, horizon=none)
+
+
 # The hand-written heads of the three ramped presets that weights._ramped
 # replaced, kept verbatim as the reference its presets must reproduce
 # bit for bit.

@@ -109,6 +109,14 @@ def commands():
                      "--output", f"{out}/ergodic.json"])
         cmds.append(["grid", "--alpha", name, "--res", "12",
                      "--probe-subsample", "3", "--out", f"{out}/grid.csv"])
+    # near Sigma0 the discs of 3 of the 6 probe candidates touch it: those
+    # cells stay unprobed
+    cmds.append(["grid", "--alpha", "n", "--res", "20", "--re=-0.01:0.1",
+                 "--im=-0.02:0.02", "--probe-subsample", "6",
+                 "--out", f"{out}/grid.csv"])
+    # an option the run does not read exits 1
+    cmds.append(["verify", "--suite", "eigen", "--samples", "7"])
+    cmds.append(["finite", "--weights", "finite:log_np1", "--k", "3"])
     return cmds
 
 
