@@ -268,7 +268,8 @@ def _checks_finite(*, horizon=10 ** 5):
     ftw = _resolve_finite("finite:log_np1")
     v = ft_continuity_criterion(ftw, 1, 2, horizon=horizon)
     checks.append({"check": "Ex5.2/criterion_bounded",
-                   "passed": v.status == "holds", "sup": v.sup_value})
+                   "passed": v.status == "holds", "status": v.status,
+                   "horizon": v.horizon, "sup": v.sup_value})
     ftw_n = FiniteTypeWeights(make_alpha("n"))
     diverged = all(
         ft_continuity_criterion(ftw_n, 1, l, horizon=10 ** 4).status == "fails"

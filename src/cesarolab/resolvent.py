@@ -107,14 +107,26 @@ def product_log(mu, N):
 
 
 def product_log_prefix(mu, N):
-    """Cumulative sums of log|1 - 1/(n mu)| for n = 1..N."""
+    """Cumulative sums of log|1 - 1/(n mu)| for n = 1..N.
+
+    Each term is computed in real arithmetic as (1/2) log1p(x_n), since
+    |1 - 1/(n mu)|^2 = 1 + x_n with x_n = (rho/n - 2a)/n, a = Re(1/mu)
+    and rho = 1/|mu|^2; log1p keeps the bits of the factors near 1 that
+    a log of |1 - 1/(n mu)| loses.  x is clamped at -1, so a float 1/n
+    gives -inf or a finite term, never NaN.
+    """
     mu = complex(mu)
     if mu == 0:
         raise ZeroDivisionError("mu = 0 is in Sigma0")
     ns = np.arange(1, N + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(1.0 - 1.0 / (ns * mu)))
-    return np.cumsum(logs)
+    x = 1.0 / (mu.real ** 2 + mu.imag ** 2) / ns
+    x -= 2.0 * (1.0 / mu).real
+    x /= ns
+    np.maximum(x, -1.0, out=x)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: a zero factor
+        np.log1p(x, out=x)
+    x *= 0.5
+    return np.cumsum(x, out=x)
 
 
 def _disc_clears_sigma0(lam, delta):
@@ -278,56 +290,99 @@ def _strict_row_base(mu, lw_k, log_n):
     # terms_m = P(m-1) - log v_k(m), prefix log-sum-exp over m
     terms = np.empty(horizon)
     terms[0] = -lw_k[0]
-    terms[1:] = P[:-1] - lw_k[1:]
-    return -log_n - P[1:] + log_cumsum_exp(terms)[:-1]
+    np.subtract(P[:-1], lw_k[1:], out=terms[1:])
+    base = np.negative(log_n)
+    base -= P[1:]
+    base += log_cumsum_exp(terms)[:-1]
+    return base
+
+
+def _first_step(holds, lo, hi):
+    """The least l in lo..hi with holds(l), or None, for a predicate that
+    stays true once true: gallop over l = lo, lo+1, lo+3, lo+7, ...,
+    then bisect between the last step that failed and the first that
+    held."""
+    fail, d = lo - 1, 0
+    while fail < hi:
+        l = min(lo + d, hi)
+        if holds(l):
+            while l - fail > 1:
+                mid = (fail + l) // 2
+                if holds(mid):
+                    l = mid
+                else:
+                    fail = mid
+            return l
+        fail, d = l, 2 * d + 1
+    return None
 
 
 def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
                          samples=8, l_max=PROBE_L_MAX):
     """Search a step l making the conjugated strict part uniformly small.
 
-    For each l in {k, ..., k+l_max} the probe computes, over a
-    deterministic sample of the disc around lam, the supremum of the
-    weighted row sums of the conjugated resolvent strict part.  A step
-    counts as bounded when ``scan_verdict`` grants ``holds`` to the rows
-    n >= 2 (row 1 of the strict part is zero) at every sample.  alpha is
-    evaluated once; each step only rescales it.  A sample's row base is
-    built when a step first reaches that sample, since a step stops at
-    its first sample that does not hold.  ``scan_horizon`` caps the
-    horizon at the largest step, k + l_max.
+    A step l in {k, ..., k+l_max} counts as bounded when ``scan_verdict``
+    grants ``holds`` to the weighted row sums of the conjugated resolvent
+    strict part, rows n >= 2 (row 1 is zero), at every point of a
+    deterministic sample of the disc around lam.  Those rows are
+    log v_l(n) + base(n) and alpha does not decrease, so a sample that
+    holds at l holds at every larger step: each row element falls as l
+    rises, and so does the last decade's excess over the earlier scan.
+    The probe takes the samples in turn, each from the step the previous
+    one needed (``_first_step``); the last step found is ``l_found``.
+    ``sup_row_sum`` is the supremum over the samples at ``l_found``; in
+    an unbounded probe, the least over the steps of the supremum over
+    the samples up to the first that fails there, read at the last step
+    of each stretch failing at the same sample, where it is smallest.
+    alpha is evaluated once, a sample's row base is built when the
+    search first reaches it, and ``scan_horizon`` caps the horizon at the
+    largest step, k + l_max.
     """
     mus = disc_samples(lam, delta, boundary=samples - 1, interior=0)
     horizon = scan_horizon(W.alpha, horizon, step=k + l_max)
     ns = np.arange(1, horizon + 1)
     alpha_ns = W.alpha.values(ns)
     lw_k = W.step_log_weights(k, alpha_ns)
-    bases = [None] * len(mus)
     strict_ns, strict_alpha = ns[1:], alpha_ns[1:]
     log_n = np.log(strict_ns.astype(float))
+    bases = []
     row = np.empty(len(strict_ns))
+    log_sups = {}  # (sample, step) -> the log sup of its rows
 
-    l_found = best = None  # best: the smallest log sup over the steps
-    for l in range(k, k + l_max + 1):
-        lw_l = W.step_log_weights(l, strict_alpha)
-        sup_all = -math.inf
-        for i, mu in enumerate(mus):
-            if bases[i] is None:
-                bases[i] = _strict_row_base(mu, lw_k, log_n)
-            np.add(lw_l, bases[i], out=row)
-            v = scan_verdict(row, strict_ns)
-            sup_all = max(float(row[v.witness_index - 2]), sup_all)  # n >= 2
-            if v.status != "holds":
-                break
-        else:
-            # every row holds, so sup_all <= log 1e3
-            l_found, best = l, sup_all
+    def rows(i, l):
+        np.add(W.step_log_weights(l, strict_alpha), bases[i], out=row)
+        return row
+
+    def holds(i, l):
+        if i == len(bases):
+            bases.append(_strict_row_base(mus[i], lw_k, log_n))
+        v = scan_verdict(rows(i, l), strict_ns)
+        log_sups[i, l] = float(row[v.witness_index - 2])  # n >= 2
+        return v.status == "holds"
+
+    def log_sup(i, l):
+        if (i, l) not in log_sups:
+            log_sups[i, l] = float(rows(i, l).max())
+        return log_sups[i, l]
+
+    top, l_found = k + l_max, k
+    stretch_ends = []  # (the last step stopping at sample i, i)
+    for i in range(len(mus)):
+        h = _first_step(lambda l: holds(i, l), l_found, top)
+        end = top if h is None else h - 1
+        if end >= l_found:
+            stretch_ends.append((end, i))
+        l_found = h
+        if h is None:
             break
-        if best is None or sup_all < best:
-            best = sup_all
+    if l_found is not None:  # every row holds, so best <= log 1e3
+        best = max(log_sup(j, l_found) for j in range(len(mus)))
+    else:
+        best = min((max(log_sup(j, l) for j in range(i + 1))
+                    for l, i in stretch_ends), default=math.inf)
     return {
         "l_found": l_found,
-        "sup_row_sum": (math.inf if best is None or best > LOG_DBL_MAX
-                        else math.exp(best)),
+        "sup_row_sum": math.inf if best > LOG_DBL_MAX else math.exp(best),
         "lambda": lam,
         "delta": delta,
         "horizon": horizon,

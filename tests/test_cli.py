@@ -269,6 +269,22 @@ def test_verify_finite_scans_the_horizon_it_records(monkeypatch, tmp_path):
     assert scanned[0] == 2000000 and set(scanned[1:]) == {10 ** 4}
 
 
+@pytest.mark.parametrize("horizon,code,status", [
+    (None, EXIT_OK, "holds"), (10 ** 12, EXIT_FAIL, "inconclusive")])
+def test_verify_finite_records_the_criterion_verdict(tmp_path, horizon, code,
+                                                     status):
+    # a failed Ex5.2 check says whether the criterion failed or could not
+    # decide, and how far it scanned
+    out = tmp_path / "v.json"
+    given = [] if horizon is None else ["--horizon", str(horizon)]
+    assert run(["verify", "--suite", "finite", *given,
+                "--output", str(out)]) == code
+    check = json.loads(out.read_text())["report"]["checks"][0]
+    assert check["check"] == "Ex5.2/criterion_bounded"
+    assert (check["passed"], check["status"], check["horizon"]) == (
+        status == "holds", status, horizon or 10 ** 5)
+
+
 @pytest.mark.parametrize("steps", [["--k", "3"], ["--l", "2"],
                                    ["--k", "0", "--l", "2"],
                                    ["--k", "1", "--l", "0"]])

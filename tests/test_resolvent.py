@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import re
 
@@ -14,8 +15,8 @@ from cesarolab.resolvent import (_log_slacks, _strict_row_base, a_fn,
                                  product_log_prefix, resolvent_entries,
                                  resolvent_norm_bound_check, sandwich_bounds,
                                  sandwich_check, u_fn, v_fn)
-from cesarolab.weights import (LOG_DBL_MAX, WeightFamily, make_alpha,
-                               scan_horizon, scan_verdict)
+from cesarolab.weights import (LOG_DBL_MAX, PRESET_NAMES, WeightFamily,
+                               make_alpha, scan_horizon, scan_verdict)
 
 
 def test_a_fn_values():
@@ -100,6 +101,34 @@ def test_product_zero_factor_flagged():
     assert product_log(1.0 / 3.0, 5) == -math.inf
     with pytest.raises(ZeroDivisionError):
         product_log(0.0, 5)
+
+
+# mu from four probes of the digest reports, at N = 2e4 terms
+@pytest.mark.parametrize("mu", [0.5494 - 0.3519j, 0.5498 + 0.2209j,
+                                -1.0815 - 0.5206j, 2.1884 - 1.0349j])
+def test_product_prefix_against_mpmath(mu):
+    mpmath = pytest.importorskip("mpmath")
+    N = 2 * 10 ** 4
+    with mpmath.workdps(40):
+        w = 1 / mpmath.mpc(mu.real, mu.imag)
+        total, want = mpmath.mpf(0), []
+        for n in range(1, N + 1):
+            total += mpmath.log(abs(1 - w / n))
+            want.append(float(total))
+    err = np.max(np.abs(product_log_prefix(mu, N) - np.array(want)))
+    # a log of the complex modulus |1 - 1/(n mu)| is off by 6e-13 to
+    # 1.1e-12 here
+    assert err <= 2e-13
+
+
+def test_product_prefix_at_float_reciprocals():
+    # mu = float(1/n) nearly kills the n-th factor: the term reads -inf
+    # or a tiny factor, never NaN, and with no RuntimeWarning
+    for n in range(1, 10 ** 4 + 1):
+        pref = product_log_prefix(1.0 / n, n)
+        assert not np.isnan(pref).any()
+        term = pref[-1] - (pref[-2] if n > 1 else 0.0)
+        assert term == -math.inf or term < -15.0
 
 
 def test_disc_samples_deterministic():
@@ -464,29 +493,88 @@ _PROBE_LAMBDAS = [0.4 + 0.2j, 0.3 + 0.35j, 0.75 + 0.3j, -0.5, 1.5 - 0.7j,
                   2.0]
 
 
-@pytest.mark.parametrize("alpha", ["n", "loglog_n", "sqrt_n", "logloglog_n"])
-def test_probe_equals_eager_reference(alpha):
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("alpha", PRESET_NAMES)
+def test_probe_equals_eager_reference(alpha, k):
+    # the step search finds what the loop over every step finds
     W = WeightFamily(make_alpha(alpha))
-    for lam in _PROBE_LAMBDAS:
-        assert repr(equicontinuity_probe(lam, 0.05, W, 1, horizon=10 ** 4)) \
-            == repr(_eager_probe(lam, 0.05, W, 1, horizon=10 ** 4))
+    for l_max, samples, lam in itertools.product(
+            [0, 1, 3, 64], [1, 4, 8], _PROBE_LAMBDAS):
+        kw = dict(horizon=10 ** 4, samples=samples, l_max=l_max)
+        assert repr(equicontinuity_probe(lam, 0.05, W, k, **kw)) \
+            == repr(_eager_probe(lam, 0.05, W, k, **kw))
 
 
-@pytest.mark.parametrize("alpha,lam,built", [("logloglog_n", -0.5, 1),
-                                             ("n", 0.4 + 0.2j, 8)])
-def test_probe_builds_only_the_bases_it_reads(monkeypatch, alpha, lam, built):
+def test_probe_unbounded_sup_is_the_least_over_the_steps():
+    # step 3 stops at sample 0, whose sums stay below e^-1.8; steps 4 and
+    # 5 stop at sample 2, whose sums reach e^15: the reported supremum
+    # is step 3's, read at the end of an earlier stretch of steps
+    W = WeightFamily(make_alpha("log_n_plus_1"))
+    lam = -0.03266436511408821 - 0.11803864584454082j
+    kw = dict(horizon=2000, samples=8, l_max=2)
+    res = equicontinuity_probe(lam, 0.1, W, 3, **kw)
+    assert repr(res) == repr(_eager_probe(lam, 0.1, W, 3, **kw))
+    assert res["l_found"] is None
+    assert res["sup_row_sum"] == pytest.approx(math.exp(-1.826), rel=1e-3)
+
+
+# an alpha that climbs in jumps between plateaus: (plateau length, jump)
+_STAIRS = st.lists(st.tuples(st.integers(1, 300), st.floats(0.0, 8.0)),
+                   min_size=1, max_size=8)
+
+
+@given(st.floats(0.01, 3.0), _STAIRS, st.sampled_from(_PROBE_LAMBDAS),
+       st.integers(1, 3), st.integers(0, 20), st.integers(1, 8),
+       st.integers(2, 2000))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_probe_equals_eager_reference_on_stairs(start, stairs, lam, k, l_max,
+                                                samples, horizon):
+    values = np.repeat(start + np.cumsum([jump for _, jump in stairs]),
+                       [length for length, _ in stairs])
+    alpha = make_alpha(lambda n: values[min(n, len(values)) - 1],
+                       name="stairs")
+    W = WeightFamily(alpha)
+    kw = dict(horizon=horizon, samples=samples, l_max=l_max)
+    assert repr(equicontinuity_probe(lam, 0.05, W, k, **kw)) \
+        == repr(_eager_probe(lam, 0.05, W, k, **kw))
+
+
+@pytest.mark.parametrize("alpha,lam,built,verdicts",
+                         [("logloglog_n", -0.5, 1, 8), ("n", 0.4 + 0.2j, 8, 8)])
+def test_probe_builds_only_the_bases_it_reads(monkeypatch, alpha, lam, built,
+                                              verdicts):
     # every step of logloglog_n fails at the first sample, so one base
-    # is read; n's step 1 holds at all eight samples
-    calls = []
+    # is read, at steps 1, 2, 4, ..., 64 and 65 (the loop over the
+    # steps read 65); n's step 1 holds at all eight samples
+    bases, scans = [], []
 
-    def counting(mu, lw_k, log_n):
-        calls.append(mu)
+    def counting_base(mu, lw_k, log_n):
+        bases.append(mu)
         return _strict_row_base(mu, lw_k, log_n)
 
-    monkeypatch.setattr(rsv, "_strict_row_base", counting)
+    def counting_verdict(*args, **kwargs):
+        scans.append(args)
+        return scan_verdict(*args, **kwargs)
+
+    monkeypatch.setattr(rsv, "_strict_row_base", counting_base)
+    monkeypatch.setattr(rsv, "scan_verdict", counting_verdict)
     res = equicontinuity_probe(lam, 0.05, WeightFamily(make_alpha(alpha)), 1)
     assert res["samples"] == 8
-    assert len(calls) == built
+    assert (len(bases), len(scans)) == (built, verdicts)
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 1), (1, 65), (3, 10), (5, 4)])
+def test_first_step_finds_the_first_holding_step(lo, hi):
+    for first in range(lo - 1, hi + 2):
+        asked = []
+
+        def holds(l):
+            asked.append(l)
+            return l >= first
+        want = max(first, lo) if max(first, lo) <= hi else None
+        assert rsv._first_step(holds, lo, hi) == want
+        assert all(lo <= l <= hi for l in asked)
+        assert len(asked) <= 2 * max(hi - lo + 1, 1).bit_length() + 1
 
 
 def test_probe_rejects_disc_touching_sigma0():

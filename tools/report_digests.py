@@ -117,6 +117,14 @@ def commands():
     # an option the run does not read exits 1
     cmds.append(["verify", "--suite", "eigen", "--samples", "7"])
     cmds.append(["finite", "--weights", "finite:log_np1", "--k", "3"])
+    # the probe's step search away from its defaults: a later k with few
+    # steps, a few samples failing from the first step, and one step
+    cmds.append(["probe", "--alpha", "loglog_n", "--lambda=0.4+0.2i",
+                 "--k", "2", "--l-max", "3"])
+    cmds.append(["probe", "--alpha", "logloglog_n", "--lambda=-0.5",
+                 "--samples", "3"])
+    cmds.append(["probe", "--alpha", "n", "--lambda=1.5-0.7i",
+                 "--l-max", "0"])
     return cmds
 
 
