@@ -492,7 +492,7 @@ def main(argv=None):
         return EXIT_FAIL if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import (LOG_DBL_MAX, WeightFamily, log_cumsum_exp, scan_horizon,
-                      scan_verdict)
+from .weights import (LOG_DBL_MAX, WeightFamily, _first_step, log_cumsum_exp,
+                      scan_horizon, scan_verdict)
 
 __all__ = [
     "ResolventDecomposition",
@@ -295,26 +295,6 @@ def _strict_row_base(mu, lw_k, log_n):
     base -= P[1:]
     base += log_cumsum_exp(terms)[:-1]
     return base
-
-
-def _first_step(holds, lo, hi):
-    """The least l in lo..hi with holds(l), or None, for a predicate that
-    stays true once true: gallop over l = lo, lo+1, lo+3, lo+7, ...,
-    then bisect between the last step that failed and the first that
-    held."""
-    fail, d = lo - 1, 0
-    while fail < hi:
-        l = min(lo + d, hi)
-        if holds(l):
-            while l - fail > 1:
-                mid = (fail + l) // 2
-                if holds(mid):
-                    l = mid
-                else:
-                    fail = mid
-            return l
-        fail, d = l, 2 * d + 1
-    return None
 
 
 def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,

@@ -113,12 +113,21 @@ def point_spectrum_test(m, W: WeightFamily, horizon=10 ** 4,
                         declared, grant_holds=False)
 
 
-def _trit(verdict: GrowthVerdict):
-    if verdict.status == "holds":
-        return True
-    if verdict.status == "fails":
-        return False
-    return None
+def _trit(alpha, flag_name, check, horizon):
+    """True / False / None: the declared flag, else the scan ``check``."""
+    declared = alpha.flag(flag_name)
+    if declared is not None:
+        return bool(declared)
+    return {"holds": True, "fails": False}.get(check(alpha, horizon).status)
+
+
+# (nuclear, None if nuclear else loglog_finite) -> (sigma_pt, sigma,
+# sigma_star): the paper's three regimes
+_REGIMES = {
+    (True, None): ("Sigma", "Sigma", "Sigma0"),
+    (False, True): ("{1}", "{0,1}uD(1)", "closure(D(1))"),
+    (False, False): ("{1}", "closure(D(1))", "closure(D(1))"),
+}
 
 
 def classify_spectrum(alpha: AlphaSequence, horizon=10 ** 5, with_probe=True):
@@ -127,43 +136,32 @@ def classify_spectrum(alpha: AlphaSequence, horizon=10 ** 5, with_probe=True):
     nuclear            -> (Sigma, Sigma, Sigma0)
     else, loglog finite -> ({1}, {0,1} u D(1), closure(D(1)))
     else                -> ({1}, closure(D(1)), closure(D(1)))
-    Unresolvable predicates propagate to "unknown" descriptors with
-    status inconclusive.
+    A declared flag is read before any scan; ``check_nuclear`` and
+    ``check_loglog`` (up to horizon 1e5) scan only a flag alpha leaves
+    undeclared.  Unresolvable predicates propagate to "unknown"
+    descriptors with status inconclusive.
     """
-    W = WeightFamily(alpha)
-    nuc = _trit(check_nuclear(alpha, horizon))
-    llog = _trit(check_loglog(alpha, min(horizon, 10 ** 5)))
+    nuc = _trit(alpha, "nuclear", check_nuclear, horizon)
+    llog = _trit(alpha, "loglog_finite", check_loglog, min(horizon, 10 ** 5))
+    regime = _REGIMES.get((nuc, None if nuc else llog))
+    sigma_pt, sigma, sigma_star = regime or ("unknown",) * 3
     evidence = []
-
-    if nuc is True:
-        sigma_pt, sigma, sigma_star = "Sigma", "Sigma", "Sigma0"
-        status = "classified"
-    elif nuc is False and llog is True:
-        sigma_pt, sigma, sigma_star = "{1}", "{0,1}uD(1)", "closure(D(1))"
-        status = "classified"
-    elif nuc is False and llog is False:
-        sigma_pt, sigma, sigma_star = "{1}", "closure(D(1))", "closure(D(1))"
-        status = "classified"
-    else:
-        sigma_pt = sigma = sigma_star = "unknown"
-        status = "inconclusive"
-
-    if status == "classified":
-        pt_h = min(horizon, 10 ** 4)
+    if regime:
+        W = WeightFamily(alpha)
+        h = min(horizon, 10 ** 4)
         for m in (1, 2):
-            v = point_spectrum_test(m, W, horizon=pt_h)
+            v = point_spectrum_test(m, W, horizon=h)
             evidence.append({"kind": "point_spectrum", "m": m,
                              "status": v.status, "sup": v.sup_value})
         if with_probe:
             for mu in (2.0 + 0.0j, -1.0 + 0.0j):
-                probe = rsv.equicontinuity_probe(
-                    mu, 0.05, W, k=1, horizon=min(horizon, 10 ** 4),
-                    samples=4)
+                probe = rsv.equicontinuity_probe(mu, 0.05, W, k=1,
+                                                 horizon=h, samples=4)
                 evidence.append({"kind": "probe", "mu": [mu.real, mu.imag],
                                  "verdict": probe["verdict"],
                                  "l_found": probe["l_found"]})
-    return SpectralReport(alpha.name, nuc, llog, sigma_pt, sigma,
-                          sigma_star, status, evidence)
+    return SpectralReport(alpha.name, nuc, llog, sigma_pt, sigma, sigma_star,
+                          "classified" if regime else "inconclusive", evidence)
 
 
 @dataclass

@@ -433,29 +433,47 @@ def log_cumsum_exp(t):
 # ---------------------------------------------------------------------------
 # predicates
 
+def _first_step(holds, lo, hi):
+    """The least l in lo..hi with holds(l), or None, for a predicate that
+    stays true once true: gallop over l = lo, lo+1, lo+3, lo+7, ...,
+    then bisect between the last step that failed and the first that
+    held."""
+    fail, d = lo - 1, 0
+    while fail < hi:
+        l = min(lo + d, hi)
+        if holds(l):
+            while l - fail > 1:
+                mid = (fail + l) // 2
+                if holds(mid):
+                    l = mid
+                else:
+                    fail = mid
+            return l
+        fail, d = l, 2 * d + 1
+    return None
+
+
 def scan_horizon(alpha, horizon, tail=0, step=1):
     """The last index a scan reaches: ``horizon``, capped so that a scan
     reading alpha up to n + tail stays within int64 and a finite sequence,
-    and its largest step times alpha_(n + tail) stays a double (bisected,
-    as alpha increases).  ValueError when that cap leaves no index."""
+    and its largest step times alpha_(n + tail) stays a double (one below
+    the least n that overflows, as alpha does not decrease).  ValueError
+    when that cap leaves no index."""
     horizon = min(int(horizon), np.iinfo(np.int64).max - tail)
     if alpha.max_index is not None:
         horizon = min(horizon, alpha.max_index - tail)
 
-    def finite(n):
+    def overflows(n):
         with np.errstate(over="ignore"):
-            return np.isfinite(step * alpha.values([n + tail])[0])
+            return not np.isfinite(step * alpha.values([n + tail])[0])
 
-    if horizon < 1 or finite(horizon):
+    if horizon < 1 or not overflows(horizon):
         return horizon
-    lo, hi = 0, horizon  # finite at lo (or lo = 0), overflowed at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if finite(mid) else (lo, mid)
-    if lo == 0:
+    cap = _first_step(overflows, 1, horizon) - 1
+    if cap == 0:
         raise ValueError(f"empty scan: {step} * alpha_{1 + tail} of "
                          f"{alpha.name!r} overflows double precision")
-    return lo
+    return cap
 
 
 def scan_verdict(log_vals, ns, declared=None, grant_holds=True,
@@ -547,12 +565,10 @@ def check_lemma22(alpha, gamma, horizon=10 ** 5):
     ns = np.arange(1, horizon + 1)
     av = alpha.values(ns)
     glog = gamma * np.log(ns.astype(float))
-    for m in range(1, M_MAX + 1):
-        vals = glog - m * av
-        if vals.max() <= LEMMA22_LOG_BOUND:
-            break
-    else:
-        m = None  # vals of M = M_MAX
+    # glog - m * av falls as m rises, also in floats
+    m = _first_step(lambda m: (glog - m * av).max() <= LEMMA22_LOG_BOUND,
+                    1, M_MAX)
+    vals = glog - (M_MAX if m is None else m) * av
     i = int(np.argmax(vals))
     with np.errstate(over="ignore"):
         sup = float(np.exp(vals[i]))

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cesarolab import cli
+from cesarolab import resolvent as rsv
 from cesarolab.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, RunConfig,
                            main)
 from cesarolab.operators import (N_EXACT, _max_deviation, cesaro_apply,
                                  delta_matrix_exact)
+from cesarolab.weights import PRESET_NAMES, make_alpha
 
 
 def run(argv):
@@ -440,6 +442,78 @@ def test_one_index_scan_grants_nothing(tmp_path):
     for step in report["per_step"].values():
         assert step["l_found"] is None
         assert step["verdict"]["status"] == "inconclusive"
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_classify_at_any_horizon_from_2(tmp_path, name):
+    # the declared flags decide a preset without a scan, so neither the
+    # predicates' first indices (n = 2, 3) nor int64 bound the horizon;
+    # only the point-spectrum test and the probe scan, up to 1e4
+    out = tmp_path / "r.json"
+    assert run(["classify", "--alpha", name, "--output", str(out)]) \
+        == EXIT_OK
+    want = json.loads(out.read_text())["report"]
+    flags = make_alpha(name).declared_flags
+    assert want["sigma"] == ("Sigma" if flags["nuclear"] else "{0,1}uD(1)"
+                             if flags["loglog_finite"] else "closure(D(1))")
+    for horizon in ("2", str(10 ** 20)):
+        assert run(["classify", "--alpha", name, "--horizon", horizon,
+                    "--output", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())["report"]
+        assert {key: report[key] for key in (
+            "nuclear", "loglog_finite", "sigma_pt", "sigma", "sigma_star",
+            "status")} == {key: want[key] for key in (
+                "nuclear", "loglog_finite", "sigma_pt", "sigma",
+                "sigma_star", "status")}
+
+
+def test_grid_at_horizon_2_probes_one_index(tmp_path):
+    # a probe at horizon 2 scans the one strict row n = 2, which shows no
+    # bound (see test_one_index_scan_grants_nothing)
+    out = tmp_path / "g.csv"
+    assert run(["grid", "--alpha", "n", "--res", "4", "--horizon", "2",
+                "--probe-subsample", "2", "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if not line.startswith("#")][1:]
+    probed = [row[3] for row in rows if row[3] != "skipped"]
+    assert probed == ["unbounded_evidence"] * 2
+
+
+@pytest.mark.parametrize("alpha,horizon", [("n", "1"), ("two_rows", "3")])
+def test_classify_without_an_index_to_scan_exits_1(tmp_path, capsys, alpha,
+                                                   horizon):
+    # a preset's m = 2 eigenvector row starts at n = 2; an undeclared
+    # table's loglog scan starts at n = 3
+    if alpha == "two_rows":
+        table = tmp_path / "two_rows.csv"
+        table.write_text("1,1.0\n2,2.0\n")
+        alpha = f"file:{table}"
+    out = tmp_path / "r.json"
+    assert run(["classify", "--alpha", alpha, "--horizon", horizon,
+                "--output", str(out)]) == EXIT_FAIL
+    assert capsys.readouterr().err == (
+        "error: empty scan: the horizon leaves no index to scan\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--lambda=2", "--output"],
+    ["grid", "--res", "4", "--probe-subsample", "2", "--out"],
+])
+def test_failed_allocation_exits_1(monkeypatch, tmp_path, capsys, argv):
+    # a horizon past memory fails in numpy's allocation; here a stand-in
+    # probe raises that error, so the test allocates nothing
+    def boom(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with "
+                          "shape (1000000000000,) and data type int64")
+    monkeypatch.setattr(rsv, "equicontinuity_probe", boom)
+    out = tmp_path / "r.out"
+    assert run([*argv, str(out), "--alpha", "n", "--horizon",
+                "1000"]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: Unable to "
+                                                    "allocate 7.28 TiB")
+    assert not out.exists()
 
 
 def test_probe_l_max_zero_tries_only_k(tmp_path):

@@ -16,7 +16,8 @@ from cesarolab.resolvent import (_log_slacks, _strict_row_base, a_fn,
                                  resolvent_norm_bound_check, sandwich_bounds,
                                  sandwich_check, u_fn, v_fn)
 from cesarolab.weights import (LOG_DBL_MAX, PRESET_NAMES, WeightFamily,
-                               make_alpha, scan_horizon, scan_verdict)
+                               _first_step, make_alpha, scan_horizon,
+                               scan_verdict)
 
 
 def test_a_fn_values():
@@ -572,7 +573,7 @@ def test_first_step_finds_the_first_holding_step(lo, hi):
             asked.append(l)
             return l >= first
         want = max(first, lo) if max(first, lo) <= hi else None
-        assert rsv._first_step(holds, lo, hi) == want
+        assert _first_step(holds, lo, hi) == want
         assert all(lo <= l <= hi for l in asked)
         assert len(asked) <= 2 * max(hi - lo + 1, 1).bit_length() + 1
 

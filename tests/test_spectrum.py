@@ -14,7 +14,8 @@ from cesarolab.spectrum import (GRID_MARGIN, GRID_PROBE_DELTA, REGIONS,
                                 _region_mask, classify_spectrum, grid_to_csv,
                                 grid_to_svg, point_spectrum_test,
                                 region_contains, sample_grid)
-from cesarolab.weights import WeightFamily, make_alpha
+from cesarolab.weights import (PRESET_NAMES, WeightFamily, make_alpha,
+                               make_alpha_from_csv)
 
 
 def test_region_membership_basics():
@@ -130,6 +131,42 @@ def test_classify_inconclusive_without_flags():
     r = classify_spectrum(alpha, horizon=50)
     assert r.status == "inconclusive"
     assert r.sigma == "unknown"
+
+
+def test_classify_scans_only_undeclared_flags(monkeypatch, tmp_path):
+    # a declared flag decides its predicate without a scan; an undeclared
+    # one is scanned once, by the function bound in spectrum at call time
+    calls = []
+    for name in ("check_nuclear", "check_loglog"):
+        def counting(alpha, horizon, _check=getattr(spectrum, name),
+                     _name=name):
+            calls.append(_name)
+            return _check(alpha, horizon)
+        monkeypatch.setattr(spectrum, name, counting)
+    for name in PRESET_NAMES:
+        classify_spectrum(make_alpha(name), horizon=10 ** 5)
+    assert calls == []
+    path = tmp_path / "pow.csv"
+    path.write_text("".join(f"{n},{n ** 0.75!r}\n" for n in range(1, 501)))
+    table = make_alpha_from_csv(str(path))
+    report = classify_spectrum(table, horizon=10 ** 5)
+    assert sorted(calls) == ["check_loglog", "check_nuclear"]
+    assert report == SpectralReport(table.name, None, None, "unknown",
+                                    "unknown", "unknown", "inconclusive")
+    monkeypatch.undo()
+    assert classify_spectrum(table, horizon=10 ** 5) == report
+
+
+def test_declared_nuclear_decides_whatever_loglog_says():
+    # nuclear alone picks the first regime, even against a declared
+    # loglog_finite = False, which the report still carries
+    alpha = make_alpha(lambda n: float(n), name="declared",
+                       declared_flags=dict(nuclear=True,
+                                           loglog_finite=False))
+    r = classify_spectrum(alpha, horizon=10 ** 3, with_probe=False)
+    assert (r.nuclear, r.loglog_finite, r.status) == (True, False,
+                                                      "classified")
+    assert (r.sigma_pt, r.sigma, r.sigma_star) == ("Sigma", "Sigma", "Sigma0")
 
 
 def test_classify_report_dict_shape():

@@ -680,3 +680,89 @@ def test_prefix_log_sum_exp_is_written_once():
         and not (path.name == "weights.py"
                  and kernel.lineno <= i <= kernel.end_lineno)]
     assert not outside
+
+
+def _retired_scan_horizon(alpha, horizon, tail=0, step=1):
+    """scan_horizon as it was: the overflow cap bisected from 0."""
+    horizon = min(int(horizon), np.iinfo(np.int64).max - tail)
+    if alpha.max_index is not None:
+        horizon = min(horizon, alpha.max_index - tail)
+
+    def finite(n):
+        with np.errstate(over="ignore"):
+            return np.isfinite(step * alpha.values([n + tail])[0])
+
+    if horizon < 1 or finite(horizon):
+        return horizon
+    lo, hi = 0, horizon
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+    if lo == 0:
+        raise ValueError(f"empty scan: {step} * alpha_{1 + tail} of "
+                         f"{alpha.name!r} overflows double precision")
+    return lo
+
+
+def _retired_lemma22(alpha, gamma, horizon=10 ** 5):
+    """check_lemma22 as it was: a linear ladder over M."""
+    horizon = weights.scan_horizon(alpha, horizon, step=weights.M_MAX)
+    ns = np.arange(1, horizon + 1)
+    av = alpha.values(ns)
+    glog = gamma * np.log(ns.astype(float))
+    for m in range(1, weights.M_MAX + 1):
+        vals = glog - m * av
+        if vals.max() <= weights.LEMMA22_LOG_BOUND:
+            break
+    else:
+        m = None
+    i = int(np.argmax(vals))
+    with np.errstate(over="ignore"):
+        sup = float(np.exp(vals[i]))
+    return m, GrowthVerdict("fails" if m is None else "holds", horizon, sup,
+                            int(ns[i]), False)
+
+
+def _cap_or_error(scan, *args, **kw):
+    try:
+        return scan(*args, **kw)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_monotone_searches_match_the_retired_bisection_and_ladder(tmp_path):
+    # the overflow cap of scan_horizon and the M of check_lemma22 are now
+    # the first holding step of one gallop-and-bisect search
+    cases = 0
+    n_pow_n = make_alpha("n_pow_n")
+    for step in (1, 2, 4, 65, 1000):
+        for tail in (0, 1):
+            for horizon in (10, 143, 144, 10 ** 5, 10 ** 18):
+                args = (n_pow_n, horizon, tail, step)
+                assert (_cap_or_error(weights.scan_horizon, *args)
+                        == _cap_or_error(_retired_scan_horizon, *args))
+                cases += 1
+    # tables whose alpha overflows from row r on
+    for r in (2, 3, 17, 500):
+        path = tmp_path / f"overflow_{r}.csv"
+        path.write_text("".join(
+            f"{n},{float(n) if n < r else math.inf!r}\n"
+            for n in range(1, 601)))
+        table = make_alpha_from_csv(str(path))
+        for step in (1, 2, 65):
+            for tail in (0, 1):
+                args = (table, 10 ** 4, tail, step)
+                got = _cap_or_error(weights.scan_horizon, *args)
+                assert got == _cap_or_error(_retired_scan_horizon, *args)
+                assert got == (r - 1 - tail if r - 1 - tail >= 1
+                               else f"empty scan: {step} * alpha_{1 + tail}"
+                               f" of {table.name!r} overflows double "
+                               f"precision")
+                cases += 1
+    for name in PRESET_NAMES:
+        alpha = make_alpha(name)
+        for gamma in (0.5, 1.0, 5.0, 50.0):
+            assert check_lemma22(alpha, gamma) == _retired_lemma22(alpha,
+                                                                   gamma)
+            cases += 1
+    assert cases == 106

@@ -3,9 +3,9 @@
 Runs each command in-process against the package under ``src/`` of the
 checkout that holds this script, and prints one line per command: the
 exit code, the first 16 hex digits of the sha256 of everything it wrote
-(stdout, stderr and each output file, in that order) and its argv.
-Output files go to a temporary directory and appear in the argv as
-``{out}/NAME``, so the lines do not depend on where the script runs.
+(stdout, stderr and each output file it wrote, in that order) and its
+argv.  Output files go to a temporary directory and appear in the argv
+as ``{out}/NAME``, so the lines do not depend on where the script runs.
 Each command runs inside that directory, which also holds the
 ``file:`` alpha tables of ``ALPHA_FILES``; the commands name them by a
 relative path, because the reports quote it.
@@ -125,6 +125,14 @@ def commands():
                  "--samples", "3"])
     cmds.append(["probe", "--alpha", "n", "--lambda=1.5-0.7i",
                  "--l-max", "0"])
+    # declared flags classify a preset without a scan: below the
+    # predicates' first indices, past int64, and under a grid whose
+    # probes each scan one index
+    cmds.append(["classify", "--alpha", "n", "--horizon", "2"])
+    cmds.append(["classify", "--alpha", "loglog_n", "--horizon",
+                 str(10 ** 20)])
+    cmds.append(["grid", "--alpha", "n", "--res", "4", "--horizon", "2",
+                 "--probe-subsample", "2", "--out", f"{out}/grid.csv"])
     return cmds
 
 
@@ -151,7 +159,7 @@ def digest(template, main):
         h = hashlib.sha256(stdout.getvalue().encode())
         h.update(stderr.getvalue().encode())
         for a in argv:
-            if a.startswith(tmp):
+            if a.startswith(tmp) and Path(a).exists():
                 h.update(Path(a).read_bytes())
     return code, h.hexdigest()
 
