@@ -11,12 +11,13 @@ nuclear, and diverges for the staircase sequence of blocks
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .weights import (LOG_DBL_MAX, AlphaSequence, GrowthVerdict,
+from .weights import (LCE_BLOCK, LOG_DBL_MAX, AlphaSequence, GrowthVerdict,
                       log_cumsum_exp, make_alpha, scan_horizon, scan_verdict)
 
 __all__ = [
@@ -31,6 +32,12 @@ __all__ = [
 
 L_MAX = 64
 K_PROBE = 4
+# the criterion's exact head: a multiple of LCE_BLOCK, so that its prefix
+# sums are those of the dense scan bit for bit
+HEAD = 16 * LCE_BLOCK
+BLOCK_RATIO_DENOM = 64  # blocks past the head grow by a factor 1 + 1/64
+# rounding margin of the bounds, relative to the rows' magnitude
+BOUND_MARGIN = 1e-9
 
 
 @dataclass
@@ -79,69 +86,147 @@ def _scan_indices(alpha, horizon):
 
 
 class _Scan:
-    """alpha_n and log n at the scan indices, evaluated once per scan.
+    """alpha_n at the scan indices, evaluated once per scan.
 
-    Every (k, l) the criterion is tried at reads these arrays through the
-    family's ``step_log_weights``; the prefix sums depend on k alone, so
-    a search over l reuses them as well.
+    Every (k, l) the criterion is tried at reads alpha through the
+    family's ``step_log_weights``.  ``verdict`` first tries the exact
+    head and the bound past it (``_certified``) and scans densely
+    (``_dense``) only where they cannot decide; the dense prefix sums
+    depend on k alone, so a search over l reuses them.
     """
 
     def __init__(self, ftw, horizon):
         dense_top, extras = _scan_indices(ftw.alpha, horizon)
-        ns = np.arange(1, dense_top + 1)
-        av = ftw.alpha.values(ns)
-        log_n = np.log(ns.astype(float))
-        self.dense_top = dense_top
+        # the batch guard of alpha.values rules out a decrease over the
+        # dense indices: the bounds of _certified rest on it
+        av = ftw.alpha.values(np.arange(1, dense_top + 1))
+        self.ex = np.array(extras, dtype=np.int64)
         self.log_tail_len = None
         if extras:
-            ex = np.array(extras, dtype=np.int64)
-            self.log_tail_len = np.log(ex.astype(float) - dense_top)
-            ns = np.concatenate([ns, ex])
-            av = np.concatenate([av, ftw.alpha.values(ex)])
-            log_n = np.concatenate([log_n, np.log(ex.astype(float))])
-        self.W, self.ns, self.av, self.log_n = ftw, ns, av, log_n
+            self.log_tail_len = np.log(self.ex.astype(float) - dense_top)
+            av = np.concatenate([av, ftw.alpha.values(self.ex)])
+        self.W, self.av, self.dense_top = ftw, av, dense_top
+        self.horizon = int(self.ex[-1]) if extras else dense_top
+        # NaN passes the batch guard, and no bound sees it
+        self.has_nan = bool(np.isnan(av).any())
+        self._dense_prefix = None  # (k, log prefix) of the last dense k
 
-    def log_prefix(self, k):
-        """log sum_{m<=n} 1/v_k(m) at every scan index.
+    @functools.cached_property
+    def _index(self):
+        """(ns, log n) at every scan index, for the dense rows."""
+        ns = np.concatenate([np.arange(1, self.dense_top + 1), self.ex])
+        return ns, np.log(ns.astype(float))
 
-        The dense indices are one prefix log-sum-exp, ``log_cumsum_exp``,
-        of -log v_k; the indices past them get the tail majorant.
+    @functools.cached_property
+    def _blocks(self):
+        """Starts a and ends b of the blocks (a, b] from HEAD to dense_top,
+        each about 1/BLOCK_RATIO_DENOM longer than the last."""
+        ends = [HEAD]
+        while ends[-1] < self.dense_top:
+            ends.append(min(ends[-1] + ends[-1] // BLOCK_RATIO_DENOM,
+                            self.dense_top))
+        return np.array(ends[:-1]), np.array(ends[1:])
+
+    def verdict(self, k, l):
+        """Verdict on (v_l(n)/n) sum_{m<=n} 1/v_k(m)."""
+        return self._certified(k, l) or self._dense(k, l)
+
+    def _tail_prefix(self, k, log_prefix_top):
+        """The prefix majorant at the indices past dense_top.
+
+        Tail terms beyond dense_top are <= 1/v_k(dense_top) each, so the
+        prefix there is at most the one at dense_top plus the tail.
         """
-        # the weight rows stay temporaries: at 1e6 indices each is 8 MB
+        tail = self.log_tail_len - self.W.step_log_weights(
+            k, self.av[self.dense_top - 1])
+        return np.logaddexp(log_prefix_top, tail)
+
+    def _certified(self, k, l):
+        """The verdict from the exact head and a bound past it, or None.
+
+        The rows n <= HEAD are the dense rows, bit for bit: HEAD is a
+        multiple of LCE_BLOCK, so their prefix is that of the dense scan.
+        Past the head, geometric blocks (a, b] of ratio about
+        1 + 1/BLOCK_RATIO_DENOM run to dense_top, and alpha does not
+        decrease, so each row of a block is at most
+        alpha_b / l - log(a + 1) + U_b, where U_b bounds the prefix at b:
+        U_b = log(e^U_a + (b - a) e^(-alpha_a / k)) from U_HEAD, the exact
+        prefix at HEAD.  Past dense_top the tail majorant takes U at
+        dense_top for the prefix.  When the maximum M of the head lies
+        before the last decade (HEAD <= horizon // 10) and every bound
+        stays below M by BOUND_MARGIN, relative to the rows' magnitude
+        (it covers their rounding), the dense scan has the head's
+        supremum, witness and base and a last decade below it: its
+        verdict is that of the head rows with the largest bound as one
+        row at the horizon.  Only a ``holds`` is returned, so only the
+        dense scan reports ``fails`` or ``inconclusive``.
+        """
+        if self.horizon // 10 < HEAD or self.has_nan:
+            return None
         lw = self.W.step_log_weights
-        prefix = log_cumsum_exp(-lw(k, self.av[: self.dense_top]))
-        if self.log_tail_len is None:
-            return prefix
-        # tail terms beyond dense_top are <= 1/v_k(dense_top) each; bound
-        # the prefix by the dense part plus the tail majorant
-        tail = self.log_tail_len - lw(k, self.av[self.dense_top - 1])
-        return np.concatenate([prefix, np.logaddexp(prefix[-1], tail)])
+        ns = np.arange(1, HEAD + 1)
+        head_prefix = log_cumsum_exp(-lw(k, self.av[:HEAD]))
+        rows = lw(l, self.av[:HEAD]) - np.log(ns.astype(float)) + head_prefix
+        a, b = self._blocks
+        U = log_cumsum_exp(np.concatenate((
+            head_prefix[-1:],
+            np.log((b - a).astype(float)) - lw(k, self.av[a - 1]))))
+        bounds = (lw(l, self.av[b - 1]) - np.log((a + 1).astype(float))
+                  + U[1:])
+        if self.log_tail_len is not None:
+            bounds = np.concatenate([bounds, (
+                lw(l, self.av[self.dense_top:])
+                - np.log(self.ex.astype(float))
+                + self._tail_prefix(k, U[-1]))])
+        top = bounds.max()
+        margin = BOUND_MARGIN * (
+            1.0 + lw(k, self.av[self.dense_top - 1])
+            + math.log(self.dense_top))
+        if not top + margin < rows.max():
+            return None
+        v = scan_verdict(np.append(rows, top), np.append(ns, self.horizon))
+        return v if v.status == "holds" else None
 
-    def verdict(self, log_prefix, l):
-        """Verdict on (v_l(n)/n) sum_{m<=n} 1/v_k(m), k fixed by the prefix.
+    def _dense(self, k, l):
+        """The verdict on the rows at every scan index.
 
-        Past dense_top the prefix is a majorant, an upper bound: it may
-        support ``holds`` but not ``fails``, so a ``fails`` that the dense
-        indices alone do not give is ``inconclusive``.
+        The dense indices take one prefix log-sum-exp, ``log_cumsum_exp``,
+        of -log v_k; the indices past them the tail majorant.  That
+        majorant is an upper bound: it may support ``holds`` but not
+        ``fails``, so a ``fails`` that the dense indices alone do not
+        give is ``inconclusive``.
         """
-        rows = self.W.step_log_weights(l, self.av) - self.log_n + log_prefix
-        v = scan_verdict(rows, self.ns)
+        lw = self.W.step_log_weights
+        if self._dense_prefix is None or self._dense_prefix[0] != k:
+            # the weight rows stay temporaries: at 1e6 indices each is 8 MB
+            prefix = log_cumsum_exp(-lw(k, self.av[: self.dense_top]))
+            if self.log_tail_len is not None:
+                prefix = np.concatenate(
+                    [prefix, self._tail_prefix(k, prefix[-1])])
+            self._dense_prefix = k, prefix
+        ns, log_n = self._index
+        rows = lw(l, self.av) - log_n + self._dense_prefix[1]
+        v = scan_verdict(rows, ns)
         dense = slice(self.dense_top)
         if (v.status == "fails" and self.log_tail_len is not None
-                and scan_verdict(rows[dense], self.ns[dense]).status
+                and scan_verdict(rows[dense], ns[dense]).status
                 != "fails"):
             v = replace(v, status="inconclusive")
         return v
 
 
 def ft_continuity_criterion(ftw: FiniteTypeWeights, k, l, horizon=10 ** 6):
-    """Boundedness of (v_l(n)/n) sum_{m<=n} 1/v_k(m), log-sum-exp form."""
+    """Boundedness of (v_l(n)/n) sum_{m<=n} 1/v_k(m), log-sum-exp form.
+
+    ``holds`` is decided from the exact rows n <= HEAD and a certified
+    bound past them where they suffice, with the verdict of the dense
+    scan; every other verdict comes from the dense scan (see ``_Scan``).
+    """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if l <= k:
         raise ValueError("need l > k")
-    scan = _Scan(ftw, horizon)
-    return scan.verdict(scan.log_prefix(k), l)
+    return _Scan(ftw, horizon).verdict(k, l)
 
 
 def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX):
@@ -151,7 +236,8 @@ def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX):
     reach the blocks where divergence shows for larger l, so the closed-
     form lower bound at its block boundaries supplies that evidence: the
     averaging map does not act, with the bound at l = k + l_max as the
-    verdict of step k (None when l_max is 0).
+    verdict of step k (None when l_max is 0).  The scanned search needs
+    a step to try: ValueError for l_max < 1.
     """
     j = ftw.alpha.block_bounds
     per_k = {}
@@ -165,14 +251,15 @@ def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX):
                 int(j(min(10 * l, 6))), True) if l_max else None}
         return {"verdict": "does_not_act", "per_step": per_k,
                 "horizon": horizon}
+    if l_max < 1:
+        raise ValueError(f"need l_max >= 1 to scan, got {l_max}")
     scan = _Scan(ftw, horizon)
     acts = True
     conclusive = True
     for k in range(1, K_PROBE + 1):
-        log_prefix = scan.log_prefix(k)
         l_found = last = None
         for l in range(k + 1, k + l_max + 1):
-            last = scan.verdict(log_prefix, l)
+            last = scan.verdict(k, l)
             if last.status == "holds":
                 l_found = l
                 break

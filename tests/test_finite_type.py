@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cesarolab.finite_type import (L_MAX, FiniteTypeWeights, _scan_indices,
-                                   example53_alpha, example53_j,
-                                   example53_lower_bound, ft_cesaro_acts,
-                                   ft_continuity_criterion, gp_nuclearity)
+from cesarolab import finite_type
+from cesarolab.finite_type import (HEAD, L_MAX, FiniteTypeWeights, _Scan,
+                                   _scan_indices, example53_alpha,
+                                   example53_j, example53_lower_bound,
+                                   ft_cesaro_acts, ft_continuity_criterion,
+                                   gp_nuclearity)
 from cesarolab.operators import step_continuity_test
 from cesarolab.weights import AlphaSequence, WeightFamily, make_alpha
 
@@ -50,12 +52,80 @@ def test_criterion_majorant_slow_growth():
 
 @pytest.mark.parametrize("preset", ["log_n_plus_1", "n", "sqrt_n"])
 @pytest.mark.parametrize("k, l", [(1, 2), (1, 5), (3, 4)])
-@pytest.mark.parametrize("horizon", [500, 10 ** 6])
+# 40959 and 40960 straddle the least horizon, 10 HEAD, where the exact
+# head lies before the last decade and decides without a dense scan
+@pytest.mark.parametrize("horizon", [500, 40959, 40960, 10 ** 5, 10 ** 6])
 def test_criterion_is_the_cesaro_row_on_finite_type_weights(preset, k, l,
                                                             horizon):
     ftw = FiniteTypeWeights(make_alpha(preset))
     assert ft_continuity_criterion(ftw, k, l, horizon) == \
         step_continuity_test("cesaro", ftw, k, l, horizon)
+
+
+@st.composite
+def _alpha_tables(draw):
+    """Non-decreasing alpha tables past 10 HEAD: log or power growth with
+    plateaus, maybe a late jump and maybe a NaN past the head."""
+    top = draw(st.integers(10 * HEAD, 2 * 10 ** 5))
+    growth = draw(st.sampled_from(["log", "pow"]))
+    scale = draw(st.floats(0.05, 4.0))
+    plateaus = draw(st.lists(st.tuples(st.integers(1, top),
+                                       st.integers(1, top // 4)),
+                             max_size=3))
+    jump = draw(st.one_of(st.none(), st.tuples(
+        st.integers(top - top // 50, top), st.floats(0.0, 20.0))))
+    nan_at = draw(st.one_of(st.none(), st.integers(HEAD + 1, top - 1)))
+    return top, growth, scale, plateaus, jump, nan_at
+
+
+def _table_alpha(top, growth, scale, plateaus, jump, nan_at):
+    ns = np.arange(1, top + 1, dtype=float)
+    table = scale * (np.log1p(ns) if growth == "log" else ns ** 0.3)
+    for lo, length in plateaus:
+        table[lo - 1:lo - 1 + length] = table[lo - 1]
+    if jump:
+        table[jump[0] - 1:] += jump[1]
+    log_table = np.log(table)
+    if nan_at:
+        log_table[nan_at - 1] = np.nan
+    return AlphaSequence("table", lambda n: math.exp(log_table[n - 1]),
+                         vec_log_fn=lambda ns: log_table[ns - 1],
+                         max_index=top)
+
+
+@example((10 ** 5, "log", 1.0, [], (10 ** 5 - 5, 12.0), None))
+@example((10 ** 5, "log", 1.0, [(5000, 20000)], None, 70001))
+@given(_alpha_tables())
+@settings(max_examples=40, deadline=None)
+def test_certified_verdict_is_the_dense_one(table):
+    # the exact head and the block bounds decide only where the dense
+    # scan gives the same verdict: a jump in the last block or a NaN
+    # inside a block must send the scan to the dense rows
+    scan = _Scan(FiniteTypeWeights(_table_alpha(*table)), table[0])
+    for k, l in ((1, 2), (1, 5), (2, 3), (3, 5)):
+        certified = scan._certified(k, l)
+        if certified is not None:
+            with np.errstate(invalid="ignore"):  # the sums of a NaN warn
+                dense = scan._dense(k, l)
+            assert repr(certified) == repr(dense), (k, l)
+
+
+def test_certified_verdicts_sum_no_dense_prefix(monkeypatch):
+    # on log(n + 1) at 1e6 the acts search and the criterion at (1, 2)
+    # hold from the head and the bounds: no prefix sum spans the dense
+    # indices
+    lengths = []
+    kernel = finite_type.log_cumsum_exp
+
+    def counting(t):
+        lengths.append(len(t))
+        return kernel(t)
+
+    monkeypatch.setattr(finite_type, "log_cumsum_exp", counting)
+    assert ft_cesaro_acts(log_np1_weights())["verdict"] == "acts_evidence"
+    assert ft_continuity_criterion(log_np1_weights(), 1, 2).status == \
+        "holds"
+    assert lengths and max(lengths) < 10 ** 6
 
 
 def test_criterion_rejects_bad_steps():
@@ -84,6 +154,13 @@ def test_acts_slow_growth():
     assert res["verdict"] == "acts_evidence"
     assert all(info["l_found"] == k + 1
                for k, info in res["per_step"].items())
+
+
+@pytest.mark.parametrize("l_max", [0, -1])
+def test_scanned_acts_search_needs_a_step(l_max):
+    # a search that tries no step has no evidence for does_not_act
+    with pytest.raises(ValueError, match="l_max >= 1"):
+        ft_cesaro_acts(log_np1_weights(), l_max=l_max)
 
 
 def test_does_not_act_fast_growth():

@@ -608,6 +608,59 @@ def test_log_cumsum_exp_wide_blocks_take_the_exact_path():
     _assert_same_sums(got, _retired_prefix(tail), tail)
 
 
+
+# block-aligned ends of a head: the head of the finite-type criterion,
+# either side of each chunk edge, and either side of the blocks below
+# that take the exact path
+_HEAD_ENDS = [LCE_BLOCK, 16 * LCE_BLOCK, LCE_CHUNK - LCE_BLOCK, LCE_CHUNK,
+              LCE_CHUNK + LCE_BLOCK, 2 * LCE_CHUNK, 2 * LCE_CHUNK + LCE_BLOCK,
+              40 * LCE_BLOCK, 41 * LCE_BLOCK, 42 * LCE_BLOCK]
+
+
+def _head_test_terms():
+    """Terms over 2 chunks and more, with exact-path blocks inside."""
+    n = 2 * LCE_CHUNK + 3 * LCE_BLOCK + 5
+    t = np.random.default_rng(11).normal(scale=3.0, size=n) - np.log1p(
+        np.arange(n))
+    # a block whose first term lies 900 under its maximum, an all -inf
+    # block, and each next to a chunk edge as well
+    for b in (40, LCE_CHUNK // LCE_BLOCK - 1, LCE_CHUNK // LCE_BLOCK):
+        t[b * LCE_BLOCK] -= 900.0
+    t[41 * LCE_BLOCK:42 * LCE_BLOCK] = -np.inf
+    t[2 * LCE_CHUNK:2 * LCE_CHUNK + LCE_BLOCK] = -np.inf
+    return t
+
+
+@pytest.mark.parametrize("end", _HEAD_ENDS)
+def test_log_cumsum_exp_of_a_block_aligned_head_is_its_prefix(end):
+    # the sums of the first `end` terms alone are the first `end` sums of
+    # the whole array, bit for bit, when `end` is a multiple of LCE_BLOCK
+    t = _head_test_terms()
+    assert log_cumsum_exp(t[:end]).tobytes() == \
+        log_cumsum_exp(t)[:end].tobytes()
+    # and on the terms -alpha_n / k of the finite-type criterion
+    ns = np.arange(1, len(t) + 1)
+    for name in PRESET_NAMES:
+        for k in (1, 3):
+            with np.errstate(over="ignore"):
+                terms = -make_alpha(name).values(ns) / k
+            assert log_cumsum_exp(terms[:end]).tobytes() == \
+                log_cumsum_exp(terms)[:end].tobytes(), (name, k)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_alpha_values_of_a_part_are_those_of_the_whole(name):
+    # alpha over a sub-range or a point set is, bit for bit, the same
+    # entries of one evaluation over 1..n
+    alpha = make_alpha(name)
+    n = 5 * 10 ** 4
+    whole = alpha.values(np.arange(1, n + 1))
+    ends = np.unique(np.geomspace(4096, n, 200).astype(np.int64))
+    for part in (np.arange(1, 4097), np.arange(4096, n + 1),
+                 np.arange(777, 1234), ends, ends[::7], np.array([1, n]),
+                 np.array([n // 3])):
+        assert alpha.values(part).tobytes() == whole[part - 1].tobytes()
+
 def _package_terms(n):
     """Four prefix log-sum-exp inputs as the package builds them."""
     ns = np.arange(1, n + 1)

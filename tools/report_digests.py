@@ -96,6 +96,13 @@ def commands():
                              ("finite:example53", 10 ** 7)):
         cmds.append(["finite", "--weights", weights, "--k", "1", "--l", "2",
                      "--horizon", str(horizon)])
+    # the criterion's exact head of 4096 rows decides only from horizon
+    # 40960 on, where the head lies before the last decade
+    for horizon in (40960, 40959):
+        cmds.append(["finite", "--weights", "finite:log_np1",
+                     "--horizon", str(horizon)])
+    cmds.append(["finite", "--weights", "finite:log_np1", "--k", "3",
+                 "--l", "5"])
     for name in ("n", "loglog_n", "n_pow_n"):
         cmds.append(["grid", "--alpha", name, "--res", "30",
                      "--probe-subsample", "6", "--out", f"{out}/grid.csv",
