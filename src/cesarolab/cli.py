@@ -26,9 +26,9 @@ from . import __version__
 from . import resolvent as rsv
 from .ergodic import (ITERATE_TOL, M_CAP, iterates_limit_check,
                       power_bounded_check, range_inverse_matrices)
-from .finite_type import (FiniteTypeWeights, example53_alpha,
-                          example53_j, example53_lower_bound,
-                          ft_cesaro_acts, ft_continuity_criterion)
+from .finite_type import (FiniteTypeWeights, example53_j,
+                          example53_lower_bound, ft_cesaro_acts,
+                          ft_continuity_criterion)
 from .operators import (_exact_tier, _max_deviation, _scale_to_ints,
                         delta_matrix_exact, verify_factorizations)
 from .spectrum import classify_spectrum, grid_to_csv, grid_to_svg, sample_grid
@@ -71,19 +71,13 @@ def _canon(obj):
         return [_canon(v) for v in obj]
     if isinstance(obj, complex):
         return {"im": _canon(obj.imag), "re": _canon(obj.real)}
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, float):
         x = float(obj)
         if math.isnan(x):
             return "nan"
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
         return x
-    if isinstance(obj, np.ndarray):
-        return [_canon(v) for v in obj.tolist()]
     return obj
 
 
@@ -119,15 +113,12 @@ def _resolve_alpha(spec):
 
 
 def _resolve_finite(spec):
-    if spec in ("finite:log_np1", "log_np1"):
-        alpha = make_alpha("log_n_plus_1")
-    elif spec in ("finite:example53", "example53"):
-        alpha = example53_alpha()
-    else:
-        raise ValueError(
-            f"finite weights spec {spec!r} must be finite:log_np1 or "
-            f"finite:example53")
-    return FiniteTypeWeights(alpha)
+    name = {"log_np1": "log_n_plus_1", "example53": "appendix_5_3"}.get(
+        spec.removeprefix("finite:"))
+    if name is None:
+        raise ValueError(f"finite weights spec {spec!r} must be "
+                         f"finite:log_np1 or finite:example53")
+    return FiniteTypeWeights(make_alpha(name))
 
 
 def _arg_type(parse, ok, what):
@@ -265,7 +256,7 @@ def _checks_ergodic(*, N=10, seed=0):
 
 def _checks_finite(*, horizon=10 ** 5):
     checks = []
-    ftw = _resolve_finite("finite:log_np1")
+    ftw = FiniteTypeWeights(make_alpha("log_n_plus_1"))
     v = ft_continuity_criterion(ftw, 1, 2, horizon=horizon)
     checks.append({"check": "Ex5.2/criterion_bounded",
                    "passed": v.status == "holds", "status": v.status,

@@ -86,131 +86,130 @@ def _scan_indices(alpha, horizon):
 
 
 class _Scan:
-    """alpha_n at the scan indices, evaluated once per scan.
+    """alpha_n at the scan indices, from one guarded ``values`` call.
 
-    Every (k, l) the criterion is tried at reads alpha through the
-    family's ``step_log_weights``.  ``verdict`` first tries the exact
-    head and the bound past it (``_certified``) and scans densely
-    (``_dense``) only where they cannot decide; the dense prefix sums
-    depend on k alone, so a search over l reuses them.
+    The guard refuses a NaN, a zero or a decrease at every scan index,
+    dense or past 1e6, and the bounds of ``_certified`` rest on it.
+    ``verdict`` scans densely (``_dense``) only where the exact head and
+    the bound past it (``_certified``) cannot decide.  Both read the
+    prefix sums of step k from ``_prefix``: a search over l sums once.
     """
 
     def __init__(self, ftw, horizon):
         dense_top, extras = _scan_indices(ftw.alpha, horizon)
-        # the batch guard of alpha.values rules out a decrease over the
-        # dense indices: the bounds of _certified rest on it
-        av = ftw.alpha.values(np.arange(1, dense_top + 1))
-        self.ex = np.array(extras, dtype=np.int64)
-        self.log_tail_len = None
-        if extras:
-            self.log_tail_len = np.log(self.ex.astype(float) - dense_top)
-            av = np.concatenate([av, ftw.alpha.values(self.ex)])
-        self.W, self.av, self.dense_top = ftw, av, dense_top
-        self.horizon = int(self.ex[-1]) if extras else dense_top
-        # NaN passes the batch guard, and no bound sees it
-        self.has_nan = bool(np.isnan(av).any())
-        self._dense_prefix = None  # (k, log prefix) of the last dense k
+        # one allocation: 1..dense_top, then the indices past it
+        self.ns = np.arange(1, dense_top + len(extras) + 1)
+        self.ns[dense_top:] = extras
+        self.av = ftw.alpha.values(self.ns)
+        self.W, self.dense_top = ftw, dense_top
+        self.horizon = extras[-1] if extras else dense_top
+        self._last = {}  # top -> (k, _prefix(k, top)) of the last k
 
     @functools.cached_property
-    def _index(self):
-        """(ns, log n) at every scan index, for the dense rows."""
-        ns = np.concatenate([np.arange(1, self.dense_top + 1), self.ex])
-        return ns, np.log(ns.astype(float))
+    def _log_n(self):
+        """log n at every scan index, for the dense rows."""
+        return np.log(self.ns.astype(float))
 
     @functools.cached_property
-    def _blocks(self):
-        """Starts a and ends b of the blocks (a, b] from HEAD to dense_top,
+    def _bounded(self):
+        """log n over the head, and where the bounds past it read alpha
+        and log n: at b and a + 1 for each block (a, b] from HEAD to
+        dense_top, then at each index past it."""
+        a, b = self._blocks(HEAD)
+        past = np.arange(self.dense_top, len(self.ns))
+        return (np.log(self.ns[:HEAD].astype(float)),
+                np.concatenate((b - 1, past)),
+                np.log(np.concatenate((a + 1, self.ns[past])).astype(float)))
+
+    def _blocks(self, top):
+        """Starts a and ends b of the blocks (a, b] from top to dense_top,
         each about 1/BLOCK_RATIO_DENOM longer than the last."""
-        ends = [HEAD]
+        ends = [top]
         while ends[-1] < self.dense_top:
             ends.append(min(ends[-1] + ends[-1] // BLOCK_RATIO_DENOM,
                             self.dense_top))
         return np.array(ends[:-1]), np.array(ends[1:])
 
+    def _prefix(self, k, top):
+        """The log prefix sums of 1/v_k as (exact, bound), for the last k
+        asked at this top.
+
+        ``exact`` holds them at n = 1..top.  ``bound`` bounds them at the
+        end b of each block (a, b] from top to dense_top, by U_b =
+        log(e^U_a + (b - a) e^(-alpha_a / k)), as alpha does not decrease;
+        then at each n past dense_top, where a term is at most
+        1/v_k(dense_top), by the tail majorant
+        log(e^U + (n - dense_top) e^(-alpha_dense_top / k)).
+        """
+        last = self._last.get(top)
+        if last is None or last[0] != k:
+            lw, av, d = self.W.step_log_weights, self.av, self.dense_top
+            # the weight rows stay temporaries: at 1e6 indices each is 8 MB
+            exact = log_cumsum_exp(-lw(k, av[:top]))
+            a, b = self._blocks(top)
+            U = exact[-1:]
+            if len(a):
+                U = log_cumsum_exp(np.concatenate(
+                    (U, np.log((b - a).astype(float)) - lw(k, av[a - 1]))))
+            # slices, empty at horizon 0: scan_verdict refuses that scan
+            tail = (np.log(self.ns[d:].astype(float) - d)
+                    - lw(k, av[d - 1:d]))
+            bound = np.concatenate((U[1:], np.logaddexp(U[-1:], tail)))
+            self._last[top] = last = k, (exact, bound)
+        return last[1]
+
     def verdict(self, k, l):
         """Verdict on (v_l(n)/n) sum_{m<=n} 1/v_k(m)."""
         return self._certified(k, l) or self._dense(k, l)
-
-    def _tail_prefix(self, k, log_prefix_top):
-        """The prefix majorant at the indices past dense_top.
-
-        Tail terms beyond dense_top are <= 1/v_k(dense_top) each, so the
-        prefix there is at most the one at dense_top plus the tail.
-        """
-        tail = self.log_tail_len - self.W.step_log_weights(
-            k, self.av[self.dense_top - 1])
-        return np.logaddexp(log_prefix_top, tail)
 
     def _certified(self, k, l):
         """The verdict from the exact head and a bound past it, or None.
 
         The rows n <= HEAD are the dense rows, bit for bit: HEAD is a
         multiple of LCE_BLOCK, so their prefix is that of the dense scan.
-        Past the head, geometric blocks (a, b] of ratio about
-        1 + 1/BLOCK_RATIO_DENOM run to dense_top, and alpha does not
-        decrease, so each row of a block is at most
-        alpha_b / l - log(a + 1) + U_b, where U_b bounds the prefix at b:
-        U_b = log(e^U_a + (b - a) e^(-alpha_a / k)) from U_HEAD, the exact
-        prefix at HEAD.  Past dense_top the tail majorant takes U at
-        dense_top for the prefix.  When the maximum M of the head lies
-        before the last decade (HEAD <= horizon // 10) and every bound
-        stays below M by BOUND_MARGIN, relative to the rows' magnitude
-        (it covers their rounding), the dense scan has the head's
-        supremum, witness and base and a last decade below it: its
-        verdict is that of the head rows with the largest bound as one
-        row at the horizon.  Only a ``holds`` is returned, so only the
+        Past the head each row of a block (a, b] is at most
+        alpha_b / l - log(a + 1) + U_b, U_b from ``_prefix``, and the rows
+        past dense_top at most the tail majorant's.  When the maximum M
+        of the head lies before the last decade (HEAD <= horizon // 10)
+        and every bound stays below M by BOUND_MARGIN, relative to the
+        rows' magnitude (it covers their rounding), the dense scan has
+        the head's supremum, witness and base and a last decade below it:
+        its verdict is that of the head rows with the largest bound as
+        one row at the horizon.  Only a ``holds`` is returned, so only the
         dense scan reports ``fails`` or ``inconclusive``.
         """
-        if self.horizon // 10 < HEAD or self.has_nan:
+        if self.horizon // 10 < HEAD:
             return None
         lw = self.W.step_log_weights
-        ns = np.arange(1, HEAD + 1)
-        head_prefix = log_cumsum_exp(-lw(k, self.av[:HEAD]))
-        rows = lw(l, self.av[:HEAD]) - np.log(ns.astype(float)) + head_prefix
-        a, b = self._blocks
-        U = log_cumsum_exp(np.concatenate((
-            head_prefix[-1:],
-            np.log((b - a).astype(float)) - lw(k, self.av[a - 1]))))
-        bounds = (lw(l, self.av[b - 1]) - np.log((a + 1).astype(float))
-                  + U[1:])
-        if self.log_tail_len is not None:
-            bounds = np.concatenate([bounds, (
-                lw(l, self.av[self.dense_top:])
-                - np.log(self.ex.astype(float))
-                + self._tail_prefix(k, U[-1]))])
-        top = bounds.max()
+        exact, bound = self._prefix(k, HEAD)
+        log_head, at, log_a = self._bounded
+        rows = lw(l, self.av[:HEAD]) - log_head + exact
+        top = (lw(l, self.av[at]) - log_a + bound).max()
         margin = BOUND_MARGIN * (
             1.0 + lw(k, self.av[self.dense_top - 1])
             + math.log(self.dense_top))
         if not top + margin < rows.max():
             return None
-        v = scan_verdict(np.append(rows, top), np.append(ns, self.horizon))
+        v = scan_verdict(np.append(rows, top),
+                         np.append(self.ns[:HEAD], self.horizon))
         return v if v.status == "holds" else None
 
     def _dense(self, k, l):
         """The verdict on the rows at every scan index.
 
-        The dense indices take one prefix log-sum-exp, ``log_cumsum_exp``,
-        of -log v_k; the indices past them the tail majorant.  That
-        majorant is an upper bound: it may support ``holds`` but not
-        ``fails``, so a ``fails`` that the dense indices alone do not
-        give is ``inconclusive``.
+        The dense indices take the exact prefix of ``_prefix``; the
+        indices past them its tail majorant.  That majorant is an upper
+        bound: it may support ``holds`` but not ``fails``, so a ``fails``
+        that the dense indices alone do not give is ``inconclusive``.
         """
-        lw = self.W.step_log_weights
-        if self._dense_prefix is None or self._dense_prefix[0] != k:
-            # the weight rows stay temporaries: at 1e6 indices each is 8 MB
-            prefix = log_cumsum_exp(-lw(k, self.av[: self.dense_top]))
-            if self.log_tail_len is not None:
-                prefix = np.concatenate(
-                    [prefix, self._tail_prefix(k, prefix[-1])])
-            self._dense_prefix = k, prefix
-        ns, log_n = self._index
-        rows = lw(l, self.av) - log_n + self._dense_prefix[1]
-        v = scan_verdict(rows, ns)
-        dense = slice(self.dense_top)
-        if (v.status == "fails" and self.log_tail_len is not None
-                and scan_verdict(rows[dense], ns[dense]).status
-                != "fails"):
+        d = self.dense_top
+        exact, bound = self._prefix(k, d)
+        rows = self.W.step_log_weights(l, self.av) - self._log_n
+        rows[:d] += exact
+        rows[d:] += bound
+        v = scan_verdict(rows, self.ns)
+        if (v.status == "fails" and len(bound)
+                and scan_verdict(rows[:d], self.ns[:d]).status != "fails"):
             v = replace(v, status="inconclusive")
         return v
 

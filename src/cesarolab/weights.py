@@ -75,16 +75,17 @@ class GrowthVerdict:
 
 
 class AlphaSequence:
-    """A positive, increasing sequence n -> alpha_n (n >= 1).
+    """A positive, non-decreasing sequence n -> alpha_n (n >= 1).
 
     ``value`` gives one alpha_n, memoized, inf where it overflows double
     precision; ``log_values`` gives log alpha_n over an index array, from
     ``vec_log_fn`` when there is one, so it stays finite for sequences
-    like n^n.  The sequences of the paper increase strictly, but the
-    guards check only that no evaluated value falls below an evaluated
-    neighbour (a decrease is a hard error): adjacent floats may be equal,
-    as they are where the increment falls below double resolution, e.g.
-    deep inside a block of the appendix staircase.  ``block_bounds``
+    like n^n.  Every bound a scan certifies assumes alpha positive and
+    non-decreasing: ``value`` refuses a value that is not positive or
+    below an evaluated neighbour, and ``log_values`` is the batch guard of
+    the same rule.  Equal neighbours pass: adjacent floats may be equal
+    where the increment falls below double resolution, e.g. deep inside
+    a block of the appendix staircase.  ``block_bounds``
     (k -> j(k), exact ints) is set for a staircase sequence that is
     constant on the blocks [j(k), j(k+1)).
     """
@@ -136,10 +137,12 @@ class AlphaSequence:
     __call__ = value
 
     def log_values(self, ns):
-        """Vectorized log(alpha_n) over an integer array.
+        """log(alpha_n) over an integer index array.
 
-        Monotonicity is checked batch-wise (adjacent differences), which
-        keeps horizon-1e6 scans cheap.
+        The batch guard of alpha: along an increasing index array,
+        contiguous or not, a NaN or zero alpha_n (as ``value`` refuses
+        it) or a decrease is a ValueError that names alpha.  An unordered
+        array is not checked.
         """
         ns = np.asarray(ns, dtype=np.int64)
         if ns.size:
@@ -149,9 +152,16 @@ class AlphaSequence:
         else:
             out = np.array([math.log(self.value(n)) for n in ns],
                            dtype=float)
-        if ns.size > 1 and np.all(np.diff(ns) == 1) and np.any(np.diff(out) < 0):
-            raise MonotonicityError(
-                f"alpha {self.name!r} decreases in batch")
+        # NaN fails either comparison, a zero alpha_n (log -inf) one of them
+        if ns.size and np.all(ns[1:] > ns[:-1]) and not (
+                out[0] > -math.inf and np.all(out[1:] >= out[:-1])):
+            bad = ~(out > -math.inf)
+            i = int(np.argmax(bad if bad.any() else out[1:] < out[:-1]))
+            if bad[i]:
+                raise ValueError(f"alpha_{ns[i]} = {math.exp(out[i])} is "
+                                 f"not positive ({self.name})")
+            raise MonotonicityError(f"alpha {self.name!r} decreases from "
+                                    f"n={ns[i]} to n={ns[i + 1]}")
         return out
 
     def values(self, ns):
@@ -329,13 +339,13 @@ def make_alpha(preset_or_generator, name=None, declared_flags=None):
     return alpha
 
 
-def make_alpha_from_csv(path, name=None):
+def make_alpha_from_csv(path):
     """Custom alpha from a CSV of (n, alpha_n) pairs, no extrapolation.
 
     The table is checked once, here: by line for a short row or a
     repeated index, then the indices 1..top, then every value in order
-    through the runtime guard of ``value``.  The horizon of every
-    predicate is capped at the largest index in the file.
+    through the guards of ``value`` and ``log_values``.  The horizon of
+    every predicate is capped at the largest index in the file.
     """
     table = {}
     with open(path, newline="") as fh:
@@ -355,10 +365,9 @@ def make_alpha_from_csv(path, name=None):
     top = max(table)
     if set(table) != set(range(1, top + 1)):
         raise ValueError(f"{path}: indices must be exactly 1..{top}")
-    alpha = AlphaSequence(name or f"file:{path}",
+    alpha = AlphaSequence(f"file:{path}",
                           value_fn=lambda n: table[n], max_index=top)
-    for n in range(1, top + 1):
-        alpha.value(n)
+    alpha.log_values(np.arange(1, top + 1))
     return alpha
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cesarolab import finite_type
-from cesarolab.finite_type import (HEAD, L_MAX, FiniteTypeWeights, _Scan,
-                                   _scan_indices, example53_alpha,
+from cesarolab.finite_type import (HEAD, K_PROBE, L_MAX, FiniteTypeWeights,
+                                   _Scan, _scan_indices, example53_alpha,
                                    example53_j, example53_lower_bound,
                                    ft_cesaro_acts, ft_continuity_criterion,
                                    gp_nuclearity)
@@ -99,15 +99,19 @@ def _table_alpha(top, growth, scale, plateaus, jump, nan_at):
 @settings(max_examples=40, deadline=None)
 def test_certified_verdict_is_the_dense_one(table):
     # the exact head and the block bounds decide only where the dense
-    # scan gives the same verdict: a jump in the last block or a NaN
-    # inside a block must send the scan to the dense rows
-    scan = _Scan(FiniteTypeWeights(_table_alpha(*table)), table[0])
+    # scan gives the same verdict: a jump in the last block must send the
+    # scan to the dense rows, and a NaN inside a block, which no bound
+    # sees, is refused with the evaluation of alpha
+    ftw = FiniteTypeWeights(_table_alpha(*table))
+    if table[-1] is not None:
+        with pytest.raises(ValueError, match=f"alpha_{table[-1]} = nan"):
+            _Scan(ftw, table[0])
+        return
+    scan = _Scan(ftw, table[0])
     for k, l in ((1, 2), (1, 5), (2, 3), (3, 5)):
         certified = scan._certified(k, l)
         if certified is not None:
-            with np.errstate(invalid="ignore"):  # the sums of a NaN warn
-                dense = scan._dense(k, l)
-            assert repr(certified) == repr(dense), (k, l)
+            assert repr(certified) == repr(scan._dense(k, l)), (k, l)
 
 
 def test_certified_verdicts_sum_no_dense_prefix(monkeypatch):
@@ -126,6 +130,38 @@ def test_certified_verdicts_sum_no_dense_prefix(monkeypatch):
     assert ft_continuity_criterion(log_np1_weights(), 1, 2).status == \
         "holds"
     assert lengths and max(lengths) < 10 ** 6
+
+
+def test_acts_search_sums_each_prefix_once_per_step(monkeypatch):
+    # on n every step l fails: each k tries the head and the dense scan
+    # for all l, from one head prefix, one block sum and one dense prefix
+    calls = []
+    kernel = finite_type.log_cumsum_exp
+
+    def counting(t):
+        calls.append(len(t))
+        return kernel(t)
+
+    monkeypatch.setattr(finite_type, "log_cumsum_exp", counting)
+    res = ft_cesaro_acts(FiniteTypeWeights(make_alpha("n")),
+                         horizon=10 ** 5)
+    assert res["verdict"] == "does_not_act"
+    assert len(calls) <= 3 * K_PROBE
+
+
+def test_scan_points_past_the_dense_indices_are_guarded():
+    # alpha is read at the log-spaced points past 1e6 in the same guarded
+    # evaluation as the dense indices: a NaN at the horizon is refused
+    def log_fn(ns):
+        out = np.log(np.log(ns.astype(float) + 1.0))
+        out[ns == 10 ** 7] = np.nan
+        return out
+
+    alpha = AlphaSequence("holey", lambda n: math.log(n + 1),
+                          vec_log_fn=log_fn)
+    with pytest.raises(ValueError, match="^alpha_10000000 = nan"):
+        ft_continuity_criterion(FiniteTypeWeights(alpha), 1, 2,
+                                horizon=10 ** 7)
 
 
 def test_criterion_rejects_bad_steps():

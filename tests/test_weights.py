@@ -71,6 +71,57 @@ def test_monotonicity_guard_accepts_overflow_to_inf(order):
     assert [finite.value(n) for n in range(1, 6)] == [1.0, 2.0] + [math.inf] * 3
 
 
+def _vec_alpha(name, log_fn):
+    """An alpha read through its vector path only."""
+    return AlphaSequence(name, lambda n: math.exp(log_fn(np.array([n]))[0]),
+                         vec_log_fn=log_fn)
+
+
+@pytest.mark.parametrize("at", [1, 500])
+def test_batch_guard_refuses_nan(at):
+    # value() refuses a NaN as not positive, and so does the batch guard,
+    # at the first index as in the middle of the array
+    def log_fn(ns):
+        out = np.log(np.log(ns.astype(float) + 1.0))
+        out[ns == at] = np.nan
+        return out
+
+    alpha = _vec_alpha("holey", log_fn)
+    message = rf"^alpha_{at} = nan is not positive \(holey\)"
+    for ns in (np.arange(1, 1001), np.unique([1, 7, at, 2000])):
+        with pytest.raises(ValueError, match=message):
+            alpha.values(ns)
+
+
+def test_batch_guard_refuses_a_zero_alpha():
+    alpha = _vec_alpha("zero_start", lambda ns: np.log(ns - 1.0))
+    with np.errstate(divide="ignore"):
+        for ns in (np.arange(1, 10), np.array([1]), np.array([1, 10, 100])):
+            with pytest.raises(ValueError,
+                               match=r"^alpha_1 = 0.0 is not positive"):
+                alpha.values(ns)
+
+
+def test_batch_guard_refuses_a_decrease_between_any_increasing_indices():
+    alpha = _vec_alpha("falling", lambda ns: np.log1p(1.0 / ns))
+    with pytest.raises(MonotonicityError,
+                       match="'falling' decreases from n=1 to n=10"):
+        alpha.values([1, 10, 100])
+    rising = make_alpha("log_n_plus_1")
+    assert np.array_equal(rising.values([1, 10, 100]),
+                          np.log([2.0, 11.0, 101.0]))
+
+
+def test_batch_guard_skips_an_unordered_point_set():
+    # only an increasing index array is checked: a preset read at
+    # unordered points is not refused for its values falling
+    for name, points, order in (("n", [5, 2, 9], [1, 0, 2]),
+                                ("sqrt_n", [9, 9, 4], [1, 1, 0])):
+        alpha = make_alpha(name)
+        assert np.array_equal(alpha.values(points),
+                              alpha.values(sorted(set(points)))[order])
+
+
 def test_nonpositive_generator_rejected():
     with pytest.raises(ValueError):
         make_alpha(lambda n: float(n - 1), name="zero_start")

@@ -91,11 +91,13 @@ def commands():
         cmds.append(["finite", "--weights", weights])
         cmds.append(["finite", "--weights", weights, "--k", "1", "--l", "2"])
     # past the dense 1e6: the log-spaced tail and its majorant, and the
-    # staircase's block bounds
-    for weights, horizon in (("finite:log_np1", 10 ** 20),
-                             ("finite:example53", 10 ** 7)):
-        cmds.append(["finite", "--weights", weights, "--k", "1", "--l", "2",
-                     "--horizon", str(horizon)])
+    # staircase's block bounds; at 1e8, (2, 3) reads alpha past 1e6
+    # through its guard and has its witness at j(4) = 7077888
+    for weights, k, l, horizon in (("finite:log_np1", 1, 2, 10 ** 20),
+                                   ("finite:example53", 1, 2, 10 ** 7),
+                                   ("finite:example53", 2, 3, 10 ** 8)):
+        cmds.append(["finite", "--weights", weights, "--k", str(k),
+                     "--l", str(l), "--horizon", str(horizon)])
     # the criterion's exact head of 4096 rows decides only from horizon
     # 40960 on, where the head lies before the last decade
     for horizon in (40960, 40959):
