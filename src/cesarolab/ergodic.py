@@ -33,6 +33,7 @@ __all__ = [
 M_CAP = 10 ** 4
 ITERATE_TOL = 1e-8
 POWER_SLACK = 1e-10  # relative rounding room before a norm counts as grown
+_ITERATE_BATCH = 32  # iterates stepped and measured together
 
 
 @dataclass
@@ -74,28 +75,54 @@ def cesaro_means(x, n, N=None):
     return list(acc / n)
 
 
+def _iterate_batches(v, count):
+    """C^1 v, ..., C^count v along a leading axis, _ITERATE_BATCH
+    iterates per yielded block; each block is overwritten by the next.
+
+    Each iterate is the averaging step of ``_cesaro_step`` (a prefix sum
+    along the last axis, then complex128 / int64) taken in place into a
+    row of one reused buffer, so the iterates have the same bits and a
+    long run touches no new memory.
+    """
+    den = np.arange(1, np.shape(v)[-1] + 1)
+    block = np.empty((min(_ITERATE_BATCH, count),) + np.shape(v),
+                     dtype=complex)
+    for done in range(0, count, _ITERATE_BATCH):
+        batch = block[:count - done]
+        for row in batch:
+            np.cumsum(v, axis=-1, out=row)
+            row /= den
+            v = row
+        yield batch
+
+
 def power_bounded_check(W: WeightFamily, k, trials=20, m_max=200, N=50,
                         seed=0):
-    """Random-vector evidence that iterates contract the k-norm."""
+    """Random-vector evidence that iterates contract the k-norm.
+
+    No trial, iterate or coordinate would pass vacuously, so ``trials``,
+    ``m_max`` and ``N`` below 1 raise ValueError.
+    """
+    for name, value in (("trials", trials), ("m_max", m_max), ("N", N)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
-    # every trial's start vector first, real part then imaginary part,
-    # then C^m of all of them at once: row m * trials + t is C^m x_t
-    block = np.empty((m_max + 1, trials, N), dtype=complex)
-    for x in block[0]:
-        x[:] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    for m in range(1, m_max + 1):
-        block[m] = _cesaro_step(block[m - 1])
-    rows = block.reshape((m_max + 1) * trials, N)
-    q = np.reshape(_weighted_sup_rows(rows, _log_weight_row(W, k, N)),
-                   (m_max + 1, trials))
-    worst = 0.0
-    failures = 0
-    for q0, *qs in q.T.tolist():
-        for qm in qs:
-            ratio = qm / q0 if q0 > 0 else 0.0
-            worst = max(worst, ratio)
-            if qm > q0 * (1.0 + POWER_SLACK):
-                failures += 1
+    # every trial's start vector, real part then imaginary part; row t of
+    # a block of C^m x is C^m x_t
+    x = np.empty((trials, N), dtype=complex)
+    for row in x:
+        row[:] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    lw = _log_weight_row(W, k, N)
+    q0 = np.array(_weighted_sup_rows(x, lw))
+    q = np.reshape([d for batch in _iterate_batches(x, m_max)
+                    for d in _weighted_sup_rows(batch.reshape(-1, N), lw)],
+                   (m_max, trials))
+    # C^m x_t against x_t: a start of norm 0 (or NaN) gives ratio 0, and
+    # NaN ratios are passed over, as is NaN in the growth test
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(q0 > 0, q / q0, 0.0)
+    worst = float(np.fmax.reduce(ratios, axis=None, initial=0.0))
+    failures = int(np.count_nonzero(q > q0 * (1.0 + POWER_SLACK)))
     return {"trials": trials, "m_max": m_max, "N": N, "k": k,
             "worst_ratio": worst, "failures": failures,
             "passed": failures == 0}
@@ -118,24 +145,29 @@ def iterates_limit_check(x, W: WeightFamily, k, N, tol=ITERATE_TOL,
 
     P x = x_1 * (1,1,...); the truncated iteration converges
     geometrically since the nontrivial eigenvalues 1/j, j >= 2, lie
-    inside the unit disc.
+    inside the unit disc.  The iterates are stepped _ITERATE_BATCH at a
+    time into one block and measured by one kernel call; the trace ends
+    at the first distance below tol, or at m_cap, and the iterates a
+    batch computed past that end are dropped.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
+    if m_cap < 1:
+        raise ValueError(f"m_cap must be >= 1, got {m_cap}")
     v = np.asarray(x, dtype=complex)[:N]
+    if len(v) < N:
+        raise ValueError(f"x has {len(v)} coordinates, fewer than N = {N}")
     limit = np.full(N, v[0], dtype=complex)
-    lw = _log_weight_row(W, k, len(v))
-    m_values, distances = [], []
-    status = "not_converged"
-    for m in range(1, m_cap + 1):
-        v = _cesaro_step(v)
-        d = _weighted_sup_rows((v - limit)[None, :], lw)[0]
-        m_values.append(m)
-        distances.append(d)
-        if d < tol:
-            status = "converged"
-            break
-    return IterationTrace(m_values, distances, status)
+    lw = _log_weight_row(W, k, N)
+    distances = []
+    for batch in _iterate_batches(v, m_cap):
+        for d in _weighted_sup_rows(batch - limit, lw):
+            distances.append(d)
+            if d < tol:
+                return IterationTrace(list(range(1, len(distances) + 1)),
+                                      distances, "converged")
+    return IterationTrace(list(range(1, m_cap + 1)), distances,
+                          "not_converged")
 
 
 # ---------------------------------------------------------------------------

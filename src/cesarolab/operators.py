@@ -240,32 +240,40 @@ def _weighted_sup_rows(block, lw):
 
     ``lw`` holds log v_k(n) for the columns.  Each term is
     exp(lw_n + log|x_n|) with Python's arithmetic: |x| is ``abs`` (for
-    complex arrays ``np.hypot``, which equals it where ``np.abs`` does
+    complex entries ``np.hypot``, which equals it where ``np.abs`` does
     not), log and exp are ``math``'s (NumPy's SIMD versions round
     differently).  Zero entries are skipped and NaN terms ignored, so an
     empty or all-zero row gives 0.0.
 
-    Only the terms that can be a row's largest are evaluated that way:
-    NumPy's log ranks every term, and a term whose rank lies more than
-    SUP_GUARD below its row's top cannot win, as the two logs differ by
-    a few ulp and exp keeps normal results within one.  A row whose top
-    is below log DBL_MIN, where exp is subnormal and coarse, and an
-    object (Fraction) block have every nonzero term evaluated.
+    Only the terms that can be a row's largest are evaluated that way.
+    One ``np.abs`` pass and NumPy's log rank every term, and a term
+    whose rank lies more than SUP_GUARD below its row's top cannot win:
+    ``np.abs`` and ``np.hypot`` differ in the last bits, the two logs by
+    a few ulp, and exp keeps normal results within one.  ``np.hypot``
+    then gives the modulus of the kept entries alone.  A row whose top is
+    below log DBL_MIN, where exp is subnormal and coarse, and an object
+    (Fraction) block have every nonzero term evaluated.
     """
     b = np.asarray(block)
-    a = np.hypot(b.real, b.imag) if b.dtype.kind == "c" else np.abs(b)
+    a = np.abs(b)
     keep = a != 0
     if b.dtype != object:
         with np.errstate(divide="ignore", invalid="ignore"):
-            rank = lw + np.log(a)
+            rank = np.log(a)
+            rank += lw
         top = np.fmax.reduce(rank, axis=1, initial=-np.inf)[:, None]
         keep &= (rank >= top - SUP_GUARD) | (top < LOG_DBL_MIN)
-    rows, cols = np.nonzero(keep)
-    logs = np.fromiter(map(math.log, a[rows, cols].tolist()), float,
-                       len(rows))
+    # np.nonzero is several times slower on a 2-D mask
+    rows, cols = np.divmod(np.flatnonzero(keep), b.shape[1])
+    if b.dtype.kind == "c":
+        kept = b[rows, cols]
+        a = np.hypot(kept.real, kept.imag)
+    else:
+        a = a[rows, cols]
+    logs = np.fromiter(map(math.log, a.tolist()), float, len(rows))
     with np.errstate(invalid="ignore"):  # -inf + inf is NaN, as in Python
         terms = (lw[cols] + logs).tolist()
-    sup = np.zeros(a.shape[0])
+    sup = np.zeros(b.shape[0])
     np.fmax.at(sup, rows, np.fromiter(map(math.exp, terms), float,
                                       len(rows)))
     return sup.tolist()

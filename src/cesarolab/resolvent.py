@@ -237,16 +237,19 @@ class ResolventDecomposition:
         """Dense truncation of D_mu - mu^{-2} E_mu.
 
         e_{nm} = exp(L_{m-1} - L_n) / n, L_n the cumulative complex log
-        of (1 - 1/(mu k)), k <= n.  Each entry is divided and exponentiated
-        in Python: NumPy rounds both differently, and reports show the bits.
+        of (1 - 1/(mu k)), k <= n.  The exponents -(L_n - L_{m-1}) of the
+        strict lower part are one array; each entry is then exponentiated
+        and divided in Python: NumPy rounds both differently, and reports
+        show the bits.
         """
         mu = self.mu
         L = np.zeros(N + 1, dtype=complex)
         L[1:] = np.cumsum(np.log(1.0 - 1.0 / (mu * np.arange(1.0, N + 1))))
         D = np.diag([1.0 / (1.0 / n - mu) for n in range(1, N + 1)])
-        E = np.array([[complex(cmath.exp(-(L[n] - L[m - 1]))) / n if m < n
-                       else 0.0 for m in range(1, N + 1)]
-                      for n in range(1, N + 1)], dtype=complex)
+        i, j = np.tril_indices(N, -1)  # n = i + 1 > m = j + 1
+        E = np.zeros((N, N), dtype=complex)
+        E[i, j] = [cmath.exp(z) / n for z, n in
+                   zip((-(L[i + 1] - L[j])).tolist(), (i + 1).tolist())]
         return D - E / mu ** 2
 
     def reconstruction_residual(self, N):

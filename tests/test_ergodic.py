@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cesarolab import ergodic
-from cesarolab.ergodic import (cesaro_means, decomposition_split,
+from cesarolab.ergodic import (ITERATE_TOL, cesaro_means,
+                               decomposition_split,
                                b_continuity_check, iterates_limit_check,
                                power_apply, power_bounded_check,
                                range_inverse_matrices)
-from cesarolab.operators import cesaro_apply, weighted_norm
+from cesarolab.operators import (_cesaro_step, _log_weight_row,
+                                 _weighted_sup_rows, cesaro_apply,
+                                 weighted_norm)
 from cesarolab.weights import WeightFamily, make_alpha
 from test_operators import reference_weighted_norm
 
@@ -228,3 +232,129 @@ def test_iterate_norm_never_increases(coords, m):
     q0 = weighted_norm(coords, W, 1)
     qm = weighted_norm(power_apply(coords, m), W, 1)
     assert qm <= q0 * (1.0 + 1e-9) + 1e-12
+
+
+@pytest.mark.parametrize("arg", ["trials", "m_max", "N"])
+def test_power_bounded_check_refuses_an_empty_run(arg):
+    # no trial, no iterate or no coordinate would pass vacuously with
+    # worst ratio 0.0
+    W = WeightFamily(make_alpha("n"))
+    sizes = {"trials": 3, "m_max": 5, "N": 8, arg: 0}
+    with pytest.raises(ValueError, match=arg):
+        power_bounded_check(W, k=1, **sizes)
+
+
+def test_iterates_limit_check_refuses_m_cap_below_one():
+    # an empty trace has no final distance to report
+    W = WeightFamily(make_alpha("n"))
+    for m_cap in (0, -3):
+        with pytest.raises(ValueError, match="m_cap"):
+            iterates_limit_check([1.0, 0.0, 0.0], W, 1, 3, m_cap=m_cap)
+
+
+def test_iterates_limit_check_refuses_x_shorter_than_n():
+    W = WeightFamily(make_alpha("n"))
+    with pytest.raises(ValueError, match="x has 3 coordinates"):
+        iterates_limit_check([1.0, 0.0, 0.0], W, 1, 5)
+    # a longer x is cut to N, as before
+    assert (iterates_limit_check([1.0, 0.0, 0.0, 7.0], W, 1, 3).distances
+            == iterates_limit_check([1.0, 0.0, 0.0], W, 1, 3).distances)
+
+
+# the loops that the batched checks replaced, kept as references
+
+def _retired_iterates(x, W, k, N, tol, m_cap):
+    """One averaging step and one kernel call per iterate."""
+    v = np.asarray(x, dtype=complex)[:N]
+    limit = np.full(N, v[0], dtype=complex)
+    lw = _log_weight_row(W, k, len(v))
+    m_values, distances = [], []
+    status = "not_converged"
+    for m in range(1, m_cap + 1):
+        v = _cesaro_step(v)
+        d = _weighted_sup_rows((v - limit)[None, :], lw)[0]
+        m_values.append(m)
+        distances.append(d)
+        if d < tol:
+            status = "converged"
+            break
+    return m_values, distances, status
+
+
+def _retired_bookkeeping(q):
+    """Worst ratio and failure count over the (m_max + 1) x trials norms."""
+    worst = 0.0
+    failures = 0
+    for q0, *qs in q.T.tolist():
+        for qm in qs:
+            ratio = qm / q0 if q0 > 0 else 0.0
+            worst = max(worst, ratio)
+            if qm > q0 * (1.0 + ergodic.POWER_SLACK):
+                failures += 1
+    return worst, failures
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("name", ["n", "sqrt_n", "loglog_n", "n_pow_n"])
+@pytest.mark.parametrize("N", [2, 10, 50, 200])
+def test_batched_iterates_match_the_retired_loop(name, N):
+    # caps on both sides of a batch boundary, and tolerances that stop
+    # the trace at the first iterate, at either side of a boundary, and
+    # never; the trace is the retired one bit for bit
+    W = WeightFamily(make_alpha(name))
+    rng = np.random.default_rng(N)
+    starts = ([1.0] + [0.0] * (N - 1),
+              rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    for x in starts:
+        full = _retired_iterates(x, W, 2, N, 0.0, 100)[1]
+        tols = {0.0, ITERATE_TOL}
+        tols.update(np.nextafter(full[m - 1], math.inf)
+                    for m in (1, 31, 32, 33))
+        for m_cap, tol in itertools.product((1, 31, 32, 33, 100), tols):
+            trace = iterates_limit_check(x, W, 2, N, tol=tol, m_cap=m_cap)
+            m_values, distances, status = _retired_iterates(
+                x, W, 2, N, tol, m_cap)
+            assert trace.m_values == m_values
+            assert _hex(trace.distances) == _hex(distances)
+            assert trace.status == status
+
+
+def test_iterates_take_one_kernel_call_per_batch(monkeypatch):
+    calls = []
+
+    def counted(block, lw):
+        calls.append(len(block))
+        return _weighted_sup_rows(block, lw)
+
+    monkeypatch.setattr(ergodic, "_weighted_sup_rows", counted)
+    W = WeightFamily(make_alpha("n"))
+    trace = iterates_limit_check([1.0] + [0.0] * 49, W, 1, 50)
+    iterations = len(trace.m_values)
+    assert trace.status == "converged" and iterations > 1
+    assert len(calls) <= -(-iterations // ergodic._ITERATE_BATCH)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_power_bounded_bookkeeping_matches_the_retired_loop(seed,
+                                                            monkeypatch):
+    # norms with starts of 0, inf and NaN, and iterates of 0, inf and NaN
+    rng = np.random.default_rng(seed)
+    m_max, trials = 7, 5
+    q = rng.uniform(0.5, 1.5, (m_max + 1, trials))
+    special = [0.0, math.inf, math.nan]
+    picks = rng.integers(0, q.size, 12)
+    q.flat[picks] = rng.choice(special, len(picks))
+    q[0, :3] = special
+    norms = iter(q.ravel().tolist())  # the starts, then C^1 x, C^2 x, ...
+    monkeypatch.setattr(ergodic, "_weighted_sup_rows",
+                        lambda rows, lw: [next(norms) for _ in rows])
+    W = WeightFamily(make_alpha("n"))
+    res = power_bounded_check(W, 1, trials=trials, m_max=m_max, N=4)
+    worst, failures = _retired_bookkeeping(q)
+    assert (repr(res["worst_ratio"]), res["failures"]) == (repr(worst),
+                                                          failures)
+    assert type(res["worst_ratio"]) is float
+    assert type(res["failures"]) is int

@@ -433,6 +433,44 @@ def test_weighted_sup_rows_near_ties():
     assert _top_ranked_only(block, lw) != want
 
 
+def _python_sup(row, lw):
+    """max over the nonzero entries of exp(lw_c + log|x_c|), in Python."""
+    return max((math.exp(float(w) + math.log(abs(complex(x))))
+                for w, x in zip(lw, row) if x != 0), default=0.0)
+
+
+def test_weighted_sup_rows_ranks_complex_moduli_by_np_abs():
+    # the rank reads np.abs, which differs from abs (np.hypot) in the
+    # last bits, most among subnormal moduli; two near-tied terms per row
+    # from moduli where the two differ, normal ones under log v = 0 and
+    # subnormal ones under log v = 700, whose terms are normal again
+    rng = np.random.default_rng(17)
+    z = rng.standard_normal(300_000) + 1j * rng.standard_normal(300_000)
+    head = z[:5000]
+    odd = head[np.abs(head) != np.hypot(head.real, head.imag)]
+    tiny = z * 10.0 ** rng.uniform(-313, -309, len(z))
+    tiny = tiny[np.abs(tiny) != np.hypot(tiny.real, tiny.imag)]
+    N = 6
+    blocks = []
+    for pool, log_v in ((odd, 0.0), (tiny, 700.0)):
+        assert len(pool) > 300
+        block = np.zeros((len(pool), N), dtype=complex)
+        for row, x in zip(block, pool):
+            i, j = rng.choice(N, 2, replace=False)
+            # x turned a quarter, its real part moved by up to two ulp
+            y = x * 1j
+            for _ in range(int(rng.integers(0, 3))):
+                y = complex(np.nextafter(y.real, rng.choice([-1, 1])
+                                         * math.inf), y.imag)
+            row[i], row[j] = x, y
+        lw = np.full(N, log_v)
+        got = _weighted_sup_rows(block, lw)
+        assert got == [_python_sup(row, lw) for row in block]
+        assert _top_ranked_only(block, lw) != got  # the guard is needed
+        blocks.append(got)
+    assert min(blocks[1]) > np.finfo(float).tiny
+
+
 def test_weighted_sup_rows_below_the_normal_range():
     # every row's largest term is below log DBL_MIN ~ -708.4, where exp
     # is subnormal and nearby terms can round alike

@@ -346,6 +346,28 @@ def test_resolvent_matrix_matches_retired_builder(mu, N):
     assert got.tobytes() == retired_resolvent_matrix(mu, N).tobytes()
 
 
+def _retired_entry_comprehension(mu, N):
+    # the per-entry builder that the array of exponents replaced
+    L = np.zeros(N + 1, dtype=complex)
+    L[1:] = np.cumsum(np.log(1.0 - 1.0 / (mu * np.arange(1.0, N + 1))))
+    D = np.diag([1.0 / (1.0 / n - mu) for n in range(1, N + 1)])
+    E = np.array([[complex(cmath.exp(-(L[n] - L[m - 1]))) / n if m < n
+                   else 0.0 for m in range(1, N + 1)]
+                  for n in range(1, N + 1)], dtype=complex)
+    return D - E / mu ** 2
+
+
+@pytest.mark.parametrize("N", [1, 2, 25, 40, 100])
+@pytest.mark.parametrize("mu", [0.4 + 0.2j, 0.7 - 0.1j, 0.45 + 0.01j,
+                                0.3, 0.6, 2.0, -1.0, 3.0j, -0.3 + 0.7j])
+def test_resolvent_matrix_matches_the_entry_comprehension(mu, N):
+    # inside the disc |mu - 1/2| < 1/2 off Sigma0, on its real segment,
+    # and outside it, bit for bit
+    got = resolvent_entries(mu).resolvent_matrix(N)
+    want = _retired_entry_comprehension(complex(mu), N)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_resolvent_rejects_sigma0():
     with pytest.raises(ValueError):
         resolvent_entries(0.0)

@@ -142,6 +142,13 @@ def commands():
                  str(10 ** 20)])
     cmds.append(["grid", "--alpha", "n", "--res", "4", "--horizon", "2",
                  "--probe-subsample", "2", "--out", f"{out}/grid.csv"])
+    # an ergodic trace cut by its cap one iterate past a multiple of 32,
+    # and the one-row resolvent truncation, which has no strict part
+    cmds.append(["ergodic", "--alpha", "n", "--N", "7", "--m-cap", "33",
+                 "--tol", "1e-300", "--output", f"{out}/ergodic.json",
+                 "--trace", f"{out}/trace.csv"])
+    cmds.append(["verify", "--suite", "resolvent", "--N", "1", "--samples",
+                 "3", "--seed", "2"])
     return cmds
 
 
