@@ -11,7 +11,6 @@ nuclear, and diverges for the staircase sequence of blocks
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -57,158 +56,133 @@ class FiniteTypeWeights:
         return alpha_ns / k
 
 
-def _scan_indices(alpha, horizon):
-    """Indices scanned by the finite-type criteria.
-
-    Dense up to 1e6; beyond that a log-spaced grid ending at the horizon
-    plus (for a staircase sequence) the exact block boundaries, where the
-    divergence lower bound lives.  The criterion needs prefix sums, so the dense part
-    always covers the full prefix of the largest dense index.
-    """
-    horizon = scan_horizon(alpha, horizon)
-    dense_top = min(horizon, 10 ** 6)
-    extras = []
-    if horizon > dense_top:
-        # the top point is the horizon itself: its float may round away
-        # from it, and from 2^63 - 1 up to 2^63, past int64
-        grid = np.round(np.logspace(
-            math.log10(dense_top), math.log10(horizon), 40)[:-1])
-        extras.extend(int(g) for g in grid if g > dense_top)
-        extras.append(horizon)
-    j = alpha.block_bounds
-    if j is not None:
-        k = 2
-        while j(k) <= horizon:
-            if j(k) > dense_top:
-                extras.append(int(j(k)))
-            k += 1
-    return dense_top, sorted(set(extras))
-
-
 class _Scan:
-    """alpha_n at the scan indices, from one guarded ``values`` call.
+    """The criterion's rows at the scan indices, built by ``_rows`` from
+    alpha_n, which one guarded ``values`` call reads at all of them.
 
-    The guard refuses a NaN, a zero or a decrease at every scan index,
-    dense or past 1e6, and the bounds of ``_certified`` rest on it.
-    ``verdict`` scans densely (``_dense``) only where the exact head and
-    the bound past it (``_certified``) cannot decide.  Both read the
-    prefix sums of step k from ``_prefix``: a search over l sums once.
+    The indices are dense up to 1e6; beyond that a log-spaced grid
+    ending at the horizon plus (for a staircase sequence) the exact block
+    boundaries, where the divergence lower bound lives.  The guard
+    refuses a NaN, a zero or a decrease at every scan index, and the
+    bound rows of ``_rows`` rest on it.  ``verdict`` scans densely
+    (``_dense``) only where the exact head and the bound rows past it
+    (``_certified``) cannot decide.
     """
 
     def __init__(self, ftw, horizon):
-        dense_top, extras = _scan_indices(ftw.alpha, horizon)
+        horizon = scan_horizon(ftw.alpha, horizon)
+        d = self.dense_top = min(horizon, 10 ** 6)
+        extras = []
+        if horizon > d:
+            # the top point is the horizon itself: its float may round away
+            # from it, and from 2^63 - 1 up to 2^63, past int64
+            grid = np.round(np.logspace(
+                math.log10(d), math.log10(horizon), 40)[:-1])
+            extras.extend(int(g) for g in grid if g > d)
+            extras.append(horizon)
+        j, i = ftw.alpha.block_bounds, 2
+        while j is not None and j(i) <= horizon:
+            if j(i) > d:
+                extras.append(int(j(i)))
+            i += 1
+        extras = sorted(set(extras))
         # one allocation: 1..dense_top, then the indices past it
-        self.ns = np.arange(1, dense_top + len(extras) + 1)
-        self.ns[dense_top:] = extras
+        self.ns = np.arange(1, d + len(extras) + 1)
+        self.ns[d:] = extras
         self.av = ftw.alpha.values(self.ns)
-        self.W, self.dense_top = ftw, dense_top
-        self.horizon = extras[-1] if extras else dense_top
-        self._last = {}  # top -> (k, _prefix(k, top)) of the last k
+        self.W, self.horizon = ftw, int(self.ns[-1])
+        self._reads = {}  # top -> (a, b, alpha_n, log n) of its rows
+        self._sums = {}  # top -> (k, exact, bound) of the last k
 
-    @functools.cached_property
-    def _log_n(self):
-        """log n at every scan index, for the dense rows."""
-        return np.log(self.ns.astype(float))
+    def _rows(self, k, l, top):
+        """log (v_l(n)/n) sum_{m<=n} 1/v_k(m) at n = 1..top, exact, then
+        bound rows past top.
 
-    @functools.cached_property
-    def _bounded(self):
-        """log n over the head, and where the bounds past it read alpha
-        and log n: at b and a + 1 for each block (a, b] from HEAD to
-        dense_top, then at each index past it."""
-        a, b = self._blocks(HEAD)
-        past = np.arange(self.dense_top, len(self.ns))
-        return (np.log(self.ns[:HEAD].astype(float)),
-                np.concatenate((b - 1, past)),
-                np.log(np.concatenate((a + 1, self.ns[past])).astype(float)))
-
-    def _blocks(self, top):
-        """Starts a and ends b of the blocks (a, b] from top to dense_top,
-        each about 1/BLOCK_RATIO_DENOM longer than the last."""
-        ends = [top]
-        while ends[-1] < self.dense_top:
-            ends.append(min(ends[-1] + ends[-1] // BLOCK_RATIO_DENOM,
-                            self.dense_top))
-        return np.array(ends[:-1]), np.array(ends[1:])
-
-    def _prefix(self, k, top):
-        """The log prefix sums of 1/v_k as (exact, bound), for the last k
-        asked at this top.
-
-        ``exact`` holds them at n = 1..top.  ``bound`` bounds them at the
-        end b of each block (a, b] from top to dense_top, by U_b =
-        log(e^U_a + (b - a) e^(-alpha_a / k)), as alpha does not decrease;
-        then at each n past dense_top, where a term is at most
-        1/v_k(dense_top), by the tail majorant
-        log(e^U + (n - dense_top) e^(-alpha_dense_top / k)).
+        One bound row per block (a, b] from top to dense_top, each block
+        about 1/BLOCK_RATIO_DENOM longer than the last: as alpha does not
+        decrease, each row of the block is at most
+        alpha_b / l - log(a + 1) + U_b, where U_b = log(e^U_a + (b - a)
+        e^(-alpha_a / k)) bounds the prefix sum at b, from the exact one
+        at top.  Then one row per index n past dense_top, where a term is
+        at most 1/v_k(dense_top), with the tail majorant
+        log(e^U + (n - dense_top) e^(-alpha_dense_top / k)) as its sum.
+        The blocks and where the rows read alpha and log n are kept per
+        top, the prefix sums for the last k asked at that top: a search
+        over l sums once.
         """
-        last = self._last.get(top)
-        if last is None or last[0] != k:
-            lw, av, d = self.W.step_log_weights, self.av, self.dense_top
+        d, lw, av = self.dense_top, self.W.step_log_weights, self.av
+        if top not in self._reads:
+            ends = [top]
+            while ends[-1] < d:
+                ends.append(min(ends[-1] + ends[-1] // BLOCK_RATIO_DENOM, d))
+            a = np.array(ends[:-1], dtype=np.int64)
+            b = np.array(ends[1:], dtype=np.int64)
+            log_n = np.concatenate((self.ns[:top], a + 1, self.ns[d:]),
+                                   dtype=float)
+            # the dense rows read alpha at every scan index, uncopied
+            alpha = av if top == d else np.concatenate(
+                (av[:top], av[b - 1], av[d:]))
+            self._reads[top] = a, b, alpha, np.log(log_n, out=log_n)
+        a, b, alpha, log_n = self._reads[top]
+        if self._sums.get(top, (None,))[0] != k:
             # the weight rows stay temporaries: at 1e6 indices each is 8 MB
             exact = log_cumsum_exp(-lw(k, av[:top]))
-            a, b = self._blocks(top)
             U = exact[-1:]
             if len(a):
                 U = log_cumsum_exp(np.concatenate(
                     (U, np.log((b - a).astype(float)) - lw(k, av[a - 1]))))
-            # slices, empty at horizon 0: scan_verdict refuses that scan
             tail = (np.log(self.ns[d:].astype(float) - d)
                     - lw(k, av[d - 1:d]))
-            bound = np.concatenate((U[1:], np.logaddexp(U[-1:], tail)))
-            self._last[top] = last = k, (exact, bound)
-        return last[1]
+            self._sums[top] = k, exact, np.concatenate(
+                (U[1:], np.logaddexp(U[-1:], tail)))
+        _, exact, bound = self._sums[top]
+        rows = lw(l, alpha) - log_n
+        rows[:top] += exact
+        rows[top:] += bound
+        return rows
 
     def verdict(self, k, l):
         """Verdict on (v_l(n)/n) sum_{m<=n} 1/v_k(m)."""
         return self._certified(k, l) or self._dense(k, l)
 
     def _certified(self, k, l):
-        """The verdict from the exact head and a bound past it, or None.
+        """``holds`` from the rows of ``_rows`` up to HEAD, or None.
 
         The rows n <= HEAD are the dense rows, bit for bit: HEAD is a
         multiple of LCE_BLOCK, so their prefix is that of the dense scan.
-        Past the head each row of a block (a, b] is at most
-        alpha_b / l - log(a + 1) + U_b, U_b from ``_prefix``, and the rows
-        past dense_top at most the tail majorant's.  When the maximum M
-        of the head lies before the last decade (HEAD <= horizon // 10)
-        and every bound stays below M by BOUND_MARGIN, relative to the
-        rows' magnitude (it covers their rounding), the dense scan has
-        the head's supremum, witness and base and a last decade below it:
-        its verdict is that of the head rows with the largest bound as
-        one row at the horizon.  Only a ``holds`` is returned, so only the
-        dense scan reports ``fails`` or ``inconclusive``.
+        When the maximum M of the head lies before the last decade
+        (HEAD <= horizon // 10) and every bound row stays below M by
+        BOUND_MARGIN, relative to the rows' magnitude (it covers their
+        rounding), the dense scan has the head's supremum, witness and
+        base and a last decade below it: its verdict is that of the head
+        rows with the largest bound as one row at the horizon.  Only a
+        ``holds`` is returned, so only the dense scan reports ``fails``
+        or ``inconclusive``.
         """
         if self.horizon // 10 < HEAD:
             return None
-        lw = self.W.step_log_weights
-        exact, bound = self._prefix(k, HEAD)
-        log_head, at, log_a = self._bounded
-        rows = lw(l, self.av[:HEAD]) - log_head + exact
-        top = (lw(l, self.av[at]) - log_a + bound).max()
+        rows = self._rows(k, l, HEAD)
+        top = rows[HEAD:].max()
         margin = BOUND_MARGIN * (
-            1.0 + lw(k, self.av[self.dense_top - 1])
+            1.0 + self.W.step_log_weights(k, self.av[self.dense_top - 1])
             + math.log(self.dense_top))
-        if not top + margin < rows.max():
+        if not top + margin < rows[:HEAD].max():
             return None
-        v = scan_verdict(np.append(rows, top),
+        v = scan_verdict(np.append(rows[:HEAD], top),
                          np.append(self.ns[:HEAD], self.horizon))
         return v if v.status == "holds" else None
 
     def _dense(self, k, l):
-        """The verdict on the rows at every scan index.
+        """The verdict on the rows of ``_rows`` up to dense_top.
 
-        The dense indices take the exact prefix of ``_prefix``; the
-        indices past them its tail majorant.  That majorant is an upper
-        bound: it may support ``holds`` but not ``fails``, so a ``fails``
-        that the dense indices alone do not give is ``inconclusive``.
+        Past dense_top they rest on the tail majorant, an upper bound: it
+        may support ``holds`` but not ``fails``, so a ``fails`` that the
+        dense indices alone do not give is ``inconclusive``.
         """
         d = self.dense_top
-        exact, bound = self._prefix(k, d)
-        rows = self.W.step_log_weights(l, self.av) - self._log_n
-        rows[:d] += exact
-        rows[d:] += bound
+        rows = self._rows(k, l, d)
         v = scan_verdict(rows, self.ns)
-        if (v.status == "fails" and len(bound)
+        if (v.status == "fails" and len(rows) > d
                 and scan_verdict(rows[:d], self.ns[:d]).status != "fails"):
             v = replace(v, status="inconclusive")
         return v
@@ -236,11 +210,13 @@ def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX):
     form lower bound at its block boundaries supplies that evidence: the
     averaging map does not act, with the bound at l = k + l_max as the
     verdict of step k (None when l_max is 0).  The scanned search needs
-    a step to try: ValueError for l_max < 1.
+    a step to try: ValueError for l_max < 1.  Either search needs an
+    index: ValueError where ``scan_horizon`` leaves none.
     """
     j = ftw.alpha.block_bounds
     per_k = {}
     if j is not None:
+        scan_horizon(ftw.alpha, horizon)
         for k in range(1, K_PROBE + 1):
             # lower bound k^(1/l) k^(k/l - 1) / 4 at blocks diverges in
             # the block index for every fixed l

@@ -319,8 +319,13 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
     of each stretch failing at the same sample, where it is smallest.
     alpha is evaluated once, a sample's row base is built when the
     search first reaches it, and ``scan_horizon`` caps the horizon at the
-    largest step, k + l_max.
+    largest step, k + l_max.  ValueError for k < 1, l_max < 0 or
+    samples < 1, which leave no step or no sample to search.
     """
+    for name, value, least in (("k", k, 1), ("l_max", l_max, 0),
+                               ("samples", samples, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     mus = disc_samples(lam, delta, boundary=samples - 1, interior=0)
     horizon = scan_horizon(W.alpha, horizon, step=k + l_max)
     ns = np.arange(1, horizon + 1)

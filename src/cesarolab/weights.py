@@ -467,16 +467,18 @@ def scan_horizon(alpha, horizon, tail=0, step=1):
     reading alpha up to n + tail stays within int64 and a finite sequence,
     and its largest step times alpha_(n + tail) stays a double (one below
     the least n that overflows, as alpha does not decrease).  ValueError
-    when that cap leaves no index."""
+    when the horizon or a cap leaves no index."""
     horizon = min(int(horizon), np.iinfo(np.int64).max - tail)
     if alpha.max_index is not None:
         horizon = min(horizon, alpha.max_index - tail)
+    if horizon < 1:
+        raise ValueError("empty scan: the horizon leaves no index to scan")
 
     def overflows(n):
         with np.errstate(over="ignore"):
             return not np.isfinite(step * alpha.values([n + tail])[0])
 
-    if horizon < 1 or not overflows(horizon):
+    if not overflows(horizon):
         return horizon
     cap = _first_step(overflows, 1, horizon) - 1
     if cap == 0:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cesarolab import finite_type
-from cesarolab.finite_type import (HEAD, K_PROBE, L_MAX, FiniteTypeWeights,
-                                   _Scan, _scan_indices, example53_alpha,
+from cesarolab.finite_type import (BLOCK_RATIO_DENOM, BOUND_MARGIN, HEAD,
+                                   K_PROBE, L_MAX, FiniteTypeWeights,
+                                   _Scan, example53_alpha,
                                    example53_j, example53_lower_bound,
                                    ft_cesaro_acts, ft_continuity_criterion,
                                    gp_nuclearity)
@@ -112,6 +113,46 @@ def test_certified_verdict_is_the_dense_one(table):
         certified = scan._certified(k, l)
         if certified is not None:
             assert repr(certified) == repr(scan._dense(k, l)), (k, l)
+
+
+def _assert_certificate(scan, k, l):
+    """The head rows are the dense rows bit for bit, and each bound row
+    is at least every dense row it stands for, up to the margin."""
+    d = scan.dense_top
+    head, dense = scan._rows(k, l, HEAD), scan._rows(k, l, d)
+    assert np.array_equal(head[:HEAD].view(np.int64),
+                          dense[:HEAD].view(np.int64))
+    ends = [HEAD]
+    while ends[-1] < d:
+        ends.append(min(ends[-1] + ends[-1] // BLOCK_RATIO_DENOM, d))
+    blocks = len(ends) - 1
+    assert len(head) == HEAD + blocks + len(scan.ns) - d
+    margin = BOUND_MARGIN * (1.0 + scan.av[d - 1] / k + math.log(d))
+    # the rows n in (a, b] sit at a..b - 1
+    block_max = np.maximum.reduceat(dense[:d], ends[:-1])
+    assert np.all(block_max <= head[HEAD:HEAD + blocks] + margin), (k, l)
+    # past dense_top both rest on the tail majorant, the head's from the
+    # bound at dense_top instead of the exact prefix there
+    assert np.all(dense[d:] <= head[HEAD + blocks:] + margin), (k, l)
+
+
+_PAIRS = ((1, 2), (1, 5), (2, 3), (3, 5))
+
+
+@pytest.mark.parametrize("preset, horizon", [
+    ("log_n_plus_1", 10 ** 6), ("log_n_plus_1", 10 ** 7), ("n", 10 ** 5)])
+def test_certificate_rows_on_presets(preset, horizon):
+    scan = _Scan(FiniteTypeWeights(make_alpha(preset)), horizon)
+    for k, l in _PAIRS:
+        _assert_certificate(scan, k, l)
+
+
+@given(_alpha_tables().map(lambda table: table[:-1] + (None,)))
+@settings(max_examples=20, deadline=None)
+def test_certificate_rows_on_alpha_tables(table):
+    scan = _Scan(FiniteTypeWeights(_table_alpha(*table)), table[0])
+    for k, l in _PAIRS:
+        _assert_certificate(scan, k, l)
 
 
 def test_certified_verdicts_sum_no_dense_prefix(monkeypatch):
@@ -259,10 +300,10 @@ def test_scan_indices_end_at_the_horizon(horizon, top):
     # horizon itself, and no float reaches an int64 cast
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dense_top, extras = _scan_indices(make_alpha("log_n_plus_1"),
-                                          horizon)
-    assert (dense_top, extras[-1], len(extras)) == (10 ** 6, top, 39)
-    assert extras == sorted(set(extras))
+        scan = _Scan(log_np1_weights(), horizon)
+    assert (scan.dense_top, scan.horizon, len(scan.ns)) == (
+        10 ** 6, top, 10 ** 6 + 39)
+    assert scan.ns[-1] == top and np.all(np.diff(scan.ns) > 0)
 
 
 def test_tail_majorant_never_grants_fails():

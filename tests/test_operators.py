@@ -8,7 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from cesarolab import operators
 from cesarolab.ergodic import b_continuity_check
-from cesarolab.finite_type import (FiniteTypeWeights, ft_continuity_criterion,
+from cesarolab.finite_type import (FiniteTypeWeights, example53_alpha,
+                                   ft_cesaro_acts, ft_continuity_criterion,
                                    gp_nuclearity)
 from cesarolab.operators import (N_DOUBLE_BINOM, N_EXACT, STEP_OPS,
                                  TriangularOperator, _log_weight_row,
@@ -21,7 +22,7 @@ from cesarolab.operators import (N_DOUBLE_BINOM, N_EXACT, STEP_OPS,
                                  weighted_norm)
 from cesarolab.resolvent import (equicontinuity_probe,
                                  resolvent_norm_bound_check)
-from cesarolab.spectrum import point_spectrum_test
+from cesarolab.spectrum import classify_spectrum, point_spectrum_test
 from cesarolab.weights import (PRESET_NAMES, AlphaSequence, WeightFamily,
                                check_delta_criterion, check_lemma22,
                                check_loglog, check_nuclear,
@@ -770,6 +771,53 @@ def test_scan_horizon_rejects_a_cap_leaving_no_index(tmp_path):
         scan_horizon(table, 10, step=65)
     with pytest.raises(ValueError, match="empty scan"):
         equicontinuity_probe(2.0, 0.05, WeightFamily(table), 1)
+
+
+_W_N = WeightFamily(make_alpha("n"))
+_LOG_NP1 = FiniteTypeWeights(make_alpha("log_n_plus_1"))
+# every public scan, as a function of its horizon
+_SCANS = {
+    "check_nuclear": lambda h: check_nuclear(_W_N.alpha, h),
+    "check_shift_stable": lambda h: check_shift_stable(_W_N.alpha, h),
+    "check_delta_criterion": lambda h: check_delta_criterion(_W_N.alpha, h),
+    "check_loglog": lambda h: check_loglog(_W_N.alpha, h),
+    "check_lemma22": lambda h: check_lemma22(_W_N.alpha, 1.0, h),
+    "classify_spectrum": lambda h: classify_spectrum(_W_N.alpha, h),
+    "point_spectrum_test m=1": lambda h: point_spectrum_test(1, _W_N, h),
+    "point_spectrum_test m=2": lambda h: point_spectrum_test(2, _W_N, h),
+    "step_continuity_test": lambda h: step_continuity_test("cesaro", _W_N,
+                                                           1, 2, h),
+    "b_continuity_check": lambda h: b_continuity_check(_W_N, 1, h),
+    "equicontinuity_probe": lambda h: equicontinuity_probe(
+        2.0, 0.05, _W_N, 1, horizon=h),
+    "resolvent_norm_bound_check": lambda h: resolvent_norm_bound_check(
+        2.0, _W_N, 1, horizon=h),
+    "ft_continuity_criterion": lambda h: ft_continuity_criterion(
+        _LOG_NP1, 1, 2, h),
+    "ft_cesaro_acts": lambda h: ft_cesaro_acts(_LOG_NP1, h),
+    "ft_cesaro_acts staircase": lambda h: ft_cesaro_acts(
+        FiniteTypeWeights(example53_alpha()), h),
+    "gp_nuclearity": lambda h: gp_nuclearity(_W_N, 1, 2, h),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(_SCANS))
+@pytest.mark.parametrize("horizon", [0, -5])
+def test_every_scan_refuses_a_horizon_with_no_index(scan, horizon):
+    # one guard, in scan_horizon: no scan indexes an empty range, and none
+    # gives a verdict from no index
+    with pytest.raises(ValueError, match="^empty scan: the horizon leaves "
+                                         "no index to scan$"):
+        _SCANS[scan](horizon)
+
+
+def test_scan_horizon_refuses_a_finite_alpha_with_no_index():
+    one_row = AlphaSequence("one_row", lambda n: 1.0,
+                            vec_log_fn=lambda ns: np.zeros(len(ns)),
+                            max_index=1)
+    assert scan_horizon(one_row, 10) == 1
+    with pytest.raises(ValueError, match="^empty scan: the horizon"):
+        scan_horizon(one_row, 10, tail=1)
 
 
 @pytest.mark.parametrize("k, l", [(1, 2), (1, 3), (2, 3), (2, 4)])

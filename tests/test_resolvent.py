@@ -171,9 +171,9 @@ _DISC_CALLS = {
         lambda delta, samples: resolvent_norm_bound_check(
             2.0, _W_N, 1, horizon=100, delta=delta, samples=samples),
 }
-# the smallest count each call turns into a negative disc count
-_BAD_COUNT = {"sandwich_check": -1, "equicontinuity_probe": 0,
-              "resolvent_norm_bound_check": 0}
+# the smallest count each call turns into a negative disc count; the
+# probe refuses a count below 1 by name before it makes a disc
+_BAD_COUNT = {"sandwich_check": -1, "resolvent_norm_bound_check": 0}
 _RADIUS = "disc radius must be positive, got "
 _DISC_CASES = [
     *((name, delta, 4, message) for name in sorted(_DISC_CALLS)
@@ -678,3 +678,13 @@ def test_sandwich_property_random_points(x, y, N):
     if u > 0.0:
         lo = math.log(u) - a * math.log(N)
         assert prod_log >= lo - math.log(1.001)
+
+
+@pytest.mark.parametrize("arg, value", [("k", 0), ("k", -1), ("l_max", -1),
+                                        ("samples", 0)])
+def test_probe_refuses_steps_and_samples_it_cannot_search(arg, value):
+    # no step or no sample to search is no evidence either way
+    args = {"k": 1, "l_max": 4, "samples": 4, arg: value}
+    with pytest.raises(ValueError, match=f"^{arg} must be >= "):
+        equicontinuity_probe(2.0, 0.05, WeightFamily(make_alpha("n")),
+                             horizon=100, **args)

@@ -103,6 +103,12 @@ def commands():
     for horizon in (40960, 40959):
         cmds.append(["finite", "--weights", "finite:log_np1",
                      "--horizon", str(horizon)])
+    # one index past the dense 1e6: the head's last block ends at the
+    # dense top, and one tail row follows it
+    cmds.append(["finite", "--weights", "finite:log_np1", "--horizon",
+                 "1000001"])
+    cmds.append(["finite", "--weights", "finite:example53", "--k", "1",
+                 "--l", "2", "--horizon", "1000001"])
     cmds.append(["finite", "--weights", "finite:log_np1", "--k", "3",
                  "--l", "5"])
     for name in ("n", "loglog_n", "n_pow_n"):
