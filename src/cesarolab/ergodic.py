@@ -204,8 +204,10 @@ def b_continuity_check(W: WeightFamily, k, horizon=10 ** 4):
 
     Row n contributes (n+1)/n * v_l(n+1)/v_k(n+1)
     + v_l(n+1) sum_{m<n} 1/(m v_k(m+1)); bounded exactly when the space
-    is nuclear.
+    is nuclear.  ValueError for k < 1.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     l = k + 1
     ns = np.arange(1, scan_horizon(W.alpha, horizon, tail=1, step=l) + 1)
     alpha_ns = W.alpha.values(ns + 1)

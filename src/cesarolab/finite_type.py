@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .weights import (LCE_BLOCK, LOG_DBL_MAX, AlphaSequence, GrowthVerdict,
-                      log_cumsum_exp, make_alpha, scan_horizon, scan_verdict)
+                      _first_step, log_cumsum_exp, make_alpha, scan_horizon,
+                      scan_verdict)
 
 __all__ = [
     "FiniteTypeWeights",
@@ -205,6 +206,19 @@ def ft_continuity_criterion(ftw: FiniteTypeWeights, k, l, horizon=10 ** 6):
 def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX):
     """Search, for each k <= K_PROBE, a step l where the criterion holds.
 
+    A row alpha_n / l - log n + P_k(n), with P_k(n) the log of
+    sum_{m<=n} 1/v_k(m), falls elementwise as l rises, and the late rows
+    fall most, as alpha does not decrease.  So ``fails`` is closed
+    downward in l and ``holds`` upward; the majorant's fails ->
+    inconclusive rule and the certified ``holds`` keep that, and each
+    k's statuses run fails..., inconclusive..., holds... over l = k+1..
+    k+l_max.  One ``_first_step`` per k finds the first holding step
+    ``l_found``; its verdict, or that at k + l_max when none holds, is
+    the verdict of step k.  When some k finds no step the report is
+    ``inconclusive`` if, for some k, the step just below its first
+    holding step (its last step, where none holds) was inconclusive, and
+    ``does_not_act`` otherwise.
+
     For a staircase sequence (``block_bounds``) the numeric scan cannot
     reach the blocks where divergence shows for larger l, so the closed-
     form lower bound at its block boundaries supplies that evidence: the
@@ -229,26 +243,22 @@ def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX):
     if l_max < 1:
         raise ValueError(f"need l_max >= 1 to scan, got {l_max}")
     scan = _Scan(ftw, horizon)
-    acts = True
-    conclusive = True
+    doubt = False
     for k in range(1, K_PROBE + 1):
-        l_found = last = None
-        for l in range(k + 1, k + l_max + 1):
-            last = scan.verdict(k, l)
-            if last.status == "holds":
-                l_found = l
-                break
-            if last.status == "inconclusive":
-                conclusive = False
+        seen = {}  # l -> its verdict; the search asks each l once
+
+        def holds(l):
+            seen[l] = scan.verdict(k, l)
+            return seen[l].status == "holds"
+
+        l_found = _first_step(holds, k + 1, k + l_max)
+        last = seen[l_found or k + l_max]
+        # the step below the first holding one, asked unless l_found = k + 1
+        below = last if l_found is None else seen.get(l_found - 1, last)
+        doubt |= below.status == "inconclusive"
         per_k[k] = {"l_found": l_found, "verdict": last}
-        if l_found is None:
-            acts = False
-    if acts:
-        verdict = "acts_evidence"
-    elif conclusive:
-        verdict = "does_not_act"
-    else:
-        verdict = "inconclusive"
+    verdict = ("acts_evidence" if all(s["l_found"] for s in per_k.values())
+               else "inconclusive" if doubt else "does_not_act")
     return {"verdict": verdict, "per_step": per_k, "horizon": horizon}
 
 
@@ -282,7 +292,10 @@ def gp_nuclearity(weights, k, l, horizon=10 ** 5):
     log partial sums, so the sup is the sum at the horizon and the
     witness the first index where it is reached; ``fails`` needs a log
     growth above 1e-3 over the last decade, as the sums always grow.
+    ValueError for k < 1 or l <= k.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if l <= k:
         raise ValueError("need l > k")
     horizon = scan_horizon(weights.alpha, horizon, step=l)

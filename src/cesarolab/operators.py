@@ -434,9 +434,13 @@ def step_continuity_test(op_name, W: WeightFamily, k, l, horizon=10 ** 4):
     delta:          sup_n sum_m (v_l(n)/v_k(m)) binom(n-1, m-1)
     cesaro:         sup_n (v_l(n)/n) sum_m 1/v_k(m)
     shift:          sup_n v_l(n+1) / v_k(n)
+
+    ValueError for k < 1 or l < k.
     """
     if op_name not in _STEP_ROWS:
         raise ValueError(f"unknown operator {op_name!r}; one of {STEP_OPS}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if l < k:
         raise ValueError("need l >= k")
     h = scan_horizon(W.alpha, horizon, tail=1, step=l)

@@ -204,12 +204,16 @@ def sandwich_check(lam, delta, N_list, samples=16):
     """Assert d_delta/N^a <= prod |1 - 1/(n mu)| <= D_delta/N^a on a grid.
 
     Returns a report with the worst lower/upper log slacks (> 0 means
-    the inequality holds with room to spare).
+    the inequality holds with room to spare).  ValueError for an empty
+    N_list or an N < 1, where the product has no factor to bound.
     """
+    N_list = sorted(int(N) for N in N_list)
+    if not N_list or N_list[0] < 1:
+        raise ValueError(f"N_list must be non-empty with every N >= 1, "
+                         f"got {N_list}")
     d_delta, D_delta = sandwich_bounds(lam, delta)
     pts = disc_samples(lam, delta, boundary=samples,
                        interior=max(samples // 2, 1))
-    N_list = sorted(int(N) for N in N_list)
     worst_lo, worst_hi, failures = _sandwich_sweep(
         pts, [(d_delta, D_delta)] * len(pts), N_list)
     return {
@@ -387,8 +391,12 @@ def resolvent_norm_bound_check(lam, W: WeightFamily, k, horizon=10 ** 4,
     a(lam) < 1.  Reports the worst ratio of the truncated row-sum norm
     to 1/(1 - a(mu)) over the samples mu of the disc B(lam, delta), which
     must stay clear of that closed disc as well (ValueError otherwise).
-    ``scan_horizon`` caps the horizon at step k.
+    ``scan_horizon`` caps the horizon at step k.  ValueError for k < 1 or
+    samples < 1.
     """
+    for name, value in (("k", k), ("samples", samples)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if a_fn(lam) >= 1.0:
         raise ValueError(
             f"lambda = {lam} lies in the closed disc (a(lambda) >= 1)")

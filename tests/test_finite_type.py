@@ -258,6 +258,74 @@ def test_acts_search_matches_single_criteria(preset):
             ftw, k, l, horizon=10 ** 5)
 
 
+def _retired_acts_search(ftw, horizon=10 ** 6, l_max=L_MAX):
+    """The scanned acts search that tried every step l = k+1..k+l_max in
+    turn, verbatim: the reference of the monotone search."""
+    per_k = {}
+    scan = _Scan(ftw, horizon)
+    acts = True
+    conclusive = True
+    for k in range(1, K_PROBE + 1):
+        l_found = last = None
+        for l in range(k + 1, k + l_max + 1):
+            last = scan.verdict(k, l)
+            if last.status == "holds":
+                l_found = l
+                break
+            if last.status == "inconclusive":
+                conclusive = False
+        per_k[k] = {"l_found": l_found, "verdict": last}
+        if l_found is None:
+            acts = False
+    if acts:
+        verdict = "acts_evidence"
+    elif conclusive:
+        verdict = "does_not_act"
+    else:
+        verdict = "inconclusive"
+    return {"verdict": verdict, "per_step": per_k, "horizon": horizon}
+
+
+_L_MAXES = (1, 3, 16, 64)
+
+
+@pytest.mark.parametrize("preset", ["n", "sqrt_n", "log_n_plus_1",
+                                    "loglog_n", "log_n", "logloglog_n"])
+@pytest.mark.parametrize("horizon", [1, 2, 20, 500, 10 ** 4, 10 ** 5])
+def test_acts_search_is_the_step_by_step_search_on_presets(preset, horizon):
+    ftw = FiniteTypeWeights(make_alpha(preset))
+    for l_max in _L_MAXES:
+        assert repr(ft_cesaro_acts(ftw, horizon, l_max)) == repr(
+            _retired_acts_search(ftw, horizon, l_max)), l_max
+
+
+@given(_alpha_tables().map(lambda table: table[:-1] + (None,)),
+       st.sampled_from(_L_MAXES))
+@settings(max_examples=20, deadline=None)
+def test_acts_search_is_the_step_by_step_search_on_alpha_tables(table,
+                                                                l_max):
+    ftw = FiniteTypeWeights(_table_alpha(*table))
+    assert repr(ft_cesaro_acts(ftw, table[0], l_max)) == repr(
+        _retired_acts_search(ftw, table[0], l_max))
+
+
+def test_acts_search_asks_few_steps(monkeypatch):
+    # on n every step fails: the search gallops to k + 64 in 7 verdicts
+    # where the step-by-step search asked all 64
+    asked = []
+    verdict = _Scan.verdict
+
+    def counting(scan, k, l):
+        asked.append(k)
+        return verdict(scan, k, l)
+
+    monkeypatch.setattr(_Scan, "verdict", counting)
+    res = ft_cesaro_acts(FiniteTypeWeights(make_alpha("n")),
+                         horizon=10 ** 5, l_max=64)
+    assert res["verdict"] == "does_not_act"
+    assert all(0 < asked.count(k) <= 8 for k in range(1, K_PROBE + 1))
+
+
 def test_does_not_act_staircase():
     res = ft_cesaro_acts(FiniteTypeWeights(example53_alpha()),
                          horizon=10 ** 5)

@@ -811,6 +811,25 @@ def test_every_scan_refuses_a_horizon_with_no_index(scan, horizon):
         _SCANS[scan](horizon)
 
 
+# every scan between steps k and l, as a function of k
+_STEP_PAIR_SCANS = {
+    **{f"step_continuity_test {op}":
+       (lambda k, op=op: step_continuity_test(op, _W_N, k, k, 100))
+       for op in STEP_OPS},
+    "gp_nuclearity": lambda k: gp_nuclearity(_W_N, k, k + 1, 100),
+    "b_continuity_check": lambda k: b_continuity_check(_W_N, k, 100),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(_STEP_PAIR_SCANS))
+@pytest.mark.parametrize("k", [0, -1])
+def test_every_step_pair_scan_refuses_a_step_below_1(scan, k):
+    # the weight families are indexed from k = 1: a step pair below it is
+    # no evidence either way
+    with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+        _STEP_PAIR_SCANS[scan](k)
+
+
 def test_scan_horizon_refuses_a_finite_alpha_with_no_index():
     one_row = AlphaSequence("one_row", lambda n: 1.0,
                             vec_log_fn=lambda ns: np.zeros(len(ns)),

@@ -172,8 +172,9 @@ _DISC_CALLS = {
             2.0, _W_N, 1, horizon=100, delta=delta, samples=samples),
 }
 # the smallest count each call turns into a negative disc count; the
-# probe refuses a count below 1 by name before it makes a disc
-_BAD_COUNT = {"sandwich_check": -1, "resolvent_norm_bound_check": 0}
+# probe and the norm check refuse a count below 1 by name before they
+# make a disc
+_BAD_COUNT = {"sandwich_check": -1}
 _RADIUS = "disc radius must be positive, got "
 _DISC_CASES = [
     *((name, delta, 4, message) for name in sorted(_DISC_CALLS)
@@ -678,6 +679,22 @@ def test_sandwich_property_random_points(x, y, N):
     if u > 0.0:
         lo = math.log(u) - a * math.log(N)
         assert prod_log >= lo - math.log(1.001)
+
+
+@pytest.mark.parametrize("arg, value", [("k", 0), ("k", -1), ("samples", 0)])
+def test_norm_check_refuses_steps_and_samples_it_cannot_weigh(arg, value):
+    # no step of the family below k = 1, and no sample, is no estimate
+    args = {"k": 1, "samples": 4, arg: value}
+    with pytest.raises(ValueError, match=f"^{arg} must be >= 1, got {value}$"):
+        resolvent_norm_bound_check(2.0, WeightFamily(make_alpha("n")),
+                                   horizon=100, **args)
+
+
+@pytest.mark.parametrize("N_list", [[], [0, 10], [10, -3]])
+def test_sandwich_check_refuses_a_truncation_below_1(N_list):
+    # no N, or a product of no factor, bounds nothing
+    with pytest.raises(ValueError, match="^N_list must be "):
+        sandwich_check(2.0, 0.1, N_list)
 
 
 @pytest.mark.parametrize("arg, value", [("k", 0), ("k", -1), ("l_max", -1),

@@ -109,6 +109,11 @@ def commands():
                  "1000001"])
     cmds.append(["finite", "--weights", "finite:example53", "--k", "1",
                  "--l", "2", "--horizon", "1000001"])
+    # acts searches whose first holding steps lie past k + 1 (l = 3, 5,
+    # 7, 9 at 2 and l = 4, 7, 10, 14 at 1e20), and at 1, where none holds
+    for horizon in (1, 2, 20, 10 ** 9, 10 ** 20):
+        cmds.append(["finite", "--weights", "finite:log_np1", "--horizon",
+                     str(horizon)])
     cmds.append(["finite", "--weights", "finite:log_np1", "--k", "3",
                  "--l", "5"])
     for name in ("n", "loglog_n", "n_pow_n"):
