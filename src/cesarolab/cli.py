@@ -13,7 +13,6 @@ import argparse
 import cmath
 import functools
 import hashlib
-import inspect
 import json
 import math
 import sys
@@ -292,8 +291,7 @@ _UNREAD = {"N": 0, "m": 10, "samples": 50, "seed": 0, "horizon": 10 ** 5}
 
 def cmd_verify(args):
     checks_of = _SUITES[args.suite]
-    kw = {opt: p.default
-          for opt, p in inspect.signature(checks_of).parameters.items()}
+    kw = dict(checks_of.__kwdefaults__)  # every suite's options: keyword-only
     for opt in _UNREAD:
         value = getattr(args, opt)
         if value is None or (opt == "N" and value == 0):  # the suite's N

@@ -17,7 +17,8 @@ import numpy as np
 from .operators import (_cesaro_step, _log_weight_row, _max_deviation,
                         _scale_to_ints, _weighted_sup_rows,
                         cesaro_matrix_exact)
-from .weights import WeightFamily, log_cumsum_exp, scan_horizon, scan_verdict
+from .weights import (WeightFamily, _at_least, log_cumsum_exp, scan_horizon,
+                      scan_verdict)
 
 __all__ = [
     "IterationTrace",
@@ -50,8 +51,7 @@ class IterationTrace:
 
 def power_apply(x, m, N=None):
     """m-fold application of the averaging map at truncation N."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _at_least(m=(m, 1))
     v = np.asarray(x, dtype=complex)
     if N is not None:
         v = v[:N]
@@ -62,8 +62,7 @@ def power_apply(x, m, N=None):
 
 def cesaro_means(x, n, N=None):
     """(1/n) sum_{m=1}^{n} C^m x, averaged in order m = 1..n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _at_least(n=(n, 1))
     v = np.asarray(x, dtype=complex)
     if N is not None:
         v = v[:N]
@@ -103,9 +102,7 @@ def power_bounded_check(W: WeightFamily, k, trials=20, m_max=200, N=50,
     No trial, iterate or coordinate would pass vacuously, so ``trials``,
     ``m_max`` and ``N`` below 1 raise ValueError.
     """
-    for name, value in (("trials", trials), ("m_max", m_max), ("N", N)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    _at_least(trials=(trials, 1), m_max=(m_max, 1), N=(N, 1))
     rng = np.random.default_rng(seed)
     # every trial's start vector, real part then imaginary part; row t of
     # a block of C^m x is C^m x_t
@@ -150,10 +147,7 @@ def iterates_limit_check(x, W: WeightFamily, k, N, tol=ITERATE_TOL,
     at the first distance below tol, or at m_cap, and the iterates a
     batch computed past that end are dropped.
     """
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    if m_cap < 1:
-        raise ValueError(f"m_cap must be >= 1, got {m_cap}")
+    _at_least(N=(N, 2), m_cap=(m_cap, 1))
     v = np.asarray(x, dtype=complex)[:N]
     if len(v) < N:
         raise ValueError(f"x has {len(v)} coordinates, fewer than N = {N}")
@@ -188,8 +182,7 @@ def range_inverse_matrices(N):
     A = S (I - C)|_{x_1 = 0} S^{-1} is I - C with its first row and
     column cut: a_nn = n/(n+1), a_nm = -1/(n+1) below the diagonal.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _at_least(N=(N, 1))
     A = (np.eye(N + 1, dtype=object) - cesaro_matrix_exact(N + 1))[1:, 1:]
     B = _b_matrix_exact(N)
     L, (LA, LB) = _scale_to_ints(A, B)
@@ -206,8 +199,7 @@ def b_continuity_check(W: WeightFamily, k, horizon=10 ** 4):
     + v_l(n+1) sum_{m<n} 1/(m v_k(m+1)); bounded exactly when the space
     is nuclear.  ValueError for k < 1.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _at_least(k=(k, 1))
     l = k + 1
     ns = np.arange(1, scan_horizon(W.alpha, horizon, tail=1, step=l) + 1)
     alpha_ns = W.alpha.values(ns + 1)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .weights import (LCE_BLOCK, LOG_DBL_MAX, AlphaSequence, GrowthVerdict,
-                      _first_step, log_cumsum_exp, make_alpha, scan_horizon,
-                      scan_verdict)
+                      _at_least, _first_step, log_cumsum_exp, make_alpha,
+                      scan_horizon, scan_verdict)
 
 __all__ = [
     "FiniteTypeWeights",
@@ -196,10 +196,7 @@ def ft_continuity_criterion(ftw: FiniteTypeWeights, k, l, horizon=10 ** 6):
     bound past them where they suffice, with the verdict of the dense
     scan; every other verdict comes from the dense scan (see ``_Scan``).
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if l <= k:
-        raise ValueError("need l > k")
+    _at_least(k=(k, 1), l=(l, k + 1))
     return _Scan(ftw, horizon).verdict(k, l)
 
 
@@ -240,8 +237,7 @@ def ft_cesaro_acts(ftw: FiniteTypeWeights, horizon=10 ** 6, l_max=L_MAX):
                 int(j(min(10 * l, 6))), True) if l_max else None}
         return {"verdict": "does_not_act", "per_step": per_k,
                 "horizon": horizon}
-    if l_max < 1:
-        raise ValueError(f"need l_max >= 1 to scan, got {l_max}")
+    _at_least(l_max=(l_max, 1))
     scan = _Scan(ftw, horizon)
     doubt = False
     for k in range(1, K_PROBE + 1):
@@ -278,8 +274,7 @@ def example53_lower_bound(k, l):
     Evaluated at the block boundary n = j(k); grows without bound in k
     for every fixed l.  Computed in log domain.
     """
-    if k < 1 or l < 1:
-        raise ValueError("k, l must be >= 1")
+    _at_least(k=(k, 1), l=(l, 1))
     log_val = (1.0 / l) * math.log(k) + (k / l - 1.0) * math.log(k) \
         - math.log(4.0)
     return math.exp(log_val) if log_val <= LOG_DBL_MAX else math.inf
@@ -294,10 +289,7 @@ def gp_nuclearity(weights, k, l, horizon=10 ** 5):
     growth above 1e-3 over the last decade, as the sums always grow.
     ValueError for k < 1 or l <= k.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if l <= k:
-        raise ValueError("need l > k")
+    _at_least(k=(k, 1), l=(l, k + 1))
     horizon = scan_horizon(weights.alpha, horizon, step=l)
     ns = np.arange(1, horizon + 1)
     alpha_ns = weights.alpha.values(ns)

@@ -26,7 +26,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .weights import WeightFamily, log_cumsum_exp, scan_horizon, scan_verdict
+from .weights import (WeightFamily, _at_least, log_cumsum_exp, scan_horizon,
+                      scan_verdict)
 
 __all__ = [
     "TriangularOperator",
@@ -296,10 +297,10 @@ def conjugate_to_c0(A: TriangularOperator, W: WeightFamily, k, l):
 
     This is the weighted-step operator viewed as a plain c0 matrix; the
     ratio 1/v_k(m) alone overflows double precision, so the two log
-    weights are combined before exponentiation.
+    weights are combined before exponentiation.  ValueError for k < 1 or
+    l < k.
     """
-    if l < k:
-        raise ValueError("need l >= k")
+    _at_least(k=(k, 1), l=(l, k))
 
     def entry(n, m):
         v = A.entry(n, m)
@@ -318,8 +319,7 @@ def c0_continuity_test(A: TriangularOperator, horizon, col_check):
     column_decay holds when each of the first ``col_check`` columns has
     decayed at row ``horizon`` below COLUMN_DECAY_TOL times its maximum.
     """
-    if not (horizon >= col_check >= 1):
-        raise ValueError("need horizon >= col_check >= 1")
+    _at_least(col_check=(col_check, 1), horizon=(horizon, col_check))
 
     row_sup = 0.0
     col_max = [0.0] * col_check
@@ -439,10 +439,7 @@ def step_continuity_test(op_name, W: WeightFamily, k, l, horizon=10 ** 4):
     """
     if op_name not in _STEP_ROWS:
         raise ValueError(f"unknown operator {op_name!r}; one of {STEP_OPS}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if l < k:
-        raise ValueError("need l >= k")
+    _at_least(k=(k, 1), l=(l, k))
     h = scan_horizon(W.alpha, horizon, tail=1, step=l)
     alpha_ns = W.alpha.values(np.arange(1, h + 2))  # n = 1..h+1
     ns = np.arange(1, h + 1)

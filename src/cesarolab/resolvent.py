@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import (LOG_DBL_MAX, WeightFamily, _first_step, log_cumsum_exp,
-                      scan_horizon, scan_verdict)
+from .weights import (LOG_DBL_MAX, WeightFamily, _at_least, _first_step,
+                      log_cumsum_exp, scan_horizon, scan_verdict)
 
 __all__ = [
     "ResolventDecomposition",
@@ -144,9 +144,7 @@ def disc_samples(lam, delta, boundary=64, interior=32):
     """
     if not delta > 0:
         raise ValueError(f"disc radius must be positive, got {delta}")
-    if boundary < 0 or interior < 0:
-        raise ValueError(f"disc sample counts must be >= 0, got "
-                         f"boundary={boundary}, interior={interior}")
+    _at_least(boundary=(boundary, 0), interior=(interior, 0))
     if not _disc_clears_sigma0(lam, delta):
         raise ValueError(
             f"closed disc B({lam}, {delta}) touches Sigma0 "
@@ -211,6 +209,7 @@ def sandwich_check(lam, delta, N_list, samples=16):
     if not N_list or N_list[0] < 1:
         raise ValueError(f"N_list must be non-empty with every N >= 1, "
                          f"got {N_list}")
+    _at_least(samples=(samples, 1))
     d_delta, D_delta = sandwich_bounds(lam, delta)
     pts = disc_samples(lam, delta, boundary=samples,
                        interior=max(samples // 2, 1))
@@ -326,10 +325,7 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
     largest step, k + l_max.  ValueError for k < 1, l_max < 0 or
     samples < 1, which leave no step or no sample to search.
     """
-    for name, value, least in (("k", k, 1), ("l_max", l_max, 0),
-                               ("samples", samples, 1)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    _at_least(k=(k, 1), l_max=(l_max, 0), samples=(samples, 1))
     mus = disc_samples(lam, delta, boundary=samples - 1, interior=0)
     horizon = scan_horizon(W.alpha, horizon, step=k + l_max)
     ns = np.arange(1, horizon + 1)
@@ -394,9 +390,7 @@ def resolvent_norm_bound_check(lam, W: WeightFamily, k, horizon=10 ** 4,
     ``scan_horizon`` caps the horizon at step k.  ValueError for k < 1 or
     samples < 1.
     """
-    for name, value in (("k", k), ("samples", samples)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    _at_least(k=(k, 1), samples=(samples, 1))
     if a_fn(lam) >= 1.0:
         raise ValueError(
             f"lambda = {lam} lies in the closed disc (a(lambda) >= 1)")

@@ -20,7 +20,8 @@ import numpy as np
 from . import resolvent as rsv
 from .operators import delta_log_abs
 from .weights import (AlphaSequence, GrowthVerdict, WeightFamily,
-                      check_loglog, check_nuclear, scan_horizon, scan_verdict)
+                      _at_least, check_loglog, check_nuclear, scan_horizon,
+                      scan_verdict)
 
 __all__ = [
     "SpectralReport",
@@ -93,10 +94,7 @@ def point_spectrum_test(m, W: WeightFamily, horizon=10 ** 4,
     vector and always holds.  Without a declared flag it is one scan at
     k_max, the row with the least sup, which never grants ``holds``.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _at_least(m=(m, 1), k_max=(k_max, 1))
     horizon = scan_horizon(W.alpha, horizon, step=k_max)
     if m == 1:
         return GrowthVerdict("holds", horizon, 1.0, 1, False)

@@ -442,6 +442,15 @@ def log_cumsum_exp(t):
 # ---------------------------------------------------------------------------
 # predicates
 
+def _at_least(**bounds):
+    """Refuse the first of the ``name=(value, least)`` pairs, in the
+    order given, whose value is below its bound: ValueError
+    ``<name> must be >= <least>, got <value>``."""
+    for name, (value, least) in bounds.items():
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _first_step(holds, lo, hi):
     """The least l in lo..hi with holds(l), or None, for a predicate that
     stays true once true: gallop over l = lo, lo+1, lo+3, lo+7, ...,
@@ -571,8 +580,7 @@ def check_lemma22(alpha, gamma, horizon=10 ** 5):
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     horizon = scan_horizon(alpha, horizon, step=M_MAX)
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
+    _at_least(horizon=(horizon, 2))
     ns = np.arange(1, horizon + 1)
     av = alpha.values(ns)
     glog = gamma * np.log(ns.astype(float))

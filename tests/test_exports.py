@@ -1,10 +1,14 @@
 """Every exported name resolves, and so does every boundary that the
 benchmark's span table wraps, so deleting a name the traced run needs
-fails here rather than in ``bench/run.py --trace``."""
+fails here rather than in ``bench/run.py --trace``.  The package root
+itself loads no submodule."""
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,18 @@ import cesarolab
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(cesarolab.__path__))
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def test_package_root_imports_no_submodule():
+    # the package root re-exports nothing: each name is imported from its
+    # module, so ``import cesarolab`` alone runs no layer's import-time work
+    src = str(Path(cesarolab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cesarolab; print(sorted("
+         "m for m in sys.modules if m.startswith('cesarolab.')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -206,11 +206,11 @@ def test_scan_points_past_the_dense_indices_are_guarded():
 
 
 def test_criterion_rejects_bad_steps():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^l must be >= 3, got 2$"):
         ft_continuity_criterion(log_np1_weights(), 2, 2)
     # l > k alone would let k = 0 or k < 0 through to a confident verdict
     for k in (0, -1):
-        with pytest.raises(ValueError, match="k >= 1"):
+        with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
             ft_continuity_criterion(log_np1_weights(), k, 2)
 
 
@@ -236,7 +236,8 @@ def test_acts_slow_growth():
 @pytest.mark.parametrize("l_max", [0, -1])
 def test_scanned_acts_search_needs_a_step(l_max):
     # a search that tries no step has no evidence for does_not_act
-    with pytest.raises(ValueError, match="l_max >= 1"):
+    with pytest.raises(ValueError,
+                       match=f"^l_max must be >= 1, got {l_max}$"):
         ft_cesaro_acts(log_np1_weights(), l_max=l_max)
 
 

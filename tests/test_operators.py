@@ -555,8 +555,19 @@ def test_conjugate_entries():
 
 def test_conjugate_requires_l_ge_k():
     W = WeightFamily(make_alpha("n"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^l must be >= 3, got 1$"):
         conjugate_to_c0(AVERAGING, W, 3, 1)
+
+
+@pytest.mark.parametrize("horizon, col_check, message", [
+    (5, 0, "col_check must be >= 1, got 0"),
+    (-5, -3, "col_check must be >= 1, got -3"),
+    (2, 3, "horizon must be >= 3, got 2")])
+def test_c0_continuity_test_needs_a_column_within_the_horizon(
+        horizon, col_check, message):
+    # no column, or a column past the last row, has no decay to check
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        c0_continuity_test(AVERAGING, horizon, col_check)
 
 
 def test_c0_continuity_conjugated_cesaro():
@@ -818,6 +829,13 @@ _STEP_PAIR_SCANS = {
        for op in STEP_OPS},
     "gp_nuclearity": lambda k: gp_nuclearity(_W_N, k, k + 1, 100),
     "b_continuity_check": lambda k: b_continuity_check(_W_N, k, 100),
+    "conjugate_to_c0": lambda k: conjugate_to_c0(AVERAGING, _W_N, k, k),
+    "ft_continuity_criterion":
+        lambda k: ft_continuity_criterion(_LOG_NP1, k, k + 1, 100),
+    "equicontinuity_probe":
+        lambda k: equicontinuity_probe(2.0, 0.05, _W_N, k, horizon=100),
+    "resolvent_norm_bound_check":
+        lambda k: resolvent_norm_bound_check(2.0, _W_N, k, horizon=100),
 }
 
 

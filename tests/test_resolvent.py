@@ -171,10 +171,9 @@ _DISC_CALLS = {
         lambda delta, samples: resolvent_norm_bound_check(
             2.0, _W_N, 1, horizon=100, delta=delta, samples=samples),
 }
-# the smallest count each call turns into a negative disc count; the
-# probe and the norm check refuse a count below 1 by name before they
-# make a disc
-_BAD_COUNT = {"sandwich_check": -1}
+# every call that takes a sample count refuses one below 1 by name
+# before it makes a disc
+_BAD_COUNT = [("sandwich_check", -1), ("sandwich_check", 0)]
 _RADIUS = "disc radius must be positive, got "
 _DISC_CASES = [
     *((name, delta, 4, message) for name in sorted(_DISC_CALLS)
@@ -184,8 +183,8 @@ _DISC_CASES = [
           (math.nan, _RADIUS + "nan"),
           # dist_sigma0(2) = 1: this disc passes through 0 and every 1/n
           (2.0, "closed disc B(2.0, 2.0) touches Sigma0 (dist = 1)")]),
-    *((name, 0.1, samples, "disc sample counts must be >= 0")
-      for name, samples in sorted(_BAD_COUNT.items())),
+    *((name, 0.1, samples, f"samples must be >= 1, got {samples}")
+      for name, samples in _BAD_COUNT),
 ]
 
 
@@ -196,9 +195,9 @@ def test_every_disc_obeys_one_rule(name, delta, samples, message):
 
 
 def test_disc_samples_rejects_negative_counts():
-    with pytest.raises(ValueError, match="counts"):
+    with pytest.raises(ValueError, match="^boundary must be >= 0, got -1$"):
         disc_samples(2.0, 0.1, boundary=-1)
-    with pytest.raises(ValueError, match="counts"):
+    with pytest.raises(ValueError, match="^interior must be >= 0, got -1$"):
         disc_samples(2.0, 0.1, interior=-1)
     assert disc_samples(2.0, 0.1, boundary=0, interior=0) == [2.0]
 
