@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .weights import (LCE_BLOCK, LOG_DBL_MAX, AlphaSequence, GrowthVerdict,
-                      _at_least, _first_step, log_cumsum_exp, make_alpha,
-                      scan_horizon, scan_verdict)
+from .weights import (BOUND_MARGIN, HEAD, LOG_DBL_MAX, AlphaSequence,
+                      GrowthVerdict, _at_least, _block_ends, _first_step,
+                      log_cumsum_exp, make_alpha, scan_horizon, scan_verdict)
 
 __all__ = [
     "FiniteTypeWeights",
@@ -32,12 +32,6 @@ __all__ = [
 
 L_MAX = 64
 K_PROBE = 4
-# the criterion's exact head: a multiple of LCE_BLOCK, so that its prefix
-# sums are those of the dense scan bit for bit
-HEAD = 16 * LCE_BLOCK
-BLOCK_RATIO_DENOM = 64  # blocks past the head grow by a factor 1 + 1/64
-# rounding margin of the bounds, relative to the rows' magnitude
-BOUND_MARGIN = 1e-9
 
 
 @dataclass
@@ -99,13 +93,13 @@ class _Scan:
         """log (v_l(n)/n) sum_{m<=n} 1/v_k(m) at n = 1..top, exact, then
         bound rows past top.
 
-        One bound row per block (a, b] from top to dense_top, each block
-        about 1/BLOCK_RATIO_DENOM longer than the last: as alpha does not
-        decrease, each row of the block is at most
-        alpha_b / l - log(a + 1) + U_b, where U_b = log(e^U_a + (b - a)
-        e^(-alpha_a / k)) bounds the prefix sum at b, from the exact one
-        at top.  Then one row per index n past dense_top, where a term is
-        at most 1/v_k(dense_top), with the tail majorant
+        One bound row per block (a, b] of ``_block_ends`` from top to
+        dense_top: as alpha does not decrease, each row of the block is
+        at most alpha_b / l - log(a + 1) + U_b, where
+        U_b = log(e^U_a + (b - a) e^(-alpha_a / k)) bounds the prefix sum
+        at b, from the exact one at top.  Then one row per index n past
+        dense_top, where a term is at most 1/v_k(dense_top), with the tail
+        majorant
         log(e^U + (n - dense_top) e^(-alpha_dense_top / k)) as its sum.
         The blocks and where the rows read alpha and log n are kept per
         top, the prefix sums for the last k asked at that top: a search
@@ -113,11 +107,8 @@ class _Scan:
         """
         d, lw, av = self.dense_top, self.W.step_log_weights, self.av
         if top not in self._reads:
-            ends = [top]
-            while ends[-1] < d:
-                ends.append(min(ends[-1] + ends[-1] // BLOCK_RATIO_DENOM, d))
-            a = np.array(ends[:-1], dtype=np.int64)
-            b = np.array(ends[1:], dtype=np.int64)
+            ends = _block_ends(top, d)
+            a, b = ends[:-1], ends[1:]
             log_n = np.concatenate((self.ns[:top], a + 1, self.ns[d:]),
                                    dtype=float)
             # the dense rows read alpha at every scan index, uncopied

@@ -230,8 +230,9 @@ def _log_weight_row(W: WeightFamily, k, N):
 
     The vector path ``W.log_weights`` goes through exp(log alpha_n) and
     differs in the last bit for many n, which would change reported
-    norms.
+    norms.  ValueError for a step k < 1, outside the family.
     """
+    _at_least(k=(k, 1))
     return np.array([W.log_weight(k, n) for n in range(1, N + 1)],
                     dtype=float)
 

@@ -27,8 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import (LOG_DBL_MAX, WeightFamily, _at_least, _first_step,
-                      log_cumsum_exp, scan_horizon, scan_verdict)
+from .weights import (BOUND_MARGIN, DIVERGENCE_LOG_THRESHOLD, HEAD,
+                      LCE_BLOCK, LOG_DBL_MAX, WeightFamily, _at_least,
+                      _block_ends, _first_step, log_cumsum_exp, scan_horizon,
+                      scan_verdict)
 
 __all__ = [
     "ResolventDecomposition",
@@ -115,11 +117,16 @@ def product_log_prefix(mu, N):
     a log of |1 - 1/(n mu)| loses.  x is clamped at -1, so a float 1/n
     gives -inf or a finite term, never NaN.
     """
+    return _product_log_prefix(mu, np.arange(1, N + 1, dtype=float),
+                               np.empty(N))
+
+
+def _product_log_prefix(mu, ns, out):
+    """``product_log_prefix`` at the float indices ns = 1..N, into out."""
     mu = complex(mu)
     if mu == 0:
         raise ZeroDivisionError("mu = 0 is in Sigma0")
-    ns = np.arange(1, N + 1, dtype=float)
-    x = 1.0 / (mu.real ** 2 + mu.imag ** 2) / ns
+    x = np.divide(1.0 / (mu.real ** 2 + mu.imag ** 2), ns, out=out)
     x -= 2.0 * (1.0 / mu).real
     x /= ns
     np.maximum(x, -1.0, out=x)
@@ -279,6 +286,25 @@ def resolvent_entries(mu):
 # ---------------------------------------------------------------------------
 # norm bound and equicontinuity probe
 
+def _row_terms(mu, lw_k, ns, P, terms):
+    """Fill P with the resolvent product prefix at mu (P[i] = P(i + 1))
+    and terms with T_m = P(m-1) - log v_k(m), m = 1..N, for the float
+    indices ns = 1..N; returns (P, terms)."""
+    _product_log_prefix(mu, ns, P)
+    terms[0] = -lw_k[0]
+    np.subtract(P[:-1], lw_k[1:], out=terms[1:])
+    return P, terms
+
+
+def _row_base(P, sums, log_n):
+    """-log n - P(n) + sums[n - 2] for rows n = 2..N: the strict-row base
+    from P and the prefix log-sum-exp ``sums`` of the terms."""
+    base = np.negative(log_n)
+    base -= P[1:]
+    base += sums[:-1]
+    return base
+
+
 def _strict_row_base(mu, lw_k, log_n):
     """log of (1/n) sum_{m<n} e^{P(m-1)} / v_k(m) for rows n = 2..horizon.
 
@@ -292,15 +318,148 @@ def _strict_row_base(mu, lw_k, log_n):
     prefix log-sum-exp, ``log_cumsum_exp``.
     """
     horizon = len(lw_k)
-    P = product_log_prefix(mu, horizon)          # P[i] = sum_{k<=i+1}
-    # terms_m = P(m-1) - log v_k(m), prefix log-sum-exp over m
-    terms = np.empty(horizon)
-    terms[0] = -lw_k[0]
-    np.subtract(P[:-1], lw_k[1:], out=terms[1:])
-    base = np.negative(log_n)
-    base -= P[1:]
-    base += log_cumsum_exp(terms)[:-1]
-    return base
+    P, terms = _row_terms(mu, lw_k, np.arange(1, horizon + 1, dtype=float),
+                          np.empty(horizon), np.empty(horizon))
+    return _row_base(P, log_cumsum_exp(terms), log_n)
+
+
+class _ProbeRows:
+    """The probe's strict rows log v_l(n) + base(n), n = 2..horizon, at
+    each disc sample and step l >= k, and their verdicts.
+
+    A sample's resolvent prefix P and terms T_m = P(m-1) + k alpha_m go
+    into two horizon-length buffers that the samples share.  From a
+    horizon of 10 HEAD on, ``_certified`` tries to decide ``holds`` from
+    the exact rows n <= HEAD and one bound per block past them; a
+    sample's dense base (``_row_base`` over the horizon) is built only
+    where that cannot decide, and kept.  Every verdict and log sup is
+    the dense scan's.
+    """
+
+    def __init__(self, W, k, l_top, mus, horizon):
+        ns = np.arange(1, horizon + 1)
+        alpha = W.alpha.values(ns)
+        self.W, self.k, self.mus = W, k, mus
+        self.lw_k = W.step_log_weights(k, alpha)
+        self.ns = ns = ns.astype(float)
+        self.strict_ns, self.alpha = ns[1:], alpha[1:]
+        self.log_n = np.log(self.strict_ns)
+        self.P, self.terms = np.empty(horizon), np.empty(horizon)
+        self.owner = None  # the sample whose P and terms are in the buffers
+        self.dense, self.heads, self.blocks = {}, {}, {}
+        self.log_sups = {}  # (sample, step) -> the log sup of its rows
+        if horizon // 10 >= HEAD:
+            ends = _block_ends(HEAD, horizon)
+            a = ends[:-1]
+            self.a, self.alpha_a = a, alpha[a]  # alpha_(a+1)
+            self.log_a1 = np.log(a + 1.0)
+            self.log_span = np.log((ends[1:] - a).astype(float))
+            # rounding of the bounds and rows, less that of P and U
+            self.scale = 1.0 + l_top * alpha[-1] + math.log(horizon)
+        else:  # the head would reach the last decade: no certificate
+            self.heads = None
+
+    def _load(self, i):
+        """P and terms of sample i in the buffers."""
+        if self.owner != i:
+            _row_terms(self.mus[i], self.lw_k, self.ns, self.P, self.terms)
+            self.owner = i
+
+    def holds(self, i, l):
+        """Whether the scan of sample i at step l holds; its log sup is
+        kept."""
+        if i not in self.dense:
+            log_sup = self._certified(i, l)
+            if log_sup is not None:
+                self.log_sups[i, l] = log_sup
+                return True
+        row = self._rows(i, l)
+        v = scan_verdict(row, self.strict_ns)
+        self.log_sups[i, l] = float(row[v.witness_index - 2])  # n >= 2
+        return v.status == "holds"
+
+    def log_sup(self, i, l):
+        """The log sup of the rows of sample i at step l."""
+        if (i, l) not in self.log_sups:
+            log_sup = None if i in self.dense else self._certified(i, l)
+            self.log_sups[i, l] = (float(self._rows(i, l).max())
+                                   if log_sup is None else log_sup)
+        return self.log_sups[i, l]
+
+    def _rows(self, i, l):
+        """The dense rows of sample i at step l, its base built once."""
+        if i not in self.dense:
+            self._load(i)
+            self.dense[i] = _row_base(self.P, log_cumsum_exp(self.terms),
+                                      self.log_n)
+        row = self.W.step_log_weights(l, self.alpha)
+        row += self.dense[i]
+        return row
+
+    def _certified(self, i, l):
+        """The log sup M of sample i's rows at step l where the exact head
+        shows the dense scan holds, or None.
+
+        The head rows n <= HEAD are the dense rows bit for bit (HEAD is a
+        multiple of LCE_BLOCK).  Past it, a row n of the block (a, b] is
+        at most -log(a + 1) - min P(n) + log(e^(U_a - l alpha_(a+1))
+        + (b - a) e^(max_{a<=m<b} P(m) + (k - l) alpha_(a+1))), for l >= k
+        and alpha non-decreasing; U_a bounds log sum_{m<=a} e^(T_m), from
+        the head's last prefix sum on.  When M <= DIVERGENCE_LOG_THRESHOLD
+        and every bound stays below M by BOUND_MARGIN, relative to the
+        magnitude of the rows, the dense scan has M, the head's witness
+        and a last decade below M (HEAD <= horizon // 10): it holds.
+        No certificate is tried while the head's maximum lies in its last
+        LCE_BLOCK rows, where the rows still rise.
+        """
+        if self.heads is None:
+            return None
+        row = self.W.step_log_weights(l, self.alpha[:HEAD - 1])
+        row += self._head(i)[1]
+        j = int(np.argmax(row))
+        top = row[j]
+        if j >= HEAD - 1 - LCE_BLOCK or not top <= DIVERGENCE_LOG_THRESHOLD:
+            return None
+        bound, margin = self._bounds(i, l)
+        return float(top) if bound.max() + margin < top else None
+
+    def _bounds(self, i, l):
+        """The bound of each block past the head at step l, and the margin
+        that covers their rounding and that of the rows."""
+        if i not in self.blocks:
+            u_head = self._head(i)[0]
+            self._load(i)
+            self.blocks[i] = self._block_terms(u_head)
+        c, U, p_max, span = self.blocks[i]
+        a_l = self.alpha_a * l
+        bound = np.logaddexp(U - a_l, p_max + (self.alpha_a * self.k - a_l))
+        bound += c
+        return bound, BOUND_MARGIN * span
+
+    def _head(self, i):
+        """(U_HEAD, the dense base of rows n = 2..HEAD) of sample i: the
+        log of sum_{m<=HEAD} e^(T_m), and the base bit for bit."""
+        if i not in self.heads:
+            self._load(i)
+            sums = log_cumsum_exp(self.terms[:HEAD])
+            self.heads[i] = sums[-1], _row_base(
+                self.P[:HEAD], sums, self.log_n[:HEAD - 1])
+        return self.heads[i]
+
+    def _block_terms(self, u_head):
+        """The parts of the block bounds that do not depend on l, from the
+        loaded P and terms: -log(a + 1) - min P, U_a, log(b - a) + max P
+        and the rounding scale of the bounds."""
+        P, a = self.P, self.a
+        p_min = np.minimum.reduceat(P, a)  # P(n), a < n <= b
+        p_max = np.maximum.reduceat(P[:-1], a - 1)  # P(m), a <= m < b
+        t_max = np.maximum.reduceat(self.terms, a)  # T_m, a < m <= b
+        U = log_cumsum_exp(np.concatenate(([u_head], self.log_span + t_max)))
+        # max |P|: the head, the block extremes and P at the horizon
+        p_abs = max(np.abs(P[:HEAD]).max(), p_max.max(), -p_min.min(),
+                    abs(P[-1]))
+        span = self.scale + p_abs + np.abs(U).max()
+        return -self.log_a1 - p_min, U[:-1], self.log_span + p_max, span
 
 
 def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
@@ -320,43 +479,22 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
     an unbounded probe, the least over the steps of the supremum over
     the samples up to the first that fails there, read at the last step
     of each stretch failing at the same sample, where it is smallest.
-    alpha is evaluated once, a sample's row base is built when the
-    search first reaches it, and ``scan_horizon`` caps the horizon at the
-    largest step, k + l_max.  ValueError for k < 1, l_max < 0 or
+    alpha is evaluated once and ``scan_horizon`` caps the horizon at the
+    largest step, k + l_max.  From a horizon of 10 HEAD on, a sample's
+    ``holds`` is certified from its exact head rows and block bounds
+    where they suffice; its dense row base is built only where they do
+    not, when the search first needs it (``_ProbeRows``), so the report
+    is the dense scan's.  ValueError for k < 1, l_max < 0 or
     samples < 1, which leave no step or no sample to search.
     """
     _at_least(k=(k, 1), l_max=(l_max, 0), samples=(samples, 1))
     mus = disc_samples(lam, delta, boundary=samples - 1, interior=0)
     horizon = scan_horizon(W.alpha, horizon, step=k + l_max)
-    ns = np.arange(1, horizon + 1)
-    alpha_ns = W.alpha.values(ns)
-    lw_k = W.step_log_weights(k, alpha_ns)
-    strict_ns, strict_alpha = ns[1:], alpha_ns[1:]
-    log_n = np.log(strict_ns.astype(float))
-    bases = []
-    row = np.empty(len(strict_ns))
-    log_sups = {}  # (sample, step) -> the log sup of its rows
-
-    def rows(i, l):
-        np.add(W.step_log_weights(l, strict_alpha), bases[i], out=row)
-        return row
-
-    def holds(i, l):
-        if i == len(bases):
-            bases.append(_strict_row_base(mus[i], lw_k, log_n))
-        v = scan_verdict(rows(i, l), strict_ns)
-        log_sups[i, l] = float(row[v.witness_index - 2])  # n >= 2
-        return v.status == "holds"
-
-    def log_sup(i, l):
-        if (i, l) not in log_sups:
-            log_sups[i, l] = float(rows(i, l).max())
-        return log_sups[i, l]
-
+    scan = _ProbeRows(W, k, k + l_max, mus, horizon)
     top, l_found = k + l_max, k
     stretch_ends = []  # (the last step stopping at sample i, i)
     for i in range(len(mus)):
-        h = _first_step(lambda l: holds(i, l), l_found, top)
+        h = _first_step(lambda l: scan.holds(i, l), l_found, top)
         end = top if h is None else h - 1
         if end >= l_found:
             stretch_ends.append((end, i))
@@ -364,9 +502,9 @@ def equicontinuity_probe(lam, delta, W: WeightFamily, k, horizon=10 ** 5,
         if h is None:
             break
     if l_found is not None:  # every row holds, so best <= log 1e3
-        best = max(log_sup(j, l_found) for j in range(len(mus)))
+        best = max(scan.log_sup(j, l_found) for j in range(len(mus)))
     else:
-        best = min((max(log_sup(j, l) for j in range(i + 1))
+        best = min((max(scan.log_sup(j, l) for j in range(i + 1))
                     for l, i in stretch_ends), default=math.inf)
     return {
         "l_found": l_found,

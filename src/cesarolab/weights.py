@@ -50,6 +50,12 @@ M_MAX = 64
 LEMMA22_LOG_BOUND = math.log(1e12)
 LCE_BLOCK = 256
 LCE_CHUNK = 1 << 16  # a multiple of LCE_BLOCK
+# the exact head of a certified scan: a multiple of LCE_BLOCK, so that its
+# prefix sums are those of the dense scan bit for bit
+HEAD = 16 * LCE_BLOCK
+BLOCK_RATIO_DENOM = 64  # certificate blocks past the head grow by 1 + 1/64
+# rounding margin of the certificate bounds, relative to the rows' magnitude
+BOUND_MARGIN = 1e-9
 # a block whose shifted sums start below this has lost bits to
 # subnormals, or a term to underflow
 LCE_TINY = np.finfo(float).tiny * 2.0 ** 52
@@ -207,9 +213,16 @@ def _ramped(f, vf, n_first):
         return f(n) if n >= n_first else lo + rise * n / n_first
 
     def vec_log(ns):
+        # the ramp only where it applies, and f only where some index
+        # reaches n_first
         ns = np.asarray(ns, dtype=float)
-        return np.log(np.where(ns >= n_first, vf(np.maximum(ns, n_first)),
-                               lo + rise * ns / n_first))
+        low = ns < n_first
+        if low.all():
+            out = lo + rise * ns / n_first
+        else:
+            out = vf(np.maximum(ns, n_first))
+            out[low] = lo + rise * ns[low] / n_first
+        return np.log(out, out=out)
 
     return value, vec_log
 
@@ -449,6 +462,17 @@ def _at_least(**bounds):
     for name, (value, least) in bounds.items():
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _block_ends(top, end):
+    """The ends top = e_0 < e_1 < ... = end of the geometric blocks
+    (e_i, e_(i+1)] of a certified scan past its exact head, each about
+    1/BLOCK_RATIO_DENOM longer than the last (top >= BLOCK_RATIO_DENOM),
+    as an int64 array; [top] when top >= end."""
+    ends = [top]
+    while ends[-1] < end:
+        ends.append(min(ends[-1] + ends[-1] // BLOCK_RATIO_DENOM, end))
+    return np.array(ends, dtype=np.int64)
 
 
 def _first_step(holds, lo, hi):

@@ -252,6 +252,19 @@ def test_iterates_limit_check_refuses_m_cap_below_one():
             iterates_limit_check([1.0, 0.0, 0.0], W, 1, 3, m_cap=m_cap)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("check", [
+    lambda W, k: power_bounded_check(W, k, trials=3, m_max=5, N=8),
+    lambda W, k: iterates_limit_check([1, 2, 3, 4], W, k, 4),
+    lambda W, k: weighted_norm([1.0, 2.0], W, k)],
+    ids=["power_bounded_check", "iterates_limit_check", "weighted_norm"])
+def test_ergodic_checks_refuse_a_step_below_1(check, k):
+    # no step of the family below k = 1: its weights e^(-k alpha_n) grow,
+    # and a verdict on them says nothing about the dual
+    with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+        check(WeightFamily(make_alpha("n")), k)
+
+
 def test_iterates_limit_check_refuses_x_shorter_than_n():
     W = WeightFamily(make_alpha("n"))
     with pytest.raises(ValueError, match="x has 3 coordinates"):

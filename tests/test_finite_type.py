@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cesarolab import finite_type
-from cesarolab.finite_type import (BLOCK_RATIO_DENOM, BOUND_MARGIN, HEAD,
-                                   K_PROBE, L_MAX, FiniteTypeWeights,
+from cesarolab.finite_type import (HEAD, K_PROBE, L_MAX, FiniteTypeWeights,
                                    _Scan, example53_alpha,
                                    example53_j, example53_lower_bound,
                                    ft_cesaro_acts, ft_continuity_criterion,
                                    gp_nuclearity)
 from cesarolab.operators import step_continuity_test
-from cesarolab.weights import AlphaSequence, WeightFamily, make_alpha
+from cesarolab.weights import (BLOCK_RATIO_DENOM, BOUND_MARGIN, AlphaSequence,
+                               WeightFamily, make_alpha)
 
 
 def log_np1_weights():

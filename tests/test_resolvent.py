@@ -2,10 +2,11 @@ import cmath
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cesarolab import resolvent as rsv
 from cesarolab.operators import TriangularOperator
@@ -15,9 +16,9 @@ from cesarolab.resolvent import (_log_slacks, _strict_row_base, a_fn,
                                  product_log_prefix, resolvent_entries,
                                  resolvent_norm_bound_check, sandwich_bounds,
                                  sandwich_check, u_fn, v_fn)
-from cesarolab.weights import (LOG_DBL_MAX, PRESET_NAMES, WeightFamily,
-                               _first_step, make_alpha, scan_horizon,
-                               scan_verdict)
+from cesarolab.weights import (LOG_DBL_MAX, PRESET_NAMES, AlphaSequence,
+                               WeightFamily, _first_step, make_alpha,
+                               scan_horizon, scan_verdict)
 
 
 def test_a_fn_values():
@@ -561,29 +562,206 @@ def test_probe_equals_eager_reference_on_stairs(start, stairs, lam, k, l_max,
         == repr(_eager_probe(lam, 0.05, W, k, **kw))
 
 
-@pytest.mark.parametrize("alpha,lam,built,verdicts", [
-    pytest.param("logloglog_n", -0.5, 1, 8, id="logloglog_n--0.5-1"),
-    pytest.param("n", 0.4 + 0.2j, 8, 8, id="n-(0.4+0.2j)-8")])
+@pytest.mark.parametrize("alpha,lam,built,certified,verdicts", [
+    pytest.param("logloglog_n", -0.5, 1, 0, 8, id="logloglog_n--0.5-1"),
+    pytest.param("n", 0.4 + 0.2j, 0, 8, 0, id="n-(0.4+0.2j)-0")])
 def test_probe_builds_only_the_bases_it_reads(monkeypatch, alpha, lam, built,
-                                              verdicts):
-    # every step of logloglog_n fails at the first sample, so one base
-    # is read, at steps 1, 2, 4, ..., 64 and 65 (the loop over the
-    # steps read 65); n's step 1 holds at all eight samples
-    bases, scans = [], []
+                                              certified, verdicts):
+    # every step of logloglog_n fails at the first sample, whose head rows
+    # still rise at n = HEAD: one dense base is read, at steps 1, 2, 4,
+    # ..., 64 and 65 (the loop over the steps read 65).  n's step 1
+    # holds at all eight samples by certificate, from no dense base
+    horizon, sums, certs, scans = 10 ** 5, [], [], []
+    kernel, certify = rsv.log_cumsum_exp, rsv._ProbeRows._certified
 
-    def counting_base(mu, lw_k, log_n):
-        bases.append(mu)
-        return _strict_row_base(mu, lw_k, log_n)
+    def counting_sums(t):
+        sums.append(len(t))
+        return kernel(t)
+
+    def counting_certified(self, i, l):
+        log_sup = certify(self, i, l)
+        if log_sup is not None:
+            certs.append((i, l))
+        return log_sup
 
     def counting_verdict(*args, **kwargs):
         scans.append(args)
         return scan_verdict(*args, **kwargs)
 
-    monkeypatch.setattr(rsv, "_strict_row_base", counting_base)
+    monkeypatch.setattr(rsv, "log_cumsum_exp", counting_sums)
+    monkeypatch.setattr(rsv._ProbeRows, "_certified", counting_certified)
     monkeypatch.setattr(rsv, "scan_verdict", counting_verdict)
-    res = equicontinuity_probe(lam, 0.05, WeightFamily(make_alpha(alpha)), 1)
+    res = equicontinuity_probe(lam, 0.05, WeightFamily(make_alpha(alpha)), 1,
+                               horizon=horizon)
     assert res["samples"] == 8
-    assert (len(bases), len(scans)) == (built, verdicts)
+    # a dense base is the one prefix sum that spans the horizon
+    assert (sums.count(horizon), len(certs), len(scans)) == (
+        built, certified, verdicts)
+    assert max(sums) == horizon if built else max(sums) < horizon
+
+
+# ---------------------------------------------------------------------------
+# the probe's certificate: the exact head and the block bounds
+
+# the bench's probe points, inside and outside the closed disc
+_BENCH_LAMBDAS = [complex(z) for z in (
+    "0.5498+0.2209j", "0.3275+0.2988j", "0.9533+0.1009j", "0.6989+0.4237j",
+    "0.1632-0.3025j", "0.4994-0.3519j", "0.4441-0.3245j", "0.9445-0.0790j",
+    "-0.6732+0.8540j", "1.1081-0.6852j", "-0.1170+0.7579j", "2.1884-1.0349j",
+    "1.6051+1.4751j", "-0.6150-1.3336j", "-1.0815-0.5206j",
+    "1.1439-0.5732j")]
+# the 59-point grid: 9 x 7 over [-0.6, 1.6] x [-0.8, 0.8], farther than
+# 0.1 from Sigma0, at delta = 0.05
+_GRID = [lam for lam in (complex(x, y) for y in np.linspace(-0.8, 0.8, 7)
+                         for x in np.linspace(-0.6, 1.6, 9))
+         if dist_sigma0(lam) > 0.1]
+# the set near Sigma0: 1/m + d e^(i theta) and r e^(i theta), at delta
+# half the distance to Sigma0; r = 0.02 and 0.05 at theta = 0 are 1/50
+# and 1/20, in Sigma0, and left out
+_NEAR_SIGMA0 = [z for z in (
+    [1.0 / m + d * cmath.exp(2j * math.pi * t / 6) for m in (1, 2, 3, 5, 10)
+     for d in (0.01, 0.03) for t in range(6)]
+    + [r * cmath.exp(2j * math.pi * t / 5) for r in (0.02, 0.05)
+       for t in range(5)]) if dist_sigma0(z) > 0]
+_LEAST_CERTIFIED = 10 * rsv.HEAD
+
+
+def _uncertified(report):
+    """``report()`` with the certificate forced off."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rsv._ProbeRows, "_certified", lambda self, i, l: None)
+        return report()
+
+
+def _assert_same_reports(W, lams, radius, **kw):
+    certified = [repr(equicontinuity_probe(lam, radius(lam), W, 1, **kw))
+                 for lam in lams]
+    assert certified == _uncertified(lambda: [
+        repr(equicontinuity_probe(lam, radius(lam), W, 1, **kw))
+        for lam in lams])
+
+
+def test_certificate_point_sets():
+    assert (len(_BENCH_LAMBDAS), len(_GRID), len(_NEAR_SIGMA0)) == (
+        16, 59, 68)
+
+
+@pytest.mark.parametrize("alpha", PRESET_NAMES)
+def test_certified_probe_is_the_dense_one_at_bench_points(alpha):
+    _assert_same_reports(WeightFamily(make_alpha(alpha)),
+                         _BENCH_LAMBDAS, lambda lam: 0.05)
+
+
+@pytest.mark.parametrize("alpha", PRESET_NAMES)
+def test_certified_probe_is_the_dense_one_on_the_grids(alpha):
+    # at the least horizon with a certificate, whose last decade starts
+    # right past the head, on four samples a disc
+    W = WeightFamily(make_alpha(alpha))
+    _assert_same_reports(W, _GRID, lambda lam: 0.05,
+                         horizon=_LEAST_CERTIFIED, samples=4)
+    _assert_same_reports(W, _NEAR_SIGMA0, lambda lam: 0.5 * dist_sigma0(lam),
+                         horizon=_LEAST_CERTIFIED, samples=4)
+
+
+def _assert_probe_certificate(W, lam, k, horizon, steps):
+    """The head rows are the dense rows bit for bit, and each block bound
+    is at least every dense row in its block, up to the margin."""
+    mus = disc_samples(lam, 0.05, boundary=3, interior=0)
+    horizon = scan_horizon(W.alpha, horizon, step=k + rsv.PROBE_L_MAX)
+    scan = rsv._ProbeRows(W, k, k + rsv.PROBE_L_MAX, mus, horizon)
+    assert scan.heads is not None
+    for i in range(len(mus)):
+        for l in steps:
+            dense = scan._rows(i, l)
+            head = W.step_log_weights(l, scan.alpha[:rsv.HEAD - 1])
+            head += scan._head(i)[1]
+            assert head.tobytes() == dense[:rsv.HEAD - 1].tobytes()
+            bound, margin = scan._bounds(i, l)
+            # the rows n in (a, b] sit at a - 1..b - 2
+            block_max = np.maximum.reduceat(dense, scan.a - 1)
+            assert np.all(block_max <= bound + margin), (i, l)
+
+
+@pytest.mark.parametrize("alpha", [a for a in PRESET_NAMES
+                                   if a != "n_pow_n"])
+@pytest.mark.parametrize("lam", [0.4 + 0.2j, 0.9533 + 0.1009j, -0.5, 2.0])
+def test_probe_certificate_rows_on_presets(alpha, lam):
+    # n_pow_n stops at n = 142, short of any certificate
+    _assert_probe_certificate(WeightFamily(make_alpha(alpha)), lam, 1,
+                              10 ** 5, (1, 2, 9, 65))
+
+
+@st.composite
+def _probe_alpha_tables(draw):
+    """Non-decreasing alpha tables past 10 HEAD: log or power growth with
+    plateaus, maybe a late jump and maybe a NaN past the head."""
+    top = draw(st.integers(_LEAST_CERTIFIED, 12 * 10 ** 4))
+    growth = draw(st.sampled_from(["log", "pow"]))
+    scale = draw(st.floats(0.05, 4.0))
+    plateaus = draw(st.lists(st.tuples(st.integers(1, top),
+                                       st.integers(1, top // 4)),
+                             max_size=3))
+    jump = draw(st.one_of(st.none(), st.tuples(
+        st.integers(top - top // 50, top), st.floats(0.0, 20.0))))
+    nan_at = draw(st.one_of(st.none(),
+                            st.integers(rsv.HEAD + 1, top - 1)))
+    return top, growth, scale, plateaus, jump, nan_at
+
+
+def _table_family(top, growth, scale, plateaus, jump, nan_at):
+    ns = np.arange(1, top + 1, dtype=float)
+    table = scale * (np.log1p(ns) if growth == "log" else ns ** 0.3)
+    for lo, length in plateaus:
+        table[lo - 1:lo - 1 + length] = table[lo - 1]
+    if jump:
+        table[jump[0] - 1:] += jump[1]
+    log_table = np.log(table)
+    if nan_at:
+        log_table[nan_at - 1] = np.nan
+    return WeightFamily(AlphaSequence(
+        "table", lambda n: math.exp(log_table[n - 1]),
+        vec_log_fn=lambda ns: log_table[ns - 1], max_index=top))
+
+
+@example((10 ** 5, "log", 0.05, [], (10 ** 5 - 5, 12.0), None),
+         0.4 + 0.2j, 1, 8, 64)
+@example((10 ** 5, "pow", 1.0, [(5000, 20000)], None, 70001), -0.5, 1, 8,
+         64)
+@given(_probe_alpha_tables(), st.sampled_from(_BENCH_LAMBDAS + [-0.5]),
+       st.integers(1, 3), st.integers(1, 8), st.integers(0, 20))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_certified_probe_is_the_dense_one_on_alpha_tables(
+        table, lam, k, samples, l_max):
+    # a jump in the last block must send the sample to its dense rows,
+    # and a NaN inside a block, which no bound sees, is refused with the
+    # evaluation of alpha
+    W = _table_family(*table)
+    kw = dict(horizon=table[0], samples=samples, l_max=l_max)
+    if table[-1] is not None:
+        with pytest.raises(ValueError, match=f"alpha_{table[-1]} = nan"):
+            equicontinuity_probe(lam, 0.05, W, k, **kw)
+        return
+    _assert_probe_certificate(W, lam, k, table[0], (k, k + 1, k + l_max))
+    certified = repr(equicontinuity_probe(lam, 0.05, W, k, **kw))
+    assert certified == _uncertified(
+        lambda: repr(equicontinuity_probe(lam, 0.05, W, k, **kw)))
+
+
+@pytest.mark.parametrize("alpha,lam,most", [
+    ("n", 0.4 + 0.2j, 12.0), ("logloglog_n", -0.5, 16.8),
+    ("loglog_n", 0.4 + 0.2j, 16.8), ("sqrt_n", 0.9533 + 0.1009j, 16.8)])
+def test_probe_memory_peak(alpha, lam, most):
+    # the traced peak of a probe at h = 1e5, in horizon-length arrays: the
+    # samples share two buffers, and only a sample the certificate cannot
+    # decide keeps a dense base (every sample kept one before: 16.8)
+    W, horizon = WeightFamily(make_alpha(alpha)), 10 ** 5
+    tracemalloc.start()
+    try:
+        equicontinuity_probe(lam, 0.05, W, 1, horizon=horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= most * 8 * horizon
 
 
 @pytest.mark.parametrize("lo,hi", [(1, 1), (1, 65), (3, 10), (5, 4)])

@@ -586,6 +586,24 @@ def test_ramped_presets_bit_equal_to_reference(name, offsets, large):
                           _bits([val(int(n)) for n in ns]))
 
 
+_SPARSE = np.random.default_rng(5).integers(1, 2 ** 62, 3000)
+
+
+@pytest.mark.parametrize("name", sorted(_RAMPED_REFERENCE))
+def test_ramped_vector_path_bit_equal_to_where_form(name):
+    # the ramp is evaluated only below the first defined index; the
+    # np.where form evaluated it, and f, at every index: dense indices
+    # 1..1e6, and sparse ones around n_first and up to 2^62 in random
+    # order, increasing and decreasing
+    _, vec, n_first = _RAMPED_REFERENCE[name]
+    vec_log = make_alpha(name)._vec_log_fn
+    near = np.clip(n_first + np.arange(-300, 301), 1, None)
+    sparse = np.concatenate((near, _SPARSE))
+    for ns in (np.arange(1, 10 ** 6 + 1), sparse, np.sort(sparse),
+               np.sort(sparse)[::-1], near[near < n_first]):
+        assert vec_log(ns).tobytes() == vec(ns).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the prefix log-sum-exp kernel
 
