@@ -17,6 +17,15 @@ radius <= 0, a negative count and a disc failing ``_disc_clears_sigma0``.
 ``_log_slacks`` is the one measure of the Lemma 2.7 sandwich; a lower
 constant 0 is read as the bound 0.  ``_sandwich_sweep`` runs it over a
 set of points, for ``sandwich_check`` and ``verify --suite sandwich``.
+
+The equicontinuity probe reads alpha at every index, but a disc sample
+that holds by certificate reads its resolvent prefix P only over the
+exact head n <= HEAD and, past it, at the block ends, from a two-sided
+bracket of P (``_prefix_bracket``: a midpoint integral of
+Re log(1 - w/x), w = 1/mu, in closed form, widened by its quadrature,
+series and rounding errors).  No certificate is tried where |w| > HEAD/8
+or below a horizon of 10 HEAD; such a sample, and one the certificate
+cannot decide, fills P and its terms over the horizon (``_ProbeRows``).
 """
 
 from __future__ import annotations
@@ -121,12 +130,35 @@ def product_log_prefix(mu, N):
                                np.empty(N))
 
 
+def _inverse_square_modulus(mu):
+    """rho = 1/|mu|^2 for a complex mu != 0.
+
+    Where mu.real ** 2 + mu.imag ** 2 is finite and non-zero, rho is 1
+    over it, bit for bit (``x ** 2`` and ``x * x`` round differently, and
+    reports show the bits).  Where the sum overflows, both parts are
+    first divided by the larger one, and rho may underflow to 0.  Where
+    rho itself overflows (|mu| below about 7.5e-155), ValueError names
+    mu.
+    """
+    try:
+        s = mu.real ** 2 + mu.imag ** 2
+    except OverflowError:  # a square past double range
+        s = math.inf
+    if s == math.inf:  # |mu| past about 1.3e154: rho is subnormal or 0
+        m = max(abs(mu.real), abs(mu.imag))
+        return (1.0 / m) ** 2 / ((mu.real / m) ** 2 + (mu.imag / m) ** 2)
+    rho = 1.0 / s if s > 0 else math.inf
+    if rho == math.inf:
+        raise ValueError(f"1/|mu|^2 overflows at mu = {mu}")
+    return rho
+
+
 def _product_log_prefix(mu, ns, out):
     """``product_log_prefix`` at the float indices ns = 1..N, into out."""
     mu = complex(mu)
     if mu == 0:
         raise ZeroDivisionError("mu = 0 is in Sigma0")
-    x = np.divide(1.0 / (mu.real ** 2 + mu.imag ** 2), ns, out=out)
+    x = np.divide(_inverse_square_modulus(mu), ns, out=out)
     x -= 2.0 * (1.0 / mu).real
     x /= ns
     np.maximum(x, -1.0, out=x)
@@ -323,47 +355,100 @@ def _strict_row_base(mu, lw_k, log_n):
     return _row_base(P, log_cumsum_exp(terms), log_n)
 
 
+def _prefix_bracket(mu, ends, p_top, p_abs):
+    """Bounds (pts, lo, hi) of the resolvent product prefix P past its
+    head, at the increasing indices pts, or None where |1/mu| > top/8.
+
+    p_top is ``_product_log_prefix`` at n = top = ends[0] and p_abs its
+    largest modulus over n <= top.  pts are the ``ends`` and, where
+    Re w > 0 for w = 1/mu, the indices next to t = |w|^2/(2 Re w) that
+    lie between them: P rises while j < t and falls after, so on [A, B]
+    its least value is at A or B and its largest at A, B or one of
+    those indices.  lo <= P(n) <= hi at each n of pts, both for the
+    float prefix that ``_product_log_prefix`` sums on from p_top and
+    for p_top plus the true sum of f(i) = Re log(1 - w/i), top < i <= n.
+
+    For x > |w|, f(x) = -sum_k Re(w^k)/(k x^k), so the sum of f over
+    (A, B] is within (B - A) sup|f''|/24 of its integral over
+    [x0, x1] = [A + 1/2, B + 1/2] (the midpoint rule), with
+    |f''(x)| <= (2r - r^2)/((1 - r)^2 x^2), r = |w|/x.  The integral is
+    -Re(w) log1p((B - A)/x0) - sum_{k>=2} Re(w^k)/(k(k-1)) (x0^(1-k) -
+    x1^(1-k)), cut after the K with (|w|/(top + 1/2))^K <= eps, whose
+    tail is at most x0 r^(K+1)/(K(K+1)(1 - r)).  The float prefix stays
+    within E = 8 eps h (max|P| + |w| + 1) of the true one, h = ends[-1]:
+    each addition rounds by an ulp of |P|, each term by a few ulps of
+    |w|/n, and this sum by a few ulps of |P| per block.  lo and hi carry
+    the summed widths and E.
+    """
+    top, h = int(ends[0]), int(ends[-1])
+    w = 1.0 / complex(mu)
+    aw = abs(w)
+    if not aw <= top / 8:  # the series would converge too slowly
+        return None
+    pts = ends
+    t = aw * aw / (2.0 * w.real) if w.real > 0 else math.inf
+    if t < h:  # P turns inside the scan
+        j = math.floor(t)
+        near = [n for n in (j - 1, j, j + 1) if top < n < h and n not in ends]
+        if near:
+            pts = np.sort(np.concatenate((ends, near)))
+    x0, x1 = pts[:-1] + 0.5, pts[1:] + 0.5
+    r = aw / x0
+    eps = np.finfo(float).eps
+    K = 2 if r[0] < eps else max(2, math.ceil(math.log(eps) / math.log(r[0])))
+    sums = np.log1p((x1 - x0) / x0)
+    sums *= -w.real
+    v0, v1 = w / x0, w / x1
+    p0, p1 = v0.copy(), v1.copy()  # (w/x)^k
+    for k in range(2, K + 1):
+        p0 *= v0
+        p1 *= v1
+        sums -= (x0 * p0 - x1 * p1).real / (k * (k - 1))
+    width = ((x1 - x0) * r * (2.0 - r) / (24.0 * (x0 * (1.0 - r)) ** 2)
+             + x0 * r ** (K + 1) / (K * (K + 1) * (1.0 - r)))
+    mid = np.cumsum(np.concatenate(([p_top], sums)))
+    width = np.cumsum(np.concatenate(([0.0], width)))
+    width += 8.0 * eps * h * (
+        max(p_abs, np.abs(mid).max() + width[-1]) + aw + 1.0)
+    return pts, mid - width, mid + width
+
+
 class _ProbeRows:
     """The probe's strict rows log v_l(n) + base(n), n = 2..horizon, at
     each disc sample and step l >= k, and their verdicts.
 
-    A sample's resolvent prefix P and terms T_m = P(m-1) + k alpha_m go
-    into two horizon-length buffers that the samples share.  From a
-    horizon of 10 HEAD on, ``_certified`` tries to decide ``holds`` from
-    the exact rows n <= HEAD and one bound per block past them; a
-    sample's dense base (``_row_base`` over the horizon) is built only
-    where that cannot decide, and kept.  Every verdict and log sup is
-    the dense scan's.
+    alpha is read, and guarded, at every index up to the horizon.  From
+    a horizon of 10 HEAD on, ``_certified`` tries to decide ``holds``
+    from the exact rows n <= HEAD and one bound per block past them,
+    which reads P only through ``_prefix_bracket`` at the block ends; a
+    sample's dense base (its prefix P and terms T_m = P(m-1) + k alpha_m
+    over the horizon, in two buffers that the samples share, then
+    ``_row_base``) is built only where that cannot decide, and kept.
+    Every verdict and log sup is the dense scan's.
     """
 
     def __init__(self, W, k, l_top, mus, horizon):
-        ns = np.arange(1, horizon + 1)
-        alpha = W.alpha.values(ns)
-        self.W, self.k, self.mus = W, k, mus
-        self.lw_k = W.step_log_weights(k, alpha)
-        self.ns = ns = ns.astype(float)
-        self.strict_ns, self.alpha = ns[1:], alpha[1:]
-        self.log_n = np.log(self.strict_ns)
-        self.P, self.terms = np.empty(horizon), np.empty(horizon)
-        self.owner = None  # the sample whose P and terms are in the buffers
+        self.values = W.alpha.values(np.arange(1, horizon + 1))
+        self.W, self.k, self.mus, self.horizon = W, k, mus, horizon
+        self.alpha = self.values[1:]  # alpha_n, n = 2..horizon
+        self.buffers = None  # the dense scan's arrays, built on first need
         self.dense, self.heads, self.blocks = {}, {}, {}
         self.log_sups = {}  # (sample, step) -> the log sup of its rows
         if horizon // 10 >= HEAD:
-            ends = _block_ends(HEAD, horizon)
+            ns = np.arange(1.0, HEAD + 1)
+            # the head's indices, log v_k, log n, and buffers for P, terms
+            self.head_arrays = (ns, W.step_log_weights(k, self.values[:HEAD]),
+                                np.log(ns[1:]), np.empty(HEAD), np.empty(HEAD))
+            self.ends = ends = _block_ends(HEAD, horizon)
             a = ends[:-1]
-            self.a, self.alpha_a = a, alpha[a]  # alpha_(a+1)
+            self.alpha_a = self.values[a]  # alpha_(a+1)
+            self.k_alpha_b = self.values[ends[1:] - 1] * k
             self.log_a1 = np.log(a + 1.0)
             self.log_span = np.log((ends[1:] - a).astype(float))
             # rounding of the bounds and rows, less that of P and U
-            self.scale = 1.0 + l_top * alpha[-1] + math.log(horizon)
+            self.scale = 1.0 + l_top * self.values[-1] + math.log(horizon)
         else:  # the head would reach the last decade: no certificate
             self.heads = None
-
-    def _load(self, i):
-        """P and terms of sample i in the buffers."""
-        if self.owner != i:
-            _row_terms(self.mus[i], self.lw_k, self.ns, self.P, self.terms)
-            self.owner = i
 
     def holds(self, i, l):
         """Whether the scan of sample i at step l holds; its log sup is
@@ -389,9 +474,15 @@ class _ProbeRows:
     def _rows(self, i, l):
         """The dense rows of sample i at step l, its base built once."""
         if i not in self.dense:
-            self._load(i)
-            self.dense[i] = _row_base(self.P, log_cumsum_exp(self.terms),
-                                      self.log_n)
+            if self.buffers is None:
+                ns = np.arange(1.0, self.horizon + 1)
+                self.strict_ns = ns[1:]
+                self.buffers = (ns, self.W.step_log_weights(
+                    self.k, self.values), np.log(self.strict_ns),
+                    np.empty(self.horizon), np.empty(self.horizon))
+            ns, lw_k, log_n, P, terms = self.buffers
+            _row_terms(self.mus[i], lw_k, ns, P, terms)
+            self.dense[i] = _row_base(P, log_cumsum_exp(terms), log_n)
         row = self.W.step_log_weights(l, self.alpha)
         row += self.dense[i]
         return row
@@ -403,14 +494,18 @@ class _ProbeRows:
         The head rows n <= HEAD are the dense rows bit for bit (HEAD is a
         multiple of LCE_BLOCK).  Past it, a row n of the block (a, b] is
         at most -log(a + 1) - min P(n) + log(e^(U_a - l alpha_(a+1))
-        + (b - a) e^(max_{a<=m<b} P(m) + (k - l) alpha_(a+1))), for l >= k
-        and alpha non-decreasing; U_a bounds log sum_{m<=a} e^(T_m), from
-        the head's last prefix sum on.  When M <= DIVERGENCE_LOG_THRESHOLD
-        and every bound stays below M by BOUND_MARGIN, relative to the
-        magnitude of the rows, the dense scan has M, the head's witness
-        and a last decade below M (HEAD <= horizon // 10): it holds.
-        No certificate is tried while the head's maximum lies in its last
-        LCE_BLOCK rows, where the rows still rise.
+        + (b - a) e^(max_{a<=m<=b} P(m) + (k - l) alpha_(a+1))), for
+        l >= k and alpha non-decreasing; U_a bounds log sum_{m<=a}
+        e^(T_m), from the head's last prefix sum on, and a block adds at
+        most (b - a) e^(max P + k alpha_b) to it.  The block extremes of
+        P come from ``_prefix_bracket``, whose widths and float error
+        are in the bounds.  When M <= DIVERGENCE_LOG_THRESHOLD and every
+        bound stays below M by BOUND_MARGIN, relative to the magnitude
+        of the rows, the dense scan has M, the head's witness and a last
+        decade below M (HEAD <= horizon // 10): it holds.  No
+        certificate is tried while the head's maximum lies in its last
+        LCE_BLOCK rows, where the rows still rise, nor where
+        ``_prefix_bracket`` gives no bracket.
         """
         if self.heads is None:
             return None
@@ -420,16 +515,20 @@ class _ProbeRows:
         top = row[j]
         if j >= HEAD - 1 - LCE_BLOCK or not top <= DIVERGENCE_LOG_THRESHOLD:
             return None
-        bound, margin = self._bounds(i, l)
+        bounds = self._bounds(i, l)
+        if bounds is None:
+            return None
+        bound, margin = bounds
         return float(top) if bound.max() + margin < top else None
 
     def _bounds(self, i, l):
-        """The bound of each block past the head at step l, and the margin
-        that covers their rounding and that of the rows."""
+        """The bound of each block past the head at step l and the margin
+        that covers their rounding and that of the rows, or None where
+        P has no bracket."""
         if i not in self.blocks:
-            u_head = self._head(i)[0]
-            self._load(i)
-            self.blocks[i] = self._block_terms(u_head)
+            self.blocks[i] = self._block_terms(i)
+        if self.blocks[i] is None:
+            return None
         c, U, p_max, span = self.blocks[i]
         a_l = self.alpha_a * l
         bound = np.logaddexp(U - a_l, p_max + (self.alpha_a * self.k - a_l))
@@ -437,27 +536,32 @@ class _ProbeRows:
         return bound, BOUND_MARGIN * span
 
     def _head(self, i):
-        """(U_HEAD, the dense base of rows n = 2..HEAD) of sample i: the
-        log of sum_{m<=HEAD} e^(T_m), and the base bit for bit."""
+        """(U_HEAD, the dense base of rows n = 2..HEAD, P(HEAD), max |P|
+        over n <= HEAD) of sample i: U_HEAD the log of
+        sum_{m<=HEAD} e^(T_m), and the base bit for bit."""
         if i not in self.heads:
-            self._load(i)
-            sums = log_cumsum_exp(self.terms[:HEAD])
-            self.heads[i] = sums[-1], _row_base(
-                self.P[:HEAD], sums, self.log_n[:HEAD - 1])
+            ns, lw_k, log_n, P, terms = self.head_arrays
+            _row_terms(self.mus[i], lw_k, ns, P, terms)
+            sums = log_cumsum_exp(terms)
+            self.heads[i] = (sums[-1], _row_base(P, sums, log_n), P[-1],
+                             np.abs(P).max())
         return self.heads[i]
 
-    def _block_terms(self, u_head):
-        """The parts of the block bounds that do not depend on l, from the
-        loaded P and terms: -log(a + 1) - min P, U_a, log(b - a) + max P
-        and the rounding scale of the bounds."""
-        P, a = self.P, self.a
-        p_min = np.minimum.reduceat(P, a)  # P(n), a < n <= b
-        p_max = np.maximum.reduceat(P[:-1], a - 1)  # P(m), a <= m < b
-        t_max = np.maximum.reduceat(self.terms, a)  # T_m, a < m <= b
-        U = log_cumsum_exp(np.concatenate(([u_head], self.log_span + t_max)))
-        # max |P|: the head, the block extremes and P at the horizon
-        p_abs = max(np.abs(P[:HEAD]).max(), p_max.max(), -p_min.min(),
-                    abs(P[-1]))
+    def _block_terms(self, i):
+        """The parts of sample i's block bounds that do not depend on l:
+        -log(a + 1) - min P, U_a, log(b - a) + max P and the rounding
+        scale of the bounds; None where P has no bracket."""
+        u_head, _, p_top, p_abs = self._head(i)
+        bracket = _prefix_bracket(self.mus[i], self.ends, p_top, p_abs)
+        if bracket is None:
+            return None
+        pts, lo, hi = bracket
+        at = np.searchsorted(pts, self.ends)  # the block ends among pts
+        p_min = np.minimum(lo[at[:-1]], lo[at[1:]])  # P(n), a <= n <= b
+        p_max = np.maximum(np.maximum.reduceat(hi, at[:-1]), hi[at[1:]])
+        U = log_cumsum_exp(np.concatenate(
+            ([u_head], self.log_span + p_max + self.k_alpha_b)))
+        p_abs = max(p_abs, np.abs(lo).max(), np.abs(hi).max())
         span = self.scale + p_abs + np.abs(U).max()
         return -self.log_a1 - p_min, U[:-1], self.log_span + p_max, span
 
@@ -548,8 +652,12 @@ def resolvent_norm_bound_check(lam, W: WeightFamily, k, horizon=10 ** 4,
     off = np.zeros(horizon)  # row 1 of the strict part is zero
     for mu in mus:
         base = _strict_row_base(mu, lw_k, log_n)
+        try:
+            square = abs(mu) ** 2
+        except OverflowError:  # |mu| past about 1.3e154: 1/|mu|^2 is 0
+            square = math.inf
         with np.errstate(over="ignore"):  # past double range: inf, unbounded
-            off[1:] = np.exp(lw_k[1:] + base) / abs(mu) ** 2
+            off[1:] = np.exp(lw_k[1:] + base) / square
         diag = np.abs(1.0 / (1.0 / ns - mu))
         norm_est = float(np.max(diag + off))
         ratio = norm_est * (1.0 - a_fn(mu))

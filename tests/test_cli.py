@@ -414,6 +414,24 @@ def test_probe_n_pow_n_stops_at_the_overflow_cap(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_probe_far_from_sigma0_gives_a_report(tmp_path, capsys):
+    # |lambda|^2 overflows double, 1/|lambda|^2 underflows to 0: every
+    # factor of the product is 1 up to 1/lambda, and the probe reports
+    out = tmp_path / "p.json"
+    assert run(["probe", "--alpha", "n", "--lambda=2e200", "--output",
+                str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())["report"]
+    assert (report["verdict"], report["l_found"]) == ("bounded", 1)
+    assert capsys.readouterr().err == ""
+
+
+def test_probe_where_1_over_mu_squared_overflows_exits_1(capsys):
+    assert run(["probe", "--alpha", "n", "--lambda=-2e-170",
+                "--delta=1e-170"]) == EXIT_FAIL
+    assert capsys.readouterr().err == (
+        "error: 1/|mu|^2 overflows at mu = (-2e-170+0j)\n")
+
+
 def test_cap_leaving_no_index_exits_1(tmp_path, capsys):
     # 65 alpha_1 overflows at once: the probe has no index to scan
     table = tmp_path / "huge.csv"

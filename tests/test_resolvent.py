@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import re
@@ -570,13 +571,19 @@ def test_probe_builds_only_the_bases_it_reads(monkeypatch, alpha, lam, built,
     # every step of logloglog_n fails at the first sample, whose head rows
     # still rise at n = HEAD: one dense base is read, at steps 1, 2, 4,
     # ..., 64 and 65 (the loop over the steps read 65).  n's step 1
-    # holds at all eight samples by certificate, from no dense base
-    horizon, sums, certs, scans = 10 ** 5, [], [], []
-    kernel, certify = rsv.log_cumsum_exp, rsv._ProbeRows._certified
+    # holds at all eight samples by certificate, from no dense base and
+    # no prefix past the head
+    horizon, sums, prefixes, certs, scans = 10 ** 5, [], [], [], []
+    kernel, prefix = rsv.log_cumsum_exp, rsv._product_log_prefix
+    certify = rsv._ProbeRows._certified
 
     def counting_sums(t):
         sums.append(len(t))
         return kernel(t)
+
+    def counting_prefix(mu, ns, out):
+        prefixes.append(len(ns))
+        return prefix(mu, ns, out)
 
     def counting_certified(self, i, l):
         log_sup = certify(self, i, l)
@@ -589,6 +596,7 @@ def test_probe_builds_only_the_bases_it_reads(monkeypatch, alpha, lam, built,
         return scan_verdict(*args, **kwargs)
 
     monkeypatch.setattr(rsv, "log_cumsum_exp", counting_sums)
+    monkeypatch.setattr(rsv, "_product_log_prefix", counting_prefix)
     monkeypatch.setattr(rsv._ProbeRows, "_certified", counting_certified)
     monkeypatch.setattr(rsv, "scan_verdict", counting_verdict)
     res = equicontinuity_probe(lam, 0.05, WeightFamily(make_alpha(alpha)), 1,
@@ -598,6 +606,10 @@ def test_probe_builds_only_the_bases_it_reads(monkeypatch, alpha, lam, built,
     assert (sums.count(horizon), len(certs), len(scans)) == (
         built, certified, verdicts)
     assert max(sums) == horizon if built else max(sums) < horizon
+    # and the one resolvent prefix: a certified sample reads P past the
+    # head only at its block ends
+    assert prefixes.count(horizon) == built
+    assert max(prefixes) == horizon if built else max(prefixes) <= rsv.HEAD
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +675,73 @@ def test_certified_probe_is_the_dense_one_on_the_grids(alpha):
                          horizon=_LEAST_CERTIFIED, samples=4)
 
 
-def _assert_probe_certificate(W, lam, k, horizon, steps):
+@functools.lru_cache(maxsize=None)
+def _log_factorial(n):
+    """log n! at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return mpmath.loggamma(n + 1)
+
+
+def _oracle_prefix(mu, ns):
+    """P(n) = sum_{j<=n} log|1 - w/j|, w = 1/mu, at 40 digits, as
+    Re loggamma(n + 1 - w) - Re loggamma(1 - w) - loggamma(n + 1)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        w = 1 / mpmath.mpc(mu.real, mu.imag)
+        start = mpmath.re(mpmath.loggamma(1 - w))
+        return [float(mpmath.re(mpmath.loggamma(n + 1 - w)) - start
+                      - _log_factorial(n)) for n in ns.tolist()]
+
+
+# P turns at 1/(2 Re mu): past the head and before 1e5 on these discs
+_TURNING = [5e-5 + 0.3j, 2e-5 - 0.5j]
+
+
+@pytest.mark.parametrize("lams,radius,samples", [
+    pytest.param(_BENCH_LAMBDAS + [-0.5, 2.0], lambda lam: 0.05, 8,
+                 id="bench"),
+    pytest.param(_NEAR_SIGMA0, lambda lam: 0.5 * dist_sigma0(lam), 4,
+                 id="near-sigma0"),
+    pytest.param(_TURNING, lambda lam: 1e-5, 8, id="turning")])
+def test_prefix_bracket_holds_the_true_prefix(lams, radius, samples):
+    # at every block end up to 1e5, and at the indices where P turns
+    ends = rsv._block_ends(rsv.HEAD, 10 ** 5)
+    widest = 0.0
+    for lam in lams:
+        for mu in disc_samples(lam, radius(lam), boundary=samples - 1,
+                               interior=0):
+            p_head = product_log_prefix(mu, rsv.HEAD)
+            pts, lo, hi = rsv._prefix_bracket(mu, ends, p_head[-1],
+                                              np.abs(p_head).max())
+            assert np.isin(ends, pts).all()
+            if lam in _TURNING:
+                assert len(pts) > len(ends)
+            true = np.array(_oracle_prefix(mu, pts))
+            assert np.all((lo <= true) & (true <= hi)), mu
+            widest = max(widest, float(np.max(hi - lo)))
+    assert widest <= 1e-6
+
+
+def test_probe_without_a_bracket_is_the_dense_one():
+    # |1/mu| > HEAD/8 at every sample: the series is not tried, and
+    # every verdict comes from the dense rows
+    W, lam, delta = WeightFamily(make_alpha("n")), 0.001j, 0.0005
+    mus = disc_samples(lam, delta, boundary=7, interior=0)
+    assert min(abs(1 / mu) for mu in mus) > rsv.HEAD / 8
+    scan = rsv._ProbeRows(W, 1, 1 + rsv.PROBE_L_MAX, mus, 10 ** 5)
+    for i, mu in enumerate(mus):
+        assert rsv._prefix_bracket(mu, scan.ends, *scan._head(i)[2:]) is None
+        assert scan._certified(i, 1) is None
+    report = repr(equicontinuity_probe(lam, delta, W, 1))
+    assert report == _uncertified(
+        lambda: repr(equicontinuity_probe(lam, delta, W, 1)))
+
+
+def _assert_probe_certificate(W, lam, k, horizon, steps, delta=0.05):
     """The head rows are the dense rows bit for bit, and each block bound
     is at least every dense row in its block, up to the margin."""
-    mus = disc_samples(lam, 0.05, boundary=3, interior=0)
+    mus = disc_samples(lam, delta, boundary=3, interior=0)
     horizon = scan_horizon(W.alpha, horizon, step=k + rsv.PROBE_L_MAX)
     scan = rsv._ProbeRows(W, k, k + rsv.PROBE_L_MAX, mus, horizon)
     assert scan.heads is not None
@@ -678,7 +753,7 @@ def _assert_probe_certificate(W, lam, k, horizon, steps):
             assert head.tobytes() == dense[:rsv.HEAD - 1].tobytes()
             bound, margin = scan._bounds(i, l)
             # the rows n in (a, b] sit at a - 1..b - 2
-            block_max = np.maximum.reduceat(dense, scan.a - 1)
+            block_max = np.maximum.reduceat(dense, scan.ends[:-1] - 1)
             assert np.all(block_max <= bound + margin), (i, l)
 
 
@@ -689,6 +764,17 @@ def test_probe_certificate_rows_on_presets(alpha, lam):
     # n_pow_n stops at n = 142, short of any certificate
     _assert_probe_certificate(WeightFamily(make_alpha(alpha)), lam, 1,
                               10 ** 5, (1, 2, 9, 65))
+
+
+@pytest.mark.parametrize("alpha", [a for a in PRESET_NAMES
+                                   if a != "n_pow_n"])
+def test_probe_certificate_where_the_prefix_turns(alpha):
+    # the block holding P's turning point is bounded by P there
+    W = WeightFamily(make_alpha(alpha))
+    for lam in _TURNING:
+        _assert_probe_certificate(W, lam, 1, 10 ** 5, (1, 2, 65),
+                                  delta=1e-5)
+    _assert_same_reports(W, _TURNING, lambda lam: 1e-5)
 
 
 @st.composite
@@ -748,12 +834,15 @@ def test_certified_probe_is_the_dense_one_on_alpha_tables(
 
 
 @pytest.mark.parametrize("alpha,lam,most", [
-    ("n", 0.4 + 0.2j, 12.0), ("logloglog_n", -0.5, 16.8),
-    ("loglog_n", 0.4 + 0.2j, 16.8), ("sqrt_n", 0.9533 + 0.1009j, 16.8)])
+    ("n", 0.4 + 0.2j, 4.0), ("logloglog_n", -0.5, 16.8),
+    ("loglog_n", 0.4 + 0.2j, 16.8), ("sqrt_n", 0.9533 + 0.1009j, 4.0)])
 def test_probe_memory_peak(alpha, lam, most):
-    # the traced peak of a probe at h = 1e5, in horizon-length arrays: the
-    # samples share two buffers, and only a sample the certificate cannot
-    # decide keeps a dense base (every sample kept one before: 16.8)
+    # the traced peak of a probe at h = 1e5, in horizon-length arrays:
+    # alpha and its evaluation where every sample holds by certificate
+    # (n, sqrt_n: 3.0 each); the dense scan's arrays and two buffers
+    # the samples share, where one does not, and a dense base kept for
+    # each sample the certificate cannot decide (every sample kept one
+    # before: 16.8)
     W, horizon = WeightFamily(make_alpha(alpha)), 10 ** 5
     tracemalloc.start()
     try:
@@ -822,6 +911,33 @@ def test_norm_bound_n_pow_n_finite_at_the_overflow_cap():
     assert all(math.isfinite(row["norm_estimate"]) for row in res["samples"])
     assert math.isfinite(res["worst_ratio"])
     assert res["bounded"] is True
+
+
+@pytest.mark.parametrize("mu", [0.4 + 0.2j, -1.0815 - 0.5206j,
+                                3e-150 + 1e-150j, 1e150 - 2e150j])
+def test_inverse_square_modulus_keeps_its_bits_in_range(mu):
+    assert rsv._inverse_square_modulus(mu) == 1.0 / (mu.real ** 2
+                                                     + mu.imag ** 2)
+
+
+def test_inverse_square_modulus_past_double_range():
+    # the squares overflow: rho is scaled, and subnormal or 0
+    assert rsv._inverse_square_modulus(complex(1e154, 1e154)) == \
+        pytest.approx(0.5e-308, rel=1e-12)
+    assert rsv._inverse_square_modulus(2e200 + 1e200j) == 0.0
+    # rho itself overflows: refused by name
+    for mu in (-2e-170 + 0j, complex(1e-155, 1e-155)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"1/|mu|^2 overflows at mu = {mu}")):
+            rsv._inverse_square_modulus(mu)
+
+
+def test_norm_bound_far_from_sigma0():
+    # |mu|^2 overflows double: the strict part vanishes
+    res = resolvent_norm_bound_check(2e200, WeightFamily(make_alpha("n")),
+                                     1, horizon=100)
+    assert res["bounded"] is True
+    assert all(row["norm_estimate"] > 0 for row in res["samples"])
 
 
 def test_norm_bound_past_double_range_is_unbounded(monkeypatch):

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import json
 import pathlib
 import platform
 
@@ -8,13 +9,13 @@ import pytest
 
 from cesarolab.cli import main
 
-TOOL = (pathlib.Path(__file__).resolve().parents[1] / "tools"
-        / "report_digests.py")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 DIGESTS = pathlib.Path(__file__).resolve().with_name("report_digests.txt")
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("report_digests", TOOL)
+def load_tool(name="report_digests"):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -47,3 +48,26 @@ def test_reports_match_recorded_digests():
                    load_tool().report_lines(main), recorded)
                if ours != theirs]
     assert not changed, "reports changed:\n" + "\n".join(changed)
+
+
+def test_bench_snapshot_keeps_every_end_to_end_metric():
+    # assembled from a canned result line of bench/run.py, without a run
+    tool = load_tool("bench_snapshot")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+    line = json.dumps({"correct": True, "attempted": 40, "failed": 0,
+                       "metrics": {name: {"value": float(i), "unit": "u"}
+                                   for i, name in enumerate(names)}})
+    snap = tool.snapshot(spec, "0123456789abcdef", False,
+                         {"scans": line, "exact": line})
+    json.loads(json.dumps(snap))
+    assert (snap["commit"], snap["dirty"]) == ("0123456789abcdef", False)
+    assert set(snap["host"]) == {"platform", "cpu_count"}
+    assert snap["workloads"]["scans"] == {
+        "correct": True, "attempted": 40, "failed": 0,
+        "metrics": {name: float(i) for i, name in enumerate(names)}}
+    assert snap["units"]["ops_per_s"] == "1/s"
+    short = json.loads(line)
+    del short["metrics"]["setup_s"]
+    with pytest.raises(ValueError, match="scans: no setup_s"):
+        tool.snapshot(spec, "0123456", False, {"scans": json.dumps(short)})
