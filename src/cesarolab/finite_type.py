@@ -17,8 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .weights import (BOUND_MARGIN, HEAD, LOG_DBL_MAX, AlphaSequence,
-                      GrowthVerdict, _at_least, _block_ends, _first_step,
-                      log_cumsum_exp, make_alpha, scan_horizon, scan_verdict)
+                      GrowthVerdict, _AlphaReads, _at_least, _block_ends,
+                      _certified_holds, _first_step, log_cumsum_exp,
+                      make_alpha, scan_horizon, scan_verdict)
 
 __all__ = [
     "FiniteTypeWeights",
@@ -53,15 +54,17 @@ class FiniteTypeWeights:
 
 class _Scan:
     """The criterion's rows at the scan indices, built by ``_rows`` from
-    alpha_n, which one guarded ``values`` call reads at all of them.
+    alpha_n, which ``_AlphaReads`` reads where they look.
 
     The indices are dense up to 1e6; beyond that a log-spaced grid
     ending at the horizon plus (for a staircase sequence) the exact block
-    boundaries, where the divergence lower bound lives.  The guard
-    refuses a NaN, a zero or a decrease at every scan index, and the
-    bound rows of ``_rows`` rest on it.  ``verdict`` scans densely
-    (``_dense``) only where the exact head and the bound rows past it
-    (``_certified``) cannot decide.
+    boundaries, where the divergence lower bound lives.  ``verdict``
+    scans densely (``_dense``) only where the exact head and the bound
+    rows past it (``_certified``) cannot decide.  The certified rows
+    read alpha at the head, the block ends and the points past 1e6
+    alone, where alpha is known not to decrease; the dense rows read it
+    at every scan index, on first need.  Any other alpha is read, and
+    guarded, at every scan index when the scan is set up.
     """
 
     def __init__(self, ftw, horizon):
@@ -81,13 +84,22 @@ class _Scan:
                 extras.append(int(j(i)))
             i += 1
         extras = sorted(set(extras))
-        # one allocation: 1..dense_top, then the indices past it
-        self.ns = np.arange(1, d + len(extras) + 1)
-        self.ns[d:] = extras
-        self.av = ftw.alpha.values(self.ns)
-        self.W, self.horizon = ftw, int(self.ns[-1])
-        self._reads = {}  # top -> (a, b, alpha_n, log n) of its rows
+        self.W, self.horizon = ftw, extras[-1] if extras else d
+        self.ends = _block_ends(HEAD, d) if self.horizon // 10 >= HEAD \
+            else None
+        self.reads = _AlphaReads(ftw.alpha, d, self.ends, extras=extras)
+        self._points = {}  # top -> (a, b, alpha_n, log n) of its rows
         self._sums = {}  # top -> (k, exact, bound) of the last k
+
+    @property
+    def ns(self):
+        """Every scan index: 1..dense_top, then the points past it."""
+        return self.reads.dense()[0]
+
+    @property
+    def av(self):
+        """alpha_n at every scan index."""
+        return self.reads.dense()[1]
 
     def _rows(self, k, l, top):
         """log (v_l(n)/n) sum_{m<=n} 1/v_k(m) at n = 1..top, exact, then
@@ -105,26 +117,28 @@ class _Scan:
         top, the prefix sums for the last k asked at that top: a search
         over l sums once.
         """
-        d, lw, av = self.dense_top, self.W.step_log_weights, self.av
-        if top not in self._reads:
+        d, lw, at = (self.dense_top, self.W.step_log_weights,
+                     self.reads.at)
+        if top not in self._points:
             ends = _block_ends(top, d)
             a, b = ends[:-1], ends[1:]
-            log_n = np.concatenate((self.ns[:top], a + 1, self.ns[d:]),
+            extras = self.reads.extras
+            log_n = np.concatenate((np.arange(1, top + 1), a + 1, extras),
                                    dtype=float)
             # the dense rows read alpha at every scan index, uncopied
-            alpha = av if top == d else np.concatenate(
-                (av[:top], av[b - 1], av[d:]))
-            self._reads[top] = a, b, alpha, np.log(log_n, out=log_n)
-        a, b, alpha, log_n = self._reads[top]
+            alpha = self.av if top == d else at(
+                np.concatenate((np.arange(1, top + 1), b, extras)))
+            self._points[top] = a, b, alpha, np.log(log_n, out=log_n)
+        a, b, alpha, log_n = self._points[top]
         if self._sums.get(top, (None,))[0] != k:
             # the weight rows stay temporaries: at 1e6 indices each is 8 MB
-            exact = log_cumsum_exp(-lw(k, av[:top]))
+            exact = log_cumsum_exp(-lw(k, alpha[:top]))
             U = exact[-1:]
             if len(a):
                 U = log_cumsum_exp(np.concatenate(
-                    (U, np.log((b - a).astype(float)) - lw(k, av[a - 1]))))
-            tail = (np.log(self.ns[d:].astype(float) - d)
-                    - lw(k, av[d - 1:d]))
+                    (U, np.log((b - a).astype(float)) - lw(k, at(a)))))
+            tail = (np.log(self.reads.extras.astype(float) - d)
+                    - lw(k, at([d])))
             self._sums[top] = k, exact, np.concatenate(
                 (U[1:], np.logaddexp(U[-1:], tail)))
         _, exact, bound = self._sums[top]
@@ -138,31 +152,24 @@ class _Scan:
         return self._certified(k, l) or self._dense(k, l)
 
     def _certified(self, k, l):
-        """``holds`` from the rows of ``_rows`` up to HEAD, or None.
+        """``holds`` from the rows of ``_rows`` up to HEAD, or None, by
+        ``_certified_holds``.
 
         The rows n <= HEAD are the dense rows, bit for bit: HEAD is a
         multiple of LCE_BLOCK, so their prefix is that of the dense scan.
-        When the maximum M of the head lies before the last decade
-        (HEAD <= horizon // 10) and every bound row stays below M by
-        BOUND_MARGIN, relative to the rows' magnitude (it covers their
-        rounding), the dense scan has the head's supremum, witness and
-        base and a last decade below it: its verdict is that of the head
-        rows with the largest bound as one row at the horizon.  Only a
-        ``holds`` is returned, so only the dense scan reports ``fails``
-        or ``inconclusive``.
+        The bound rows past them stay below the dense rows they stand for
+        up to BOUND_MARGIN, relative to the rows' magnitude.  None below
+        a horizon of 10 HEAD, where the head reaches the last decade.
         """
-        if self.horizon // 10 < HEAD:
+        if self.ends is None:
             return None
         rows = self._rows(k, l, HEAD)
-        top = rows[HEAD:].max()
+        d = self.dense_top
         margin = BOUND_MARGIN * (
-            1.0 + self.W.step_log_weights(k, self.av[self.dense_top - 1])
-            + math.log(self.dense_top))
-        if not top + margin < rows[:HEAD].max():
-            return None
-        v = scan_verdict(np.append(rows[:HEAD], top),
-                         np.append(self.ns[:HEAD], self.horizon))
-        return v if v.status == "holds" else None
+            1.0 + self.W.step_log_weights(k, self.reads.at([d]))[0]
+            + math.log(d))
+        return _certified_holds(rows[:HEAD], np.arange(1, HEAD + 1),
+                                self.horizon, lambda: (rows[HEAD:], margin))
 
     def _dense(self, k, l):
         """The verdict on the rows of ``_rows`` up to dense_top.

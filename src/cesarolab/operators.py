@@ -26,8 +26,9 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .weights import (WeightFamily, _at_least, log_cumsum_exp, scan_horizon,
-                      scan_verdict)
+from .weights import (BOUND_MARGIN, HEAD, WeightFamily, _AlphaReads,
+                      _at_least, _block_ends, _certified_holds,
+                      log_cumsum_exp, scan_horizon, scan_verdict)
 
 __all__ = [
     "TriangularOperator",
@@ -426,6 +427,59 @@ _STEP_ROWS = {
 }
 STEP_OPS = tuple(_STEP_ROWS)
 
+# a bound on a single-sweep criterion's rows n in (a, b], one per block,
+# from up(s, c_k, c_l), the largest c_k log v_k(m) + c_l log v_l(m) over
+# m in (a + s, b + s]: a log weight is linear in alpha_m, which does not
+# decrease, so that largest term lies at m = a + s + 1 or m = b + s.
+# The averaging row adds the head's last prefix sum u and (b - a) times
+# the block's largest term per block.  Each with the largest s it asks.
+_STEP_BOUNDS = {
+    "cesaro": (0, lambda up, log_a1, log_b, log_span, u: (
+        up(0, 0, 1) - log_a1 + log_cumsum_exp(
+            np.concatenate(([u()], log_span + up(0, -1, 0))))[1:])),
+    "cesaro_inverse": (0, lambda up, log_a1, log_b, log_span, u: (
+        log_b + up(0, -1, 1))),
+    "diff": (1, lambda up, log_a1, log_b, log_span, u: (
+        log_b + up(0, 0, 1) + up(1, -1, 0))),
+    "shift": (1, lambda up, log_a1, log_b, log_span, u: (
+        up(1, 0, 1) + up(0, -1, 0))),
+}
+
+
+def _step_certificate(op_name, W, k, l, reads, ends):
+    """The arguments of ``_certified_holds`` for a single-sweep
+    criterion: its exact rows at n = 1..HEAD, those n, the horizon and
+    the bounds, one per block (a, b] of ``ends`` past the head
+    (``_STEP_BOUNDS``).
+
+    The head rows are those of ``_STEP_ROWS`` on alpha_1..alpha_(HEAD+1),
+    the dense rows bit for bit (HEAD is a multiple of LCE_BLOCK).  The
+    margin is BOUND_MARGIN times the rows' magnitude at the top index.
+    """
+    h = int(ends[-1])
+    lw = W.step_log_weights
+    head = reads.at(np.arange(1, HEAD + 2))
+    rows = _STEP_ROWS[op_name](lw(k, head), lw(l, head),
+                               np.log(np.arange(1.0, HEAD + 1)))
+    a, b = ends[:-1], ends[1:]
+
+    def up(s, c_k, c_l):
+        at = reads.at(a + s + 1), reads.at(b + s)
+        lo, hi = ((c_k * lw(k, x) + c_l * lw(l, x)) for x in at)
+        return np.maximum(lo, hi)
+
+    def bounds():
+        bound = _STEP_BOUNDS[op_name][1](
+            up, np.log(a + 1.0), np.log(b.astype(float)),
+            np.log((b - a).astype(float)),
+            lambda: log_cumsum_exp(-lw(k, head[:HEAD]))[-1])
+        top = reads.at([h + 1])
+        return bound, BOUND_MARGIN * (1.0 + abs(lw(k, top)[0])
+                                      + abs(lw(l, top)[0])
+                                      + 2.0 * math.log(h + 1))
+
+    return rows, np.arange(1, HEAD + 1), h, bounds
+
 
 def step_continuity_test(op_name, W: WeightFamily, k, l, horizon=10 ** 4):
     """Operator-specific criterion for continuity c0(v_k) -> c0(v_l).
@@ -436,15 +490,28 @@ def step_continuity_test(op_name, W: WeightFamily, k, l, horizon=10 ** 4):
     cesaro:         sup_n (v_l(n)/n) sum_m 1/v_k(m)
     shift:          sup_n v_l(n+1) / v_k(n)
 
-    ValueError for k < 1 or l < k.
+    From a horizon of 10 HEAD on, every criterion but delta first tries
+    a certificate (``_step_certificate``, ``_certified_holds``): the
+    exact rows n <= HEAD and one bound per geometric block past them,
+    which read alpha only at the head and next to the block ends where
+    alpha is known not to decrease.  Only ``holds`` is certified, with the dense scan's
+    supremum and witness; every other verdict comes from the dense scan
+    of every row.  ValueError for k < 1 or l < k.
     """
     if op_name not in _STEP_ROWS:
         raise ValueError(f"unknown operator {op_name!r}; one of {STEP_OPS}")
     _at_least(k=(k, 1), l=(l, k))
     h = scan_horizon(W.alpha, horizon, tail=1, step=l)
-    alpha_ns = W.alpha.values(np.arange(1, h + 2))  # n = 1..h+1
-    ns = np.arange(1, h + 1)
+    s_max = _STEP_BOUNDS.get(op_name, (-1,))[0]
+    ends = _block_ends(HEAD, h) if s_max >= 0 and h // 10 >= HEAD else None
+    reads = _AlphaReads(W.alpha, h + 1, ends, range(s_max + 2))
+    if ends is not None:
+        v = _certified_holds(*_step_certificate(op_name, W, k, l, reads,
+                                                ends))
+        if v is not None:
+            return v
+    ns, alpha_ns = reads.dense()  # n = 1..h+1
+    ns = ns[:-1]
     return scan_verdict(_STEP_ROWS[op_name](
         W.step_log_weights(k, alpha_ns), W.step_log_weights(l, alpha_ns),
         np.log(ns.astype(float))), ns)
-

@@ -18,10 +18,11 @@ radius <= 0, a negative count and a disc failing ``_disc_clears_sigma0``.
 constant 0 is read as the bound 0.  ``_sandwich_sweep`` runs it over a
 set of points, for ``sandwich_check`` and ``verify --suite sandwich``.
 
-The equicontinuity probe reads alpha at every index, but a disc sample
-that holds by certificate reads its resolvent prefix P only over the
-exact head n <= HEAD and, past it, at the block ends, from a two-sided
-bracket of P (``_prefix_bracket``: a midpoint integral of
+A disc sample of the equicontinuity probe that holds by certificate
+reads alpha (through ``weights._AlphaReads``, where alpha is known not
+to decrease) and its resolvent prefix P only over the exact head
+n <= HEAD and, past it, at the block ends; P there comes from a
+two-sided bracket (``_prefix_bracket``: a midpoint integral of
 Re log(1 - w/x), w = 1/mu, in closed form, widened by its quadrature,
 series and rounding errors).  No certificate is tried where |w| > HEAD/8
 or below a horizon of 10 HEAD; such a sample, and one the certificate
@@ -36,10 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import (BOUND_MARGIN, DIVERGENCE_LOG_THRESHOLD, HEAD,
-                      LCE_BLOCK, LOG_DBL_MAX, WeightFamily, _at_least,
-                      _block_ends, _first_step, log_cumsum_exp, scan_horizon,
-                      scan_verdict)
+from .weights import (BOUND_MARGIN, HEAD, LOG_DBL_MAX, WeightFamily,
+                      _AlphaReads, _at_least, _block_ends, _certified_holds,
+                      _first_step, log_cumsum_exp, scan_horizon, scan_verdict)
 
 __all__ = [
     "ResolventDecomposition",
@@ -417,38 +417,49 @@ class _ProbeRows:
     """The probe's strict rows log v_l(n) + base(n), n = 2..horizon, at
     each disc sample and step l >= k, and their verdicts.
 
-    alpha is read, and guarded, at every index up to the horizon.  From
-    a horizon of 10 HEAD on, ``_certified`` tries to decide ``holds``
-    from the exact rows n <= HEAD and one bound per block past them,
-    which reads P only through ``_prefix_bracket`` at the block ends; a
-    sample's dense base (its prefix P and terms T_m = P(m-1) + k alpha_m
-    over the horizon, in two buffers that the samples share, then
-    ``_row_base``) is built only where that cannot decide, and kept.
-    Every verdict and log sup is the dense scan's.
+    From a horizon of 10 HEAD on, ``_certified`` tries to decide
+    ``holds`` from the exact rows n <= HEAD and one bound per block past
+    them, which reads P only through ``_prefix_bracket`` at the block
+    ends, and alpha, through ``_AlphaReads``, only at the head and next
+    to the block ends where it is known not to decrease.  A sample's
+    dense base (its prefix P and terms T_m = P(m-1) + k alpha_m over the
+    horizon, in two buffers that the samples share, then ``_row_base``)
+    is built only where that cannot decide, and kept; alpha is read at
+    every index when the first one is.  Any other alpha is read, and
+    guarded, at every index when the probe is set up.  Every verdict and
+    log sup is the dense scan's.
     """
 
     def __init__(self, W, k, l_top, mus, horizon):
-        self.values = W.alpha.values(np.arange(1, horizon + 1))
         self.W, self.k, self.mus, self.horizon = W, k, mus, horizon
-        self.alpha = self.values[1:]  # alpha_n, n = 2..horizon
+        self.ends = _block_ends(HEAD, horizon) if horizon // 10 >= HEAD \
+            else None  # the head would reach the last decade
+        self.reads = _AlphaReads(W.alpha, horizon, self.ends, (0, 1))
         self.buffers = None  # the dense scan's arrays, built on first need
         self.dense, self.heads, self.blocks = {}, {}, {}
         self.log_sups = {}  # (sample, step) -> the log sup of its rows
-        if horizon // 10 >= HEAD:
+        if self.ends is not None:
+            values = self.reads.at(np.arange(1, HEAD + 1))
             ns = np.arange(1.0, HEAD + 1)
-            # the head's indices, log v_k, log n, and buffers for P, terms
-            self.head_arrays = (ns, W.step_log_weights(k, self.values[:HEAD]),
-                                np.log(ns[1:]), np.empty(HEAD), np.empty(HEAD))
-            self.ends = ends = _block_ends(HEAD, horizon)
-            a = ends[:-1]
-            self.alpha_a = self.values[a]  # alpha_(a+1)
-            self.k_alpha_b = self.values[ends[1:] - 1] * k
+            # the head's alpha_n and indices n = 2..HEAD, its log v_k,
+            # log n, and buffers for P and the terms
+            self.head_alpha, self.head_ns = values[1:], ns[1:]
+            self.head_arrays = (ns, W.step_log_weights(k, values),
+                                np.log(ns[1:]), np.empty(HEAD),
+                                np.empty(HEAD))
+            a = self.ends[:-1]
+            self.alpha_a = self.reads.at(a + 1)
+            self.k_alpha_b = self.reads.at(self.ends[1:]) * k
             self.log_a1 = np.log(a + 1.0)
-            self.log_span = np.log((ends[1:] - a).astype(float))
+            self.log_span = np.log((self.ends[1:] - a).astype(float))
             # rounding of the bounds and rows, less that of P and U
-            self.scale = 1.0 + l_top * self.values[-1] + math.log(horizon)
-        else:  # the head would reach the last decade: no certificate
-            self.heads = None
+            self.scale = (1.0 + l_top * self.reads.at([horizon])[0]
+                          + math.log(horizon))
+
+    @property
+    def alpha(self):
+        """alpha_n at n = 2..horizon, read on first need."""
+        return self.reads.dense()[1][1:]
 
     def holds(self, i, l):
         """Whether the scan of sample i at step l holds; its log sup is
@@ -478,7 +489,7 @@ class _ProbeRows:
                 ns = np.arange(1.0, self.horizon + 1)
                 self.strict_ns = ns[1:]
                 self.buffers = (ns, self.W.step_log_weights(
-                    self.k, self.values), np.log(self.strict_ns),
+                    self.k, self.reads.dense()[1]), np.log(self.strict_ns),
                     np.empty(self.horizon), np.empty(self.horizon))
             ns, lw_k, log_n, P, terms = self.buffers
             _row_terms(self.mus[i], lw_k, ns, P, terms)
@@ -489,7 +500,7 @@ class _ProbeRows:
 
     def _certified(self, i, l):
         """The log sup M of sample i's rows at step l where the exact head
-        shows the dense scan holds, or None.
+        shows the dense scan holds (``_certified_holds``), or None.
 
         The head rows n <= HEAD are the dense rows bit for bit (HEAD is a
         multiple of LCE_BLOCK).  Past it, a row n of the block (a, b] is
@@ -499,27 +510,16 @@ class _ProbeRows:
         e^(T_m), from the head's last prefix sum on, and a block adds at
         most (b - a) e^(max P + k alpha_b) to it.  The block extremes of
         P come from ``_prefix_bracket``, whose widths and float error
-        are in the bounds.  When M <= DIVERGENCE_LOG_THRESHOLD and every
-        bound stays below M by BOUND_MARGIN, relative to the magnitude
-        of the rows, the dense scan has M, the head's witness and a last
-        decade below M (HEAD <= horizon // 10): it holds.  No
-        certificate is tried while the head's maximum lies in its last
-        LCE_BLOCK rows, where the rows still rise, nor where
-        ``_prefix_bracket`` gives no bracket.
+        are in the bounds, and no bound is tried where it gives no
+        bracket.
         """
-        if self.heads is None:
+        if self.ends is None:
             return None
-        row = self.W.step_log_weights(l, self.alpha[:HEAD - 1])
+        row = self.W.step_log_weights(l, self.head_alpha)
         row += self._head(i)[1]
-        j = int(np.argmax(row))
-        top = row[j]
-        if j >= HEAD - 1 - LCE_BLOCK or not top <= DIVERGENCE_LOG_THRESHOLD:
-            return None
-        bounds = self._bounds(i, l)
-        if bounds is None:
-            return None
-        bound, margin = bounds
-        return float(top) if bound.max() + margin < top else None
+        v = _certified_holds(row, self.head_ns, self.horizon,
+                             lambda: self._bounds(i, l))
+        return None if v is None else float(row[v.witness_index - 2])
 
     def _bounds(self, i, l):
         """The bound of each block past the head at step l and the margin

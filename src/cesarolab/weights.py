@@ -93,8 +93,15 @@ class AlphaSequence:
     where the increment falls below double resolution, e.g. deep inside
     a block of the appendix staircase.  ``block_bounds``
     (k -> j(k), exact ints) is set for a staircase sequence that is
-    constant on the blocks [j(k), j(k+1)).
+    constant on the blocks [j(k), j(k+1)).  ``vec_log_fn`` returns a new
+    array: ``values`` exponentiates it in place.
     """
+
+    # True where alpha is known positive and non-decreasing without
+    # reading it, set where such an alpha is built (the closed-form
+    # presets, and file: tables, checked in full at load): a certified
+    # scan may then read it only where it looks (``_AlphaReads``)
+    _known_monotone = False
 
     def __init__(self, name, value_fn, *, vec_log_fn=None,
                  declared_flags=None, max_index=None, block_bounds=None):
@@ -171,9 +178,11 @@ class AlphaSequence:
         return out
 
     def values(self, ns):
-        """alpha_n over an index array, inf where it overflows double."""
+        """alpha_n over an index array, inf where it overflows double,
+        exponentiated in place, into the array ``log_values`` returns."""
+        out = self.log_values(ns)
         with np.errstate(over="ignore"):
-            return np.exp(self.log_values(ns))
+            return np.exp(out, out=out)
 
 
 @dataclass
@@ -287,8 +296,10 @@ def _appendix53_vec(ns):
 
 
 def _preset(name, value_fn, vec_log_fn, flags, **kw):
-    return AlphaSequence(name, value_fn=value_fn, vec_log_fn=vec_log_fn,
-                         declared_flags=flags, **kw)
+    alpha = AlphaSequence(name, value_fn=value_fn, vec_log_fn=vec_log_fn,
+                          declared_flags=flags, **kw)
+    alpha._known_monotone = True  # by construction
+    return alpha
 
 
 _PRESETS = {
@@ -381,6 +392,7 @@ def make_alpha_from_csv(path):
     alpha = AlphaSequence(f"file:{path}",
                           value_fn=lambda n: table[n], max_index=top)
     alpha.log_values(np.arange(1, top + 1))
+    alpha._known_monotone = True
     return alpha
 
 
@@ -469,10 +481,88 @@ def _block_ends(top, end):
     (e_i, e_(i+1)] of a certified scan past its exact head, each about
     1/BLOCK_RATIO_DENOM longer than the last (top >= BLOCK_RATIO_DENOM),
     as an int64 array; [top] when top >= end."""
-    ends = [top]
-    while ends[-1] < end:
-        ends.append(min(ends[-1] + ends[-1] // BLOCK_RATIO_DENOM, end))
+    ends, e = [top], top
+    while e < end:
+        e += e // BLOCK_RATIO_DENOM
+        ends.append(min(e, end))
     return np.array(ends, dtype=np.int64)
+
+
+class _AlphaReads:
+    """alpha_n of one scan, at n = 1..top and then at the increasing
+    ``extras`` past top, read where the scan's certificate looks.
+
+    Where a certificate may decide (``ends``, its block ends past the
+    head, given) and alpha is ``_known_monotone``, one guarded ``values``
+    call reads alpha only at the head n <= HEAD + max(shifts), at e + s
+    up to top for each block end e and shift s, and at the extras; the
+    bounds past the head rest on alpha not decreasing between those
+    points, which such an alpha guarantees.  Any other alpha is read, and
+    guarded, at every scan index here, so a NaN, a zero or a decrease
+    anywhere in the scan is refused before a verdict.  ``dense`` gives
+    every scan index and its alpha, read once, on first need.
+    """
+
+    def __init__(self, alpha, top, ends=None, shifts=(0,), extras=()):
+        self.alpha, self.top = alpha, top
+        self.extras = np.asarray(extras, dtype=np.int64)
+        self._dense = None
+        if ends is None or not alpha._known_monotone:
+            self.ns, self.vals = self.dense()
+            return
+        at = (ends[:, None] + np.asarray(shifts)).ravel()
+        ns = np.sort(np.concatenate((
+            np.arange(1, HEAD + max(shifts) + 1), at[at <= top],
+            self.extras)))
+        self.ns = ns[np.insert(ns[1:] != ns[:-1], 0, True)]
+        self.vals = alpha.values(self.ns)
+
+    def dense(self):
+        """(ns, alpha_ns) over every scan index, 1..top then the extras."""
+        if self._dense is None:
+            ns = np.arange(1, self.top + len(self.extras) + 1)
+            ns[self.top:] = self.extras
+            self._dense = ns, self.alpha.values(ns)
+        return self._dense
+
+    def at(self, ns):
+        """alpha_n at indices ns that were read; LookupError otherwise."""
+        i = np.searchsorted(self.ns, ns)
+        if not np.array_equal(self.ns[np.minimum(i, len(self.ns) - 1)], ns):
+            raise LookupError(f"alpha {self.alpha.name!r} was not read at "
+                              f"every index asked")
+        return self.vals[i]
+
+
+def _certified_holds(rows, ns, horizon, bounds):
+    """``holds`` for a scan of the increasing ns and on to ``horizon``,
+    from its exact rows at ns and bounds on the rows past them, or None.
+
+    ``rows`` are the dense scan's rows at ns, bit for bit, and
+    ``bounds()`` gives (bounds, margin), with every dense row past ns at
+    most some bound plus the margin (which covers the rounding of both),
+    or None.  When ns lies before the last decade (ns[-1] <= horizon //
+    10), the rows' maximum M lies before their last LCE_BLOCK rows,
+    where rows still rising would soon pass it, and every bound plus the
+    margin stays below M, the dense scan has M at the same witness, the
+    same base and a last decade below M: its verdict is ``scan_verdict``
+    of the rows with the largest bound as one row at the horizon.  Only
+    a ``holds`` is returned, and ``bounds`` is asked only when the rows
+    leave one possible.
+    """
+    j = int(np.argmax(rows))
+    if (ns[-1] > horizon // 10 or j >= len(rows) - LCE_BLOCK
+            or not rows[j] <= DIVERGENCE_LOG_THRESHOLD):
+        return None
+    got = bounds()
+    if got is None:
+        return None
+    bound, margin = got
+    top = bound.max()
+    if not top + margin < rows[j]:
+        return None
+    v = scan_verdict(np.append(rows, top), np.append(ns, horizon))
+    return v if v.status == "holds" else None
 
 
 def _first_step(holds, lo, hi):

@@ -11,7 +11,8 @@ from cesarolab.finite_type import (HEAD, K_PROBE, L_MAX, FiniteTypeWeights,
                                    example53_j, example53_lower_bound,
                                    ft_cesaro_acts, ft_continuity_criterion,
                                    gp_nuclearity)
-from cesarolab.operators import step_continuity_test
+from cesarolab.operators import STEP_OPS, step_continuity_test
+from cesarolab.resolvent import equicontinuity_probe
 from cesarolab.weights import (BLOCK_RATIO_DENOM, BOUND_MARGIN, AlphaSequence,
                                WeightFamily, make_alpha)
 
@@ -507,3 +508,52 @@ def test_gp_nuclearity_converged_sum_above_threshold_is_inconclusive():
 def test_gp_nuclearity_rejects_bad_steps():
     with pytest.raises(ValueError):
         gp_nuclearity(log_np1_weights(), 2, 2)
+
+
+def _counted_reads(monkeypatch):
+    """The number of alpha values each later log_values call reads."""
+    counts = []
+    read = AlphaSequence.log_values
+
+    def counting(self, ns):
+        out = read(self, ns)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(AlphaSequence, "log_values", counting)
+    return counts
+
+
+def test_certified_scans_read_alpha_only_where_they_look(monkeypatch):
+    # the acts search on log(n + 1) at 1e6 holds by certificate: alpha is
+    # read at the head and at the 357 ends of its 356 blocks, not at the
+    # 1e6 indices, and so is the averaging step criterion on n at 1e5,
+    # at the head and next to the ends of its 207 blocks
+    counts = _counted_reads(monkeypatch)
+    assert ft_cesaro_acts(log_np1_weights())["verdict"] == "acts_evidence"
+    blocks = len(finite_type._block_ends(HEAD, 10 ** 6)) - 1
+    assert blocks == 356
+    assert HEAD < sum(counts) <= HEAD + 2 * blocks + 2
+    counts.clear()
+    assert step_continuity_test("cesaro", WeightFamily(make_alpha("n")),
+                                1, 2, 10 ** 5).status == "holds"
+    blocks = len(finite_type._block_ends(HEAD, 10 ** 5)) - 1
+    assert blocks == 207
+    assert HEAD < sum(counts) <= HEAD + 2 * blocks + 2
+
+
+@pytest.mark.parametrize("scan", [
+    lambda alpha, h: ft_continuity_criterion(FiniteTypeWeights(alpha), 1,
+                                             2, h),
+    lambda alpha, h: equicontinuity_probe(0.4 + 0.2j, 0.05,
+                                          WeightFamily(alpha), 1, h),
+    *(lambda alpha, h, op=op: step_continuity_test(op, WeightFamily(alpha),
+                                                    1, 2, h)
+      for op in STEP_OPS)],
+    ids=["finite", "probe", *STEP_OPS])
+def test_a_nan_past_the_head_of_a_table_is_refused(scan):
+    # a sequence the package did not build is read at every index, so a
+    # NaN no certificate looks at is refused, not certified past
+    table = (10 ** 5, "log", 1.0, [], None, 70001)
+    with pytest.raises(ValueError, match="alpha_70001 = nan"):
+        scan(_table_alpha(*table), table[0])

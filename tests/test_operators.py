@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -931,3 +932,50 @@ def test_triangularity_preserved(n):
     x = [float(i + 1) for i in range(n)]
     full = cesaro_apply(x + [99.0, -99.0])
     assert full[:n] == cesaro_apply(x)
+
+
+# ---------------------------------------------------------------------------
+# the certified single-sweep criteria
+
+_CERTIFIED_OPS = ("cesaro", "cesaro_inverse", "diff", "shift")
+_CERTIFIED_KL = ((1, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5))
+# 40959 and 40960 straddle the least horizon with a certificate, 10 HEAD
+_CERTIFIED_HORIZONS = (40959, 40960, 10 ** 5, 3 * 10 ** 5)
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_certified_step_is_the_dense_one(preset, monkeypatch):
+    # every verdict equals the dense scan's; where a certificate is
+    # tried, the head rows are the dense rows bit for bit and each block
+    # bound plus the margin is at least every dense row of its block
+    W = WeightFamily(make_alpha(preset))
+    lw = W.step_log_weights
+    certified = 0
+    for h, (k, l) in itertools.product(_CERTIFIED_HORIZONS, _CERTIFIED_KL):
+        top = scan_horizon(W.alpha, h, tail=1, step=l)
+        alpha = W.alpha.values(np.arange(1, top + 2))
+        ends = operators._block_ends(operators.HEAD, top)
+        for op in _CERTIFIED_OPS:
+            with monkeypatch.context() as m:
+                m.setattr(operators, "_certified_holds", lambda *a: None)
+                dense = step_continuity_test(op, W, k, l, h)
+            got = step_continuity_test(op, W, k, l, h)
+            assert repr(got) == repr(dense), (op, k, l, h)
+            if top // 10 < operators.HEAD:
+                continue
+            reads = operators._AlphaReads(W.alpha, top + 1, ends,
+                                          range(3))
+            head, ns, _, bounds = operators._step_certificate(
+                op, W, k, l, reads, ends)
+            certified += operators._certified_holds(
+                head, ns, top, bounds) is not None
+            rows = operators._STEP_ROWS[op](
+                lw(k, alpha), lw(l, alpha),
+                np.log(np.arange(1.0, top + 1)))
+            assert head.tobytes() == rows[:operators.HEAD].tobytes()
+            bound, margin = bounds()
+            # the rows n in (a, b] sit at a..b - 1
+            block_max = np.maximum.reduceat(rows, ends[:-1])
+            assert np.all(block_max <= bound + margin), (op, k, l, h)
+    # the nuclear presets grow fast enough for most steps to certify
+    assert certified > 0 or preset in ("n_pow_n", "logloglog_n")

@@ -744,7 +744,7 @@ def _assert_probe_certificate(W, lam, k, horizon, steps, delta=0.05):
     mus = disc_samples(lam, delta, boundary=3, interior=0)
     horizon = scan_horizon(W.alpha, horizon, step=k + rsv.PROBE_L_MAX)
     scan = rsv._ProbeRows(W, k, k + rsv.PROBE_L_MAX, mus, horizon)
-    assert scan.heads is not None
+    assert scan.ends is not None
     for i in range(len(mus)):
         for l in steps:
             dense = scan._rows(i, l)

@@ -71,3 +71,19 @@ def test_bench_snapshot_keeps_every_end_to_end_metric():
     del short["metrics"]["setup_s"]
     with pytest.raises(ValueError, match="scans: no setup_s"):
         tool.snapshot(spec, "0123456", False, {"scans": json.dumps(short)})
+
+
+def test_bench_snapshot_in_process_table():
+    # one cheap command of each kind, run in a fresh interpreter
+    tool = load_tool("bench_snapshot")
+    assert len(tool.IN_PROCESS) == 13
+    table = tool.in_process_table(ROOT, {
+        "classify": ["classify", "--alpha", "n", "--horizon", "100"],
+        "shift": ["shift", "sqrt_n"]}, repeats=2)
+    assert set(table) == {"classify", "shift"}
+    for row in table.values():
+        assert set(row) == {"best_ms", "minor_faults"}
+        assert row["best_ms"] > 0 and row["minor_faults"] >= 0
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert tool.snapshot(spec, "0123456", False, {}, table)[
+        "in_process"] == table

@@ -15,7 +15,8 @@ from cesarolab.weights import (LCE_BLOCK, LCE_CHUNK, AlphaSequence,
                                WeightFamily, check_delta_criterion,
                                check_lemma22, check_loglog, check_nuclear,
                                check_shift_stable, log_cumsum_exp, make_alpha,
-                               make_alpha_from_csv, scan_verdict)
+                               make_alpha_from_csv, scan_horizon,
+                               scan_verdict)
 
 
 def test_preset_names_cover_contract():
@@ -888,3 +889,56 @@ def test_monotone_searches_match_the_retired_bisection_and_ladder(tmp_path):
                                                                    gamma)
             cases += 1
     assert cases == 106
+
+
+# ---------------------------------------------------------------------------
+# the contract that sparse reads rest on
+
+@given(st.sampled_from(PRESET_NAMES), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_presets_are_finite_and_non_decreasing_on_sparse_indices(name,
+                                                                 data):
+    # a certified scan reads a preset only at its head and next to its
+    # block ends, trusting it not to decrease in between: along any
+    # increasing index array up to the cap of scan_horizon, log alpha is
+    # finite and non-decreasing
+    alpha = make_alpha(name)
+    cap = scan_horizon(alpha, np.iinfo(np.int64).max - 2)
+    ns = np.unique(data.draw(st.lists(
+        st.one_of(st.integers(1, min(cap, 10 ** 7)), st.integers(1, cap)),
+        min_size=2, max_size=300)))
+    assert alpha._known_monotone
+    log_alpha = alpha._vec_log_fn(ns)
+    assert np.all(np.isfinite(log_alpha))
+    assert np.all(np.diff(log_alpha) >= 0)
+
+
+def test_only_built_alphas_are_read_sparsely(tmp_path):
+    # presets and checked tables are known not to decrease; a generator
+    # or a bare sequence is not, and is read at every index
+    path = tmp_path / "a.csv"
+    path.write_text("".join(f"{n},{n}\n" for n in range(1, 6)))
+    assert all(make_alpha(name)._known_monotone for name in PRESET_NAMES)
+    assert make_alpha_from_csv(str(path))._known_monotone
+    assert not make_alpha(lambda n: float(n))._known_monotone
+    assert not AlphaSequence("bare", float)._known_monotone
+
+
+def test_values_exponentiate_the_log_values_in_place():
+    alpha = make_alpha("sqrt_n")
+    ns = np.arange(1, 5000)
+    assert alpha.values(ns).tobytes() == np.exp(
+        alpha.log_values(ns)).tobytes()
+
+
+def test_alpha_reads_gather_only_what_was_read():
+    alpha = make_alpha("log_n_plus_1")
+    ends = weights._block_ends(weights.HEAD, 10 ** 5)
+    reads = weights._AlphaReads(alpha, 10 ** 5, ends, (0, 1))
+    assert len(reads.ns) == weights.HEAD + 2 * (len(ends) - 1)
+    assert reads.at(ends).tobytes() == alpha.values(ends).tobytes()
+    with pytest.raises(LookupError, match="not read"):
+        reads.at([weights.HEAD + 7])
+    ns, dense = reads.dense()
+    assert len(ns) == 10 ** 5
+    assert dense[ends - 1].tobytes() == reads.at(ends).tobytes()

@@ -12,6 +12,10 @@ seconds, and every ``end_to_end`` metric of each workload.  With several
 roots the workloads run alternately, root by root, so the snapshots see
 the same host load.
 
+It also holds an in-process table: each command of ``IN_PROCESS`` run
+REPEATS times in one fresh interpreter per checkout, with the best time
+in ms and the minor page faults (``resource.getrusage``) of that run.
+
 A snapshot records; it gates nothing, and BENCHMARK.json stays the gate.
 Three workloads at 10 s each take about a minute per root.
 """
@@ -28,7 +32,53 @@ from pathlib import Path
 
 SEED = 0
 SECONDS = 10
+REPEATS = 5
 HERE = Path(__file__).resolve().parents[1]
+_STEPS = ("cesaro", "cesaro_inverse", "diff", "shift")
+# name -> the argv of ``cesarolab.cli.main``, or [op, preset] of a step
+# criterion at k = 1, l = 2 and horizon 1e5
+IN_PROCESS = {
+    "finite acts 1e6": ["finite", "--weights", "finite:log_np1"],
+    "finite 1 2 1e6": ["finite", "--weights", "finite:log_np1", "--k", "1",
+                       "--l", "2"],
+    **{f"probe {alpha} 1e5": ["probe", "--alpha", alpha,
+                              "--lambda=0.4+0.2i", "--horizon", "100000"]
+       for alpha in ("n", "loglog_n")},
+    "classify loglog_n 1e5": ["classify", "--alpha", "loglog_n",
+                              "--horizon", "100000"],
+    **{f"{op} {preset} 1e5": [op, preset] for preset in ("sqrt_n", "loglog_n")
+       for op in _STEPS},
+}
+# run in a fresh interpreter with the checkout's src first on the path:
+# argv[1] is the JSON of {name: command} and argv[2] the repeats
+_CHILD = """
+import contextlib, io, json, resource, sys, time
+from cesarolab.cli import main
+from cesarolab.operators import step_continuity_test
+from cesarolab.weights import WeightFamily, make_alpha
+
+def call(command):
+    if len(command) == 2:
+        op, preset = command
+        W = WeightFamily(make_alpha(preset))
+        return lambda: step_continuity_test(op, W, 1, 2, 10 ** 5)
+    return lambda: main(command)
+
+table = {}
+for name, command in json.loads(sys.argv[1]).items():
+    run, best = call(command), None
+    for _ in range(int(sys.argv[2])):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            run()
+        ms = (time.perf_counter() - start) * 1e3
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        if best is None or ms < best["best_ms"]:
+            best = {"best_ms": ms, "minor_faults": faults}
+    table[name] = best
+print(json.dumps(table))
+"""
 
 
 def _git(root, *args):
@@ -51,10 +101,21 @@ def run_workload(root, workload):
     return proc.stdout.strip().splitlines()[-1]
 
 
-def snapshot(spec, commit, dirty, lines):
-    """The snapshot of one checkout from its BENCHMARK.json ``spec`` and
-    the result line of each workload (a dict workload -> line).
-    ValueError if a line lacks an end-to-end metric of the spec."""
+def in_process_table(root, commands=IN_PROCESS, repeats=REPEATS):
+    """{name: {"best_ms", "minor_faults"}} of each command, run in one
+    fresh interpreter on the checkout's own src."""
+    env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(commands), str(repeats)],
+        cwd=root, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def snapshot(spec, commit, dirty, lines, in_process=None):
+    """The snapshot of one checkout from its BENCHMARK.json ``spec``, the
+    result line of each workload (a dict workload -> line) and its
+    in-process table.  ValueError if a line lacks an end-to-end metric of
+    the spec."""
     workloads = {}
     for name, line in lines.items():
         result = json.loads(line)
@@ -80,6 +141,7 @@ def snapshot(spec, commit, dirty, lines):
         "seconds": SECONDS,
         "units": {m["name"]: m["unit"] for m in spec["end_to_end"]},
         "workloads": workloads,
+        "in_process": in_process or {},
     }
 
 
@@ -94,10 +156,11 @@ def main(argv=None):
     for w in (w["name"] for w in specs[0]["workloads"]):
         for root, got in zip(args.roots, lines):
             got[w] = run_workload(root, w)
-    for root, spec, got in zip(args.roots, specs, lines):
+    tables = [in_process_table(root) for root in args.roots]
+    for root, spec, got, table in zip(args.roots, specs, lines, tables):
         sha, dirty = commit_of(root)
         path = args.out_dir / f"BENCH_{sha[:7]}.json"
-        path.write_text(json.dumps(snapshot(spec, sha, dirty, got),
+        path.write_text(json.dumps(snapshot(spec, sha, dirty, got, table),
                                    indent=1, sort_keys=True) + "\n")
         print(path)
     return 0
