@@ -494,9 +494,9 @@ def step_continuity_test(op_name, W: WeightFamily, k, l, horizon=10 ** 4):
     a certificate (``_step_certificate``, ``_certified_holds``): the
     exact rows n <= HEAD and one bound per geometric block past them,
     which read alpha only at the head and next to the block ends where
-    alpha is known not to decrease.  Only ``holds`` is certified, with the dense scan's
-    supremum and witness; every other verdict comes from the dense scan
-    of every row.  ValueError for k < 1 or l < k.
+    alpha is known not to decrease.  Only ``holds`` is certified, with
+    the dense scan's supremum and witness; every other verdict comes from
+    the dense scan of every row.  ValueError for k < 1 or l < k.
     """
     if op_name not in _STEP_ROWS:
         raise ValueError(f"unknown operator {op_name!r}; one of {STEP_OPS}")
