@@ -13,7 +13,8 @@ finite section is a faithful witness; differentiation, the one
 super-diagonal map, gives a truncated output one coordinate shorter.
 ``TriangularOperator`` is a lower-triangular entry(n, m) with a dense
 truncation, for the c0 conjugation and its row-sum test; the resolvent
-builds its sections itself.
+builds its sections itself.  Of the step criteria, averaging is the
+package's one averaging scan, ``weights._AveragingScan``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .weights import (BOUND_MARGIN, HEAD, WeightFamily, _AlphaReads,
-                      _at_least, _block_ends, _certified_holds,
-                      log_cumsum_exp, scan_horizon, scan_verdict)
+from .weights import (HEAD, WeightFamily, _AlphaReads, _at_least,
+                      _AveragingScan, _bound_margin, _certificate_ends,
+                      _certified_holds, _ends_max, scan_horizon,
+                      scan_verdict)
 
 __all__ = [
     "TriangularOperator",
@@ -414,48 +416,34 @@ def _delta_rows(lw_k, lw_l, log_n):
     return out
 
 
-# the log row of each criterion at n = 1..h, from log v_k and log v_l at
-# n = 1..h+1 and log n at n = 1..h
+# the log row of each criterion but averaging (weights._AveragingScan) at
+# n = 1..h, from log v_k and log v_l at n = 1..h+1 and log n at n = 1..h
 _STEP_ROWS = {
-    "cesaro": lambda lw_k, lw_l, log_n: (
-        lw_l[:-1] - log_n + log_cumsum_exp(-lw_k[:-1])),
     "cesaro_inverse": lambda lw_k, lw_l, log_n: (
         log_n + lw_l[:-1] - lw_k[:-1]),
     "diff": lambda lw_k, lw_l, log_n: log_n + lw_l[:-1] - lw_k[1:],
     "delta": _delta_rows,
     "shift": lambda lw_k, lw_l, log_n: lw_l[1:] - lw_k[:-1],
 }
-STEP_OPS = tuple(_STEP_ROWS)
+STEP_OPS = ("cesaro", *_STEP_ROWS)
 
 # a bound on a single-sweep criterion's rows n in (a, b], one per block,
-# from up(s, c_k, c_l), the largest c_k log v_k(m) + c_l log v_l(m) over
-# m in (a + s, b + s]: a log weight is linear in alpha_m, which does not
-# decrease, so that largest term lies at m = a + s + 1 or m = b + s.
-# The averaging row adds the head's last prefix sum u and (b - a) times
-# the block's largest term per block.  Each with the largest s it asks.
+# from log b and up(s, c_k, c_l), the largest c_k log v_k(m) + c_l log v_l(m)
+# over m in (a + s, b + s] (``_ends_max``).  Each with the largest s it
+# asks.
 _STEP_BOUNDS = {
-    "cesaro": (0, lambda up, log_a1, log_b, log_span, u: (
-        up(0, 0, 1) - log_a1 + log_cumsum_exp(
-            np.concatenate(([u()], log_span + up(0, -1, 0))))[1:])),
-    "cesaro_inverse": (0, lambda up, log_a1, log_b, log_span, u: (
-        log_b + up(0, -1, 1))),
-    "diff": (1, lambda up, log_a1, log_b, log_span, u: (
-        log_b + up(0, 0, 1) + up(1, -1, 0))),
-    "shift": (1, lambda up, log_a1, log_b, log_span, u: (
-        up(1, 0, 1) + up(0, -1, 0))),
+    "cesaro_inverse": (0, lambda up, log_b: log_b + up(0, -1, 1)),
+    "diff": (1, lambda up, log_b: log_b + up(0, 0, 1) + up(1, -1, 0)),
+    "shift": (1, lambda up, log_b: up(1, 0, 1) + up(0, -1, 0)),
 }
 
 
 def _step_certificate(op_name, W, k, l, reads, ends):
     """The arguments of ``_certified_holds`` for a single-sweep
-    criterion: its exact rows at n = 1..HEAD, those n, the horizon and
-    the bounds, one per block (a, b] of ``ends`` past the head
-    (``_STEP_BOUNDS``).
-
-    The head rows are those of ``_STEP_ROWS`` on alpha_1..alpha_(HEAD+1),
-    the dense rows bit for bit (HEAD is a multiple of LCE_BLOCK).  The
-    margin is BOUND_MARGIN times the rows' magnitude at the top index.
-    """
+    criterion: its exact rows at n = 1..HEAD (those of ``_STEP_ROWS`` on
+    alpha_1..alpha_(HEAD+1), the dense rows bit for bit), those n, the
+    horizon and the bounds, one per block (a, b] of ``ends`` past the
+    head (``_STEP_BOUNDS``), with ``_bound_margin`` at the top index."""
     h = int(ends[-1])
     lw = W.step_log_weights
     head = reads.at(np.arange(1, HEAD + 2))
@@ -464,19 +452,12 @@ def _step_certificate(op_name, W, k, l, reads, ends):
     a, b = ends[:-1], ends[1:]
 
     def up(s, c_k, c_l):
-        at = reads.at(a + s + 1), reads.at(b + s)
-        lo, hi = ((c_k * lw(k, x) + c_l * lw(l, x)) for x in at)
-        return np.maximum(lo, hi)
+        return _ends_max(lambda x: c_k * lw(k, x) + c_l * lw(l, x),
+                         reads.at(a + s + 1), reads.at(b + s))
 
     def bounds():
-        bound = _STEP_BOUNDS[op_name][1](
-            up, np.log(a + 1.0), np.log(b.astype(float)),
-            np.log((b - a).astype(float)),
-            lambda: log_cumsum_exp(-lw(k, head[:HEAD]))[-1])
-        top = reads.at([h + 1])
-        return bound, BOUND_MARGIN * (1.0 + abs(lw(k, top)[0])
-                                      + abs(lw(l, top)[0])
-                                      + 2.0 * math.log(h + 1))
+        return (_STEP_BOUNDS[op_name][1](up, np.log(b.astype(float))),
+                _bound_margin(W, k, l, reads.at([h + 1])[0], h + 1))
 
     return rows, np.arange(1, HEAD + 1), h, bounds
 
@@ -490,20 +471,23 @@ def step_continuity_test(op_name, W: WeightFamily, k, l, horizon=10 ** 4):
     cesaro:         sup_n (v_l(n)/n) sum_m 1/v_k(m)
     shift:          sup_n v_l(n+1) / v_k(n)
 
-    From a horizon of 10 HEAD on, every criterion but delta first tries
-    a certificate (``_step_certificate``, ``_certified_holds``): the
-    exact rows n <= HEAD and one bound per geometric block past them,
-    which read alpha only at the head and next to the block ends where
-    alpha is known not to decrease.  Only ``holds`` is certified, with
-    the dense scan's supremum and witness; every other verdict comes from
-    the dense scan of every row.  ValueError for k < 1 or l < k.
+    Averaging is the package's one averaging scan, shared with the
+    finite-type criterion (``weights._AveragingScan``): past 1e6 its
+    prefix sums rest on a tail majorant.  From a horizon of 10 HEAD on,
+    every criterion but delta first tries a certificate: the exact rows
+    n <= HEAD and one bound per geometric block past them, which read
+    alpha only at the head and next to the block ends.  Only ``holds`` is
+    certified, with the dense scan's supremum and witness; every other
+    verdict is the dense scan's.  ValueError for k < 1 or l < k.
     """
-    if op_name not in _STEP_ROWS:
+    if op_name not in STEP_OPS:
         raise ValueError(f"unknown operator {op_name!r}; one of {STEP_OPS}")
     _at_least(k=(k, 1), l=(l, k))
     h = scan_horizon(W.alpha, horizon, tail=1, step=l)
+    if op_name == "cesaro":
+        return _AveragingScan(W, h).verdict(k, l)
     s_max = _STEP_BOUNDS.get(op_name, (-1,))[0]
-    ends = _block_ends(HEAD, h) if s_max >= 0 and h // 10 >= HEAD else None
+    ends = _certificate_ends(h, h) if s_max >= 0 else None
     reads = _AlphaReads(W.alpha, h + 1, ends, range(s_max + 2))
     if ends is not None:
         v = _certified_holds(*_step_certificate(op_name, W, k, l, reads,

@@ -38,8 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .weights import (BOUND_MARGIN, HEAD, LOG_DBL_MAX, WeightFamily,
-                      _AlphaReads, _at_least, _block_ends, _certified_holds,
-                      _first_step, log_cumsum_exp, scan_horizon, scan_verdict)
+                      _AlphaReads, _at_least, _certificate_ends,
+                      _certified_holds, _first_step, log_cumsum_exp,
+                      scan_horizon, scan_verdict)
 
 __all__ = [
     "ResolventDecomposition",
@@ -432,8 +433,7 @@ class _ProbeRows:
 
     def __init__(self, W, k, l_top, mus, horizon):
         self.W, self.k, self.mus, self.horizon = W, k, mus, horizon
-        self.ends = _block_ends(HEAD, horizon) if horizon // 10 >= HEAD \
-            else None  # the head would reach the last decade
+        self.ends = _certificate_ends(horizon, horizon)
         self.reads = _AlphaReads(W.alpha, horizon, self.ends, (0, 1))
         self.buffers = None  # the dense scan's arrays, built on first need
         self.dense, self.heads, self.blocks = {}, {}, {}

@@ -16,14 +16,16 @@ supremum or a one-index scan included, is ``inconclusive`` with the
 scan evidence attached.  The ``check_*`` predicates here never grant
 ``holds`` from a scan.  Presets defined from a first index on get
 their head from one ramp rule, ``_ramped``.  Every prefix log-sum-exp
-of the package, a scan's log partial sums, is ``log_cumsum_exp``.
+of the package, a scan's log partial sums, is ``log_cumsum_exp``, and
+the averaging criterion of either weight family is one certified scan,
+``_AveragingScan``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,6 +61,7 @@ BOUND_MARGIN = 1e-9
 # a block whose shifted sums start below this has lost bits to
 # subnormals, or a term to underflow
 LCE_TINY = np.finfo(float).tiny * 2.0 ** 52
+_DENSE_TOP = 10 ** 6  # the averaging scan is dense up to this index
 
 FLAG_NAMES = ("nuclear", "shift_stable", "delta_continuous", "loglog_finite")
 
@@ -488,6 +491,29 @@ def _block_ends(top, end):
     return np.array(ends, dtype=np.int64)
 
 
+def _certificate_ends(horizon, top):
+    """``_block_ends(HEAD, top)`` for a certified scan of rows to ``top``
+    and on to ``horizon``; None below a horizon of 10 HEAD, where the head
+    reaches the last decade and no certificate may decide."""
+    return _block_ends(HEAD, top) if horizon // 10 >= HEAD else None
+
+
+def _ends_max(f, lo, hi):
+    """The largest f(alpha_m) over blocks whose alpha_m run from lo to hi,
+    for f linear in alpha, as every log weight is: alpha does not
+    decrease, so it lies at an end, whether the weights rise or fall."""
+    return np.maximum(f(lo), f(hi))
+
+
+def _bound_margin(W, k, l, alpha_top, top):
+    """The rounding margin of a certificate's bounds on rows made of
+    log v_k, log v_l and log n: BOUND_MARGIN times their magnitude at the
+    top index ``top``, where alpha is ``alpha_top``."""
+    lw = W.step_log_weights
+    return BOUND_MARGIN * (1.0 + abs(lw(k, alpha_top))
+                           + abs(lw(l, alpha_top)) + 2.0 * math.log(top))
+
+
 class _AlphaReads:
     """alpha_n of one scan, at n = 1..top and then at the increasing
     ``extras`` past top, read where the scan's certificate looks.
@@ -563,6 +589,122 @@ def _certified_holds(rows, ns, horizon, bounds):
         return None
     v = scan_verdict(np.append(rows, top), np.append(ns, horizon))
     return v if v.status == "holds" else None
+
+
+class _AveragingScan:
+    """The averaging criterion log (v_l(n)/n) sum_{m<=n} 1/v_k(m) of
+    either weight family, the decreasing e^(-k alpha_n) of
+    ``WeightFamily`` or the increasing e^(alpha_n / k) of the finite-type
+    duals, up to a horizon its caller caps (``scan_horizon``).
+
+    The indices are dense up to _DENSE_TOP; beyond that a log-spaced grid
+    ends at the horizon, with (for a staircase sequence) the exact block
+    boundaries, where the divergence lower bound lives.  ``verdict``
+    scans densely (``_dense``) only where the exact head and the bound
+    rows past it (``_certified``) cannot decide.  Alpha is read through
+    ``_AlphaReads``: at the head, next to the block ends and past
+    _DENSE_TOP for the certificate, at every scan index on dense need.
+    """
+
+    def __init__(self, W, horizon):
+        d = self.dense_top = min(horizon, _DENSE_TOP)
+        # the top point is the horizon itself: its float may round away
+        # from it, and from 2^63 - 1 up to 2^63, past int64
+        extras = [int(g) for g in np.round(np.logspace(
+            math.log10(d), math.log10(horizon), 40)[:-1]) if g > d]
+        extras += [horizon] if horizon > d else []
+        j, i = W.alpha.block_bounds, 2
+        while j is not None and j(i) <= horizon:
+            if j(i) > d:
+                extras.append(int(j(i)))
+            i += 1
+        self.W, self.horizon = W, horizon
+        self.ends = _certificate_ends(horizon, d)
+        self.reads = _AlphaReads(W.alpha, d, self.ends, (0, 1),
+                                 sorted(set(extras)))
+        self._points = {}  # top -> where the rows of that top read alpha
+        self._sums = {}  # top -> (k, exact, bound) of the last k
+
+    def _rows(self, k, l, top):
+        """log (v_l(n)/n) sum_{m<=n} 1/v_k(m) at n = 1..top, exact, then
+        bound rows past top.
+
+        One bound row per block (a, b] of ``_block_ends`` from top to
+        dense_top: max log v_l - log(a + 1) + U_b, each max over the block
+        (``_ends_max``), where U_b = log(e^U_a + (b - a) max 1/v_k) bounds
+        the prefix sum at b, from the exact one at top.  Then a row per
+        index n past dense_top, whose sum is the tail majorant: U at
+        dense_top plus (n - dense_top) max 1/v_k over (dense_top, n].
+        The blocks and where the rows read alpha are kept per top, the
+        prefix sums for the last k asked at that top: a search over l
+        sums once.
+        """
+        d, lw, at = self.dense_top, self.W.step_log_weights, self.reads.at
+        if top not in self._points:
+            ends = _block_ends(top, d)
+            a, b = ends[:-1], ends[1:]
+            ns = (np.arange(1, top + 1), a + 1, self.reads.extras)
+            log_n = np.concatenate(ns, dtype=float)
+            # alpha at the same n: the dense rows read it at every scan
+            # index, uncopied
+            alpha = (self.reads.dense()[1] if top == d
+                     else at(np.concatenate(ns)))
+            self._points[top] = (alpha, np.log(log_n, out=log_n), at(b),
+                                 np.log((b - a).astype(float)))
+        alpha, log_n, alpha_b, log_span = self._points[top]
+        blocks = slice(top, top + len(alpha_b))
+        if self._sums.get(top, (None,))[0] != k:
+            def inverse(x):  # log 1/v_k
+                return -lw(k, x)
+
+            # the weight rows stay temporaries: at 1e6 indices each is 8 MB
+            exact = log_cumsum_exp(inverse(alpha[:top]))
+            U = exact[-1:]
+            if len(alpha_b):
+                U = log_cumsum_exp(np.concatenate((U, log_span + _ends_max(
+                    inverse, alpha[blocks], alpha_b))))
+            tail = (np.log(self.reads.extras.astype(float) - d)
+                    + _ends_max(inverse, at([d]), alpha[blocks.stop:]))
+            self._sums[top] = k, exact, np.concatenate(
+                (U[1:], np.logaddexp(U[-1:], tail)))
+        _, exact, bound = self._sums[top]
+        rows = lw(l, alpha) - log_n
+        rows[blocks] = _ends_max(lambda x: lw(l, x), alpha[blocks],
+                                 alpha_b) - log_n[blocks]
+        rows[:top] += exact
+        rows[top:] += bound
+        return rows
+
+    def verdict(self, k, l):
+        """Verdict on (v_l(n)/n) sum_{m<=n} 1/v_k(m)."""
+        return self._certified(k, l) or self._dense(k, l)
+
+    def _certified(self, k, l):
+        """``holds`` from the rows of ``_rows`` up to HEAD, or None, by
+        ``_certified_holds``: the rows n <= HEAD are the dense rows bit
+        for bit (HEAD is a multiple of LCE_BLOCK), and each bound row past
+        them plus ``_bound_margin`` is at least the rows it stands for."""
+        if self.ends is None:
+            return None
+        rows, h = self._rows(k, l, HEAD), self.horizon
+        margin = _bound_margin(self.W, k, l, self.reads.at([h])[0], h)
+        return _certified_holds(rows[:HEAD], np.arange(1, HEAD + 1), h,
+                                lambda: (rows[HEAD:], margin))
+
+    def _dense(self, k, l):
+        """The verdict on the rows of ``_rows`` up to dense_top.
+
+        Past dense_top they rest on the tail majorant, an upper bound: it
+        may support ``holds`` but not ``fails``, so a ``fails`` that the
+        dense indices alone do not give is ``inconclusive``.
+        """
+        d, ns = self.dense_top, self.reads.dense()[0]
+        rows = self._rows(k, l, d)
+        v = scan_verdict(rows, ns)
+        if (v.status == "fails" and len(rows) > d
+                and scan_verdict(rows[:d], ns[:d]).status != "fails"):
+            v = replace(v, status="inconclusive")
+        return v
 
 
 def _first_step(holds, lo, hi):

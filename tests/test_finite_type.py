@@ -5,20 +5,26 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cesarolab import finite_type
-from cesarolab.finite_type import (HEAD, K_PROBE, L_MAX, FiniteTypeWeights,
-                                   _Scan, example53_alpha,
-                                   example53_j, example53_lower_bound,
-                                   ft_cesaro_acts, ft_continuity_criterion,
-                                   gp_nuclearity)
+from cesarolab import weights
+from cesarolab.finite_type import (K_PROBE, L_MAX, FiniteTypeWeights,
+                                   example53_alpha, example53_j,
+                                   example53_lower_bound, ft_cesaro_acts,
+                                   ft_continuity_criterion, gp_nuclearity)
 from cesarolab.operators import STEP_OPS, step_continuity_test
 from cesarolab.resolvent import equicontinuity_probe
-from cesarolab.weights import (BLOCK_RATIO_DENOM, BOUND_MARGIN, AlphaSequence,
-                               WeightFamily, make_alpha)
+from cesarolab.weights import (BLOCK_RATIO_DENOM, BOUND_MARGIN, HEAD,
+                               PRESET_NAMES, AlphaSequence, WeightFamily,
+                               _AveragingScan, make_alpha, scan_horizon)
 
 
 def log_np1_weights():
     return FiniteTypeWeights(make_alpha("log_n_plus_1"))
+
+
+def _scan(W, horizon, step=1):
+    """The averaging scan of W up to horizon, capped as its callers cap
+    it."""
+    return _AveragingScan(W, scan_horizon(W.alpha, horizon, step=step))
 
 
 def test_finite_type_weights_increase():
@@ -55,8 +61,10 @@ def test_criterion_majorant_slow_growth():
 @pytest.mark.parametrize("preset", ["log_n_plus_1", "n", "sqrt_n"])
 @pytest.mark.parametrize("k, l", [(1, 2), (1, 5), (3, 4)])
 # 40959 and 40960 straddle the least horizon, 10 HEAD, where the exact
-# head lies before the last decade and decides without a dense scan
-@pytest.mark.parametrize("horizon", [500, 40959, 40960, 10 ** 5, 10 ** 6])
+# head lies before the last decade and decides without a dense scan; past
+# 1e6 both rest on the tail majorant
+@pytest.mark.parametrize("horizon", [500, 40959, 40960, 10 ** 5, 10 ** 6,
+                                     2 * 10 ** 6])
 def test_criterion_is_the_cesaro_row_on_finite_type_weights(preset, k, l,
                                                             horizon):
     ftw = FiniteTypeWeights(make_alpha(preset))
@@ -107,19 +115,34 @@ def test_certified_verdict_is_the_dense_one(table):
     ftw = FiniteTypeWeights(_table_alpha(*table))
     if table[-1] is not None:
         with pytest.raises(ValueError, match=f"alpha_{table[-1]} = nan"):
-            _Scan(ftw, table[0])
+            _scan(ftw, table[0])
         return
-    scan = _Scan(ftw, table[0])
+    scan = _scan(ftw, table[0])
     for k, l in ((1, 2), (1, 5), (2, 3), (3, 5)):
         certified = scan._certified(k, l)
         if certified is not None:
             assert repr(certified) == repr(scan._dense(k, l)), (k, l)
 
 
+def _true_prefix_at(W, k, ns):
+    """log sum_{m<=n} 1/v_k(m) at the increasing ns, summed densely in
+    chunks of 1e6 indices."""
+    out, carry, lo = [], -math.inf, 1
+    for n in ns:
+        while lo <= n:
+            hi = min(n, lo + 10 ** 6 - 1)
+            t = -W.step_log_weights(k, W.alpha.values(np.arange(lo, hi + 1)))
+            carry, lo = np.logaddexp(carry, np.logaddexp.reduce(t)), hi + 1
+        out.append(carry)
+    return np.array(out)
+
+
 def _assert_certificate(scan, k, l):
     """The head rows are the dense rows bit for bit, and each bound row
-    is at least every dense row it stands for, up to the margin."""
-    d = scan.dense_top
+    plus the margin is at least every row it stands for: the dense rows
+    of its block, and past dense_top the dense scan's tail majorant and
+    the true row at its index, which that majorant bounds too."""
+    d, h, lw = scan.dense_top, scan.horizon, scan.W.step_log_weights
     head, dense = scan._rows(k, l, HEAD), scan._rows(k, l, d)
     assert np.array_equal(head[:HEAD].view(np.int64),
                           dense[:HEAD].view(np.int64))
@@ -127,11 +150,17 @@ def _assert_certificate(scan, k, l):
     while ends[-1] < d:
         ends.append(min(ends[-1] + ends[-1] // BLOCK_RATIO_DENOM, d))
     blocks = len(ends) - 1
-    assert len(head) == HEAD + blocks + len(scan.ns) - d
-    margin = BOUND_MARGIN * (1.0 + scan.av[d - 1] / k + math.log(d))
+    ns, alpha = scan.reads.dense()
+    assert len(head) == HEAD + blocks + len(ns) - d
+    margin = BOUND_MARGIN * (1.0 + abs(lw(k, alpha[-1]))
+                             + abs(lw(l, alpha[-1])) + 2.0 * math.log(h))
     # the rows n in (a, b] sit at a..b - 1
     block_max = np.maximum.reduceat(dense[:d], ends[:-1])
     assert np.all(block_max <= head[HEAD:HEAD + blocks] + margin), (k, l)
+    true = (lw(l, alpha[d:]) - np.log(ns[d:].astype(float))
+            + _true_prefix_at(scan.W, k, ns[d:]))
+    assert np.all(true <= dense[d:] + margin), (k, l)
+    assert np.all(true <= head[HEAD + blocks:] + margin), (k, l)
     # past dense_top both rest on the tail majorant, the head's from the
     # bound at dense_top instead of the exact prefix there
     assert np.all(dense[d:] <= head[HEAD + blocks:] + margin), (k, l)
@@ -143,7 +172,22 @@ _PAIRS = ((1, 2), (1, 5), (2, 3), (3, 5))
 @pytest.mark.parametrize("preset, horizon", [
     ("log_n_plus_1", 10 ** 6), ("log_n_plus_1", 10 ** 7), ("n", 10 ** 5)])
 def test_certificate_rows_on_presets(preset, horizon):
-    scan = _Scan(FiniteTypeWeights(make_alpha(preset)), horizon)
+    scan = _scan(FiniteTypeWeights(make_alpha(preset)), horizon)
+    for k, l in _PAIRS:
+        _assert_certificate(scan, k, l)
+
+
+@pytest.mark.parametrize("family", [WeightFamily, FiniteTypeWeights])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+@pytest.mark.parametrize("horizon", [10 ** 5, 2 * 10 ** 6])
+def test_certificate_rows_on_both_weight_families(family, preset, horizon):
+    # the decreasing weights of the step criteria peak at the other end
+    # of a block from the increasing ones: every bound takes both ends
+    W = family(make_alpha(preset))
+    scan = _scan(W, horizon, step=max(l for _, l in _PAIRS))
+    if scan.ends is None:  # n_pow_n stops at 141, before 10 HEAD
+        assert scan.horizon < 10 * HEAD
+        return
     for k, l in _PAIRS:
         _assert_certificate(scan, k, l)
 
@@ -151,7 +195,7 @@ def test_certificate_rows_on_presets(preset, horizon):
 @given(_alpha_tables().map(lambda table: table[:-1] + (None,)))
 @settings(max_examples=20, deadline=None)
 def test_certificate_rows_on_alpha_tables(table):
-    scan = _Scan(FiniteTypeWeights(_table_alpha(*table)), table[0])
+    scan = _scan(FiniteTypeWeights(_table_alpha(*table)), table[0])
     for k, l in _PAIRS:
         _assert_certificate(scan, k, l)
 
@@ -161,13 +205,13 @@ def test_certified_verdicts_sum_no_dense_prefix(monkeypatch):
     # hold from the head and the bounds: no prefix sum spans the dense
     # indices
     lengths = []
-    kernel = finite_type.log_cumsum_exp
+    kernel = weights.log_cumsum_exp
 
     def counting(t):
         lengths.append(len(t))
         return kernel(t)
 
-    monkeypatch.setattr(finite_type, "log_cumsum_exp", counting)
+    monkeypatch.setattr(weights, "log_cumsum_exp", counting)
     assert ft_cesaro_acts(log_np1_weights())["verdict"] == "acts_evidence"
     assert ft_continuity_criterion(log_np1_weights(), 1, 2).status == \
         "holds"
@@ -178,13 +222,13 @@ def test_acts_search_sums_each_prefix_once_per_step(monkeypatch):
     # on n every step l fails: each k tries the head and the dense scan
     # for all l, from one head prefix, one block sum and one dense prefix
     calls = []
-    kernel = finite_type.log_cumsum_exp
+    kernel = weights.log_cumsum_exp
 
     def counting(t):
         calls.append(len(t))
         return kernel(t)
 
-    monkeypatch.setattr(finite_type, "log_cumsum_exp", counting)
+    monkeypatch.setattr(weights, "log_cumsum_exp", counting)
     res = ft_cesaro_acts(FiniteTypeWeights(make_alpha("n")),
                          horizon=10 ** 5)
     assert res["verdict"] == "does_not_act"
@@ -264,7 +308,7 @@ def _retired_acts_search(ftw, horizon=10 ** 6, l_max=L_MAX):
     """The scanned acts search that tried every step l = k+1..k+l_max in
     turn, verbatim: the reference of the monotone search."""
     per_k = {}
-    scan = _Scan(ftw, horizon)
+    scan = _scan(ftw, horizon)
     acts = True
     conclusive = True
     for k in range(1, K_PROBE + 1):
@@ -315,13 +359,13 @@ def test_acts_search_asks_few_steps(monkeypatch):
     # on n every step fails: the search gallops to k + 64 in 7 verdicts
     # where the step-by-step search asked all 64
     asked = []
-    verdict = _Scan.verdict
+    verdict = _AveragingScan.verdict
 
     def counting(scan, k, l):
         asked.append(k)
         return verdict(scan, k, l)
 
-    monkeypatch.setattr(_Scan, "verdict", counting)
+    monkeypatch.setattr(_AveragingScan, "verdict", counting)
     res = ft_cesaro_acts(FiniteTypeWeights(make_alpha("n")),
                          horizon=10 ** 5, l_max=64)
     assert res["verdict"] == "does_not_act"
@@ -370,10 +414,11 @@ def test_scan_indices_end_at_the_horizon(horizon, top):
     # horizon itself, and no float reaches an int64 cast
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scan = _Scan(log_np1_weights(), horizon)
-    assert (scan.dense_top, scan.horizon, len(scan.ns)) == (
+        scan = _scan(log_np1_weights(), horizon)
+    ns = scan.reads.dense()[0]
+    assert (scan.dense_top, scan.horizon, len(ns)) == (
         10 ** 6, top, 10 ** 6 + 39)
-    assert scan.ns[-1] == top and np.all(np.diff(scan.ns) > 0)
+    assert ns[-1] == top and np.all(np.diff(ns) > 0)
 
 
 def test_tail_majorant_never_grants_fails():
@@ -531,13 +576,13 @@ def test_certified_scans_read_alpha_only_where_they_look(monkeypatch):
     # at the head and next to the ends of its 207 blocks
     counts = _counted_reads(monkeypatch)
     assert ft_cesaro_acts(log_np1_weights())["verdict"] == "acts_evidence"
-    blocks = len(finite_type._block_ends(HEAD, 10 ** 6)) - 1
+    blocks = len(weights._block_ends(HEAD, 10 ** 6)) - 1
     assert blocks == 356
     assert HEAD < sum(counts) <= HEAD + 2 * blocks + 2
     counts.clear()
     assert step_continuity_test("cesaro", WeightFamily(make_alpha("n")),
                                 1, 2, 10 ** 5).status == "holds"
-    blocks = len(finite_type._block_ends(HEAD, 10 ** 5)) - 1
+    blocks = len(weights._block_ends(HEAD, 10 ** 5)) - 1
     assert blocks == 207
     assert HEAD < sum(counts) <= HEAD + 2 * blocks + 2
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cesarolab import operators
+from cesarolab import finite_type, operators, weights
 from cesarolab.ergodic import b_continuity_check
 from cesarolab.finite_type import (FiniteTypeWeights, example53_alpha,
                                    ft_cesaro_acts, ft_continuity_criterion,
@@ -24,7 +24,8 @@ from cesarolab.operators import (N_DOUBLE_BINOM, N_EXACT, STEP_OPS,
 from cesarolab.resolvent import (equicontinuity_probe,
                                  resolvent_norm_bound_check)
 from cesarolab.spectrum import classify_spectrum, point_spectrum_test
-from cesarolab.weights import (PRESET_NAMES, AlphaSequence, WeightFamily,
+from cesarolab.weights import (HEAD, PRESET_NAMES, AlphaSequence,
+                               WeightFamily, _AveragingScan, _bound_margin,
                                check_delta_criterion, check_lemma22,
                                check_loglog, check_nuclear,
                                check_shift_stable, log_cumsum_exp,
@@ -921,7 +922,8 @@ def test_one_alpha_array_matches_log_weights(name):
         lw_k = W.step_log_weights(k, alpha_ns)
         lw_l = W.step_log_weights(l, alpha_ns)
         for op, old in _OLD_STEP_ROWS.items():
-            new = operators._STEP_ROWS[op](lw_k, lw_l, log_n)
+            new = (_AveragingScan(W, h)._rows(k, l, h) if op == "cesaro"
+                   else operators._STEP_ROWS[op](lw_k, lw_l, log_n))
             assert new.tobytes() == old(W, k, l, ns, log_n).tobytes()
 
 
@@ -954,28 +956,54 @@ def test_certified_step_is_the_dense_one(preset, monkeypatch):
     for h, (k, l) in itertools.product(_CERTIFIED_HORIZONS, _CERTIFIED_KL):
         top = scan_horizon(W.alpha, h, tail=1, step=l)
         alpha = W.alpha.values(np.arange(1, top + 2))
-        ends = operators._block_ends(operators.HEAD, top)
+        log_n = np.log(np.arange(1.0, top + 1))
+        ends = weights._block_ends(HEAD, top)
         for op in _CERTIFIED_OPS:
             with monkeypatch.context() as m:
-                m.setattr(operators, "_certified_holds", lambda *a: None)
+                for module in (weights, operators):
+                    m.setattr(module, "_certified_holds", lambda *a: None)
                 dense = step_continuity_test(op, W, k, l, h)
             got = step_continuity_test(op, W, k, l, h)
             assert repr(got) == repr(dense), (op, k, l, h)
-            if top // 10 < operators.HEAD:
+            if top // 10 < HEAD:
                 continue
-            reads = operators._AlphaReads(W.alpha, top + 1, ends,
-                                          range(3))
-            head, ns, _, bounds = operators._step_certificate(
-                op, W, k, l, reads, ends)
-            certified += operators._certified_holds(
-                head, ns, top, bounds) is not None
-            rows = operators._STEP_ROWS[op](
-                lw(k, alpha), lw(l, alpha),
-                np.log(np.arange(1.0, top + 1)))
-            assert head.tobytes() == rows[:operators.HEAD].tobytes()
-            bound, margin = bounds()
+            if op == "cesaro":  # the one averaging scan, dense to 1e6
+                scan = _AveragingScan(W, top)
+                certified += scan._certified(k, l) is not None
+                head, bound = np.split(scan._rows(k, l, HEAD), [HEAD])
+                margin = _bound_margin(W, k, l, alpha[top - 1], top)
+                rows = (lw(l, alpha[:-1]) - log_n
+                        + log_cumsum_exp(-lw(k, alpha[:-1])))
+            else:
+                reads = weights._AlphaReads(W.alpha, top + 1, ends, range(3))
+                head, ns, _, bounds = operators._step_certificate(
+                    op, W, k, l, reads, ends)
+                certified += weights._certified_holds(
+                    head, ns, top, bounds) is not None
+                rows = operators._STEP_ROWS[op](lw(k, alpha), lw(l, alpha),
+                                                log_n)
+                bound, margin = bounds()
+            assert head.tobytes() == rows[:HEAD].tobytes()
             # the rows n in (a, b] sit at a..b - 1
             block_max = np.maximum.reduceat(rows, ends[:-1])
             assert np.all(block_max <= bound + margin), (op, k, l, h)
     # the nuclear presets grow fast enough for most steps to certify
     assert certified > 0 or preset in ("n_pow_n", "logloglog_n")
+
+
+def test_certified_averaging_step_sums_the_head_once(monkeypatch):
+    # the block bounds start from the head's last prefix sum, not from a
+    # second sum over the head
+    lengths = []
+    kernel = weights.log_cumsum_exp
+
+    def counting(t):
+        lengths.append(len(t))
+        return kernel(t)
+
+    for module in (weights, operators, finite_type):
+        if hasattr(module, "log_cumsum_exp"):
+            monkeypatch.setattr(module, "log_cumsum_exp", counting)
+    v = step_continuity_test("cesaro", _W_N, 1, 2, 10 ** 5)
+    assert v.status == "holds"
+    assert lengths.count(HEAD) == 1 and max(lengths) == HEAD

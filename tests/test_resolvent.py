@@ -18,8 +18,8 @@ from cesarolab.resolvent import (_log_slacks, _strict_row_base, a_fn,
                                  resolvent_norm_bound_check, sandwich_bounds,
                                  sandwich_check, u_fn, v_fn)
 from cesarolab.weights import (LOG_DBL_MAX, PRESET_NAMES, AlphaSequence,
-                               WeightFamily, _first_step, make_alpha,
-                               scan_horizon, scan_verdict)
+                               WeightFamily, _block_ends, _first_step,
+                               make_alpha, scan_horizon, scan_verdict)
 
 
 def test_a_fn_values():
@@ -706,7 +706,7 @@ _TURNING = [5e-5 + 0.3j, 2e-5 - 0.5j]
     pytest.param(_TURNING, lambda lam: 1e-5, 8, id="turning")])
 def test_prefix_bracket_holds_the_true_prefix(lams, radius, samples):
     # at every block end up to 1e5, and at the indices where P turns
-    ends = rsv._block_ends(rsv.HEAD, 10 ** 5)
+    ends = _block_ends(rsv.HEAD, 10 ** 5)
     widest = 0.0
     for lam in lams:
         for mu in disc_samples(lam, radius(lam), boundary=samples - 1,

@@ -87,3 +87,32 @@ def test_bench_snapshot_in_process_table():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert tool.snapshot(spec, "0123456", False, {}, table)[
         "in_process"] == table
+
+
+_IMPORTTIME = """\
+import time: self [us] | cumulative | imported package
+import time:       120 |        120 |   _io
+import time:     30000 |      30000 | numpy
+import time:       900 |        900 |     cesarolab.weights
+import time:       350 |       1250 |   cesarolab.cli
+import time:        40 |         40 | cesarolab
+import time:        70 |         70 | cesarolabx
+"""
+
+
+def test_bench_snapshot_cold_start():
+    # cesarolab's own share of a canned importtime trace, then one cheap
+    # command run cold
+    tool = load_tool("bench_snapshot")
+    assert tool.own_import_ms(_IMPORTTIME) == 1.29
+    assert set(tool.COLD_START) == {"classify", "probe", "finite"}
+    cold = tool.cold_start(ROOT, {"version": ["--version"]}, repeats=1)
+    assert set(cold) == {"wall_ms_median", "cesarolab_import_ms", "repeats"}
+    assert set(cold["wall_ms_median"]) == {"version"}
+    assert cold["wall_ms_median"]["version"] > 0
+    assert cold["cesarolab_import_ms"] > 0
+    with pytest.raises(RuntimeError, match="^bad: exit 1"):
+        tool.cold_start(ROOT, {"bad": ["finite", "--weights", "x"]}, 1)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert tool.snapshot(spec, "0123456", False, {}, {}, cold)[
+        "cold_start"] == cold

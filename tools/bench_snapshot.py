@@ -15,9 +15,15 @@ the same host load.
 It also holds an in-process table: each command of ``IN_PROCESS`` run
 REPEATS times in one fresh interpreter per checkout, with the best time
 in ms and the minor page faults (``resource.getrusage``) of that run.
+And cold-start numbers, per checkout: the median wall time in ms of
+each command of ``COLD_START`` as ``python -m cesarolab.cli`` in a fresh
+interpreter, and the median of cesarolab's own share of
+``import cesarolab.cli``, the self times of its modules under
+``python -X importtime``, each over COLD_REPEATS runs.
 
 A snapshot records; it gates nothing, and BENCHMARK.json stays the gate.
-Three workloads at 10 s each take about a minute per root.
+Three workloads at 10 s each take about a minute per root, and the
+cold-start runs some 10 s more.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SEED = 0
@@ -49,6 +57,14 @@ IN_PROCESS = {
     **{f"{op} {preset} 1e5": [op, preset] for preset in ("sqrt_n", "loglog_n")
        for op in _STEPS},
 }
+# name -> the argv of ``python -m cesarolab.cli``: each command at its
+# defaults
+COLD_START = {
+    "classify": ["classify", "--alpha", "loglog_n"],
+    "probe": ["probe", "--alpha", "loglog_n", "--lambda=0.4+0.2i"],
+    "finite": ["finite", "--weights", "finite:log_np1"],
+}
+COLD_REPEATS = 7
 # run in a fresh interpreter with the checkout's src first on the path:
 # argv[1] is the JSON of {name: command} and argv[2] the repeats
 _CHILD = """
@@ -101,21 +117,66 @@ def run_workload(root, workload):
     return proc.stdout.strip().splitlines()[-1]
 
 
+def _python(root, *args):
+    """Run the interpreter on the checkout's own src; (wall s, process)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=root, env=env,
+                          capture_output=True, text=True)
+    return time.perf_counter() - start, proc
+
+
 def in_process_table(root, commands=IN_PROCESS, repeats=REPEATS):
     """{name: {"best_ms", "minor_faults"}} of each command, run in one
     fresh interpreter on the checkout's own src."""
-    env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(commands), str(repeats)],
-        cwd=root, env=env, capture_output=True, text=True, check=True)
+    _, proc = _python(root, "-c", _CHILD, json.dumps(commands), str(repeats))
+    proc.check_returncode()
     return json.loads(proc.stdout)
 
 
-def snapshot(spec, commit, dirty, lines, in_process=None):
+def own_import_ms(importtime):
+    """cesarolab's own share of an import in ms: the self times of the
+    cesarolab modules in the stderr of ``python -X importtime``."""
+    us = 0
+    for line in importtime.splitlines():
+        fields = line.removeprefix("import time:").split("|")
+        name = fields[-1].strip()
+        if len(fields) == 3 and name.split(".")[0] == "cesarolab":
+            us += int(fields[0])
+    return us / 1e3
+
+
+def cold_start(root, commands=COLD_START, repeats=COLD_REPEATS):
+    """{"wall_ms_median": {name: ms}, "cesarolab_import_ms", "repeats"}:
+    each command as ``python -m cesarolab.cli`` in a fresh interpreter on
+    the checkout's own src, and cesarolab's own share of its import, as
+    medians over ``repeats`` runs.  RuntimeError for a run that exits
+    with neither 0 nor 2 (inconclusive)."""
+    walls = {}
+    for name, argv in commands.items():
+        runs = [_python(root, "-m", "cesarolab.cli", *argv)
+                for _ in range(repeats)]
+        bad = [proc for _, proc in runs if proc.returncode not in (0, 2)]
+        if bad:
+            raise RuntimeError(f"{name}: exit {bad[0].returncode}: "
+                               f"{bad[0].stderr.strip()}")
+        walls[name] = statistics.median(s for s, _ in runs) * 1e3
+    imports = []
+    for _ in range(repeats):
+        _, proc = _python(root, "-X", "importtime", "-c",
+                          "import cesarolab.cli")
+        proc.check_returncode()
+        imports.append(own_import_ms(proc.stderr))
+    return {"wall_ms_median": walls,
+            "cesarolab_import_ms": statistics.median(imports),
+            "repeats": repeats}
+
+
+def snapshot(spec, commit, dirty, lines, in_process=None, cold=None):
     """The snapshot of one checkout from its BENCHMARK.json ``spec``, the
-    result line of each workload (a dict workload -> line) and its
-    in-process table.  ValueError if a line lacks an end-to-end metric of
-    the spec."""
+    result line of each workload (a dict workload -> line), its
+    in-process table and its cold-start numbers.  ValueError if a line
+    lacks an end-to-end metric of the spec."""
     workloads = {}
     for name, line in lines.items():
         result = json.loads(line)
@@ -142,6 +203,7 @@ def snapshot(spec, commit, dirty, lines, in_process=None):
         "units": {m["name"]: m["unit"] for m in spec["end_to_end"]},
         "workloads": workloads,
         "in_process": in_process or {},
+        "cold_start": cold or {},
     }
 
 
@@ -157,11 +219,14 @@ def main(argv=None):
         for root, got in zip(args.roots, lines):
             got[w] = run_workload(root, w)
     tables = [in_process_table(root) for root in args.roots]
-    for root, spec, got, table in zip(args.roots, specs, lines, tables):
+    colds = [cold_start(root) for root in args.roots]
+    for root, spec, got, table, cold in zip(args.roots, specs, lines, tables,
+                                            colds):
         sha, dirty = commit_of(root)
         path = args.out_dir / f"BENCH_{sha[:7]}.json"
-        path.write_text(json.dumps(snapshot(spec, sha, dirty, got, table),
-                                   indent=1, sort_keys=True) + "\n")
+        path.write_text(json.dumps(
+            snapshot(spec, sha, dirty, got, table, cold), indent=1,
+            sort_keys=True) + "\n")
         print(path)
     return 0
 
